@@ -349,3 +349,44 @@ func TestRoutingChurnResultPinned(t *testing.T) {
 		t.Errorf("Overhead.RouteDeposits = %d, pinned 4136", res.Overhead.RouteDeposits)
 	}
 }
+
+// TestSuperConscientiousMappingPinned pins Fig 5's configuration —
+// cooperating super-conscientious agents, whose meetings merge unbounded
+// visit histories through knowledge.MergeAll — at three population
+// sizes. The values were recorded on the map-backed visit memory, so a
+// pass proves any rewrite of that memory changes nothing observable.
+func TestSuperConscientiousMappingPinned(t *testing.T) {
+	for _, tc := range []struct {
+		agents                       int
+		finish                       int
+		curve, minCurve              float64
+		moves, meetings, topo, visit int
+	}{
+		{5, 817, 305772.88933333335, 285699.60666666651, 4080, 2141, 176, 438},
+		{15, 439, 86714.054222222214, 74411.540000000023, 6570, 5755, 2330, 7354},
+		{40, 496, 110215.89425000001, 93788.973333333328, 19800, 19331, 5867, 14753},
+	} {
+		w, err := agentmesh.MappingNetwork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := agentmesh.RunMapping(w, agentmesh.MappingScenario{
+			Agents: tc.agents, Kind: agentmesh.PolicySuperConscientious, Cooperate: true,
+		}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Finished || res.FinishStep != tc.finish || len(res.Curve) != tc.finish {
+			t.Errorf("agents=%d: Finished=%v FinishStep=%d len(Curve)=%d, pinned true/%d/%d",
+				tc.agents, res.Finished, res.FinishStep, len(res.Curve), tc.finish, tc.finish)
+		}
+		pinF64(t, "weightedSum(Curve)", weightedSum(res.Curve), tc.curve)
+		pinF64(t, "weightedSum(MinCurve)", weightedSum(res.MinCurve), tc.minCurve)
+		got := []int{res.Overhead.Moves, res.Overhead.Meetings,
+			res.Overhead.TopoRecordsReceived, res.Overhead.VisitRecordsReceived}
+		if want := []int{tc.moves, tc.meetings, tc.topo, tc.visit}; !reflect.DeepEqual(got, want) {
+			t.Errorf("agents=%d: Overhead moves/meetings/topo/visit records = %v, pinned %v",
+				tc.agents, got, want)
+		}
+	}
+}

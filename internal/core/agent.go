@@ -114,6 +114,7 @@ func New(cfg Config) (*Agent, error) {
 		stream:        cfg.Stream,
 		tieSalt:       saltFor(cfg.ID),
 	}
+	a.Visits.Grow(cfg.NetworkSize)
 	return a, nil
 }
 

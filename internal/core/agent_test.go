@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -367,5 +368,38 @@ func TestAgentDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("agent behaviour diverged at step %d", i)
 		}
+	}
+}
+
+// TestRoutingAgentAllocBudgetLargeNetwork bounds what one routing agent
+// costs on a 100000-node network: building it and driving it through 300
+// moves with visit recording allocates under 1 MB. Routing agents never
+// learn topology, so the neighbour-list index must stay unallocated, and
+// the visit memory is one int32 per node.
+func TestRoutingAgentAllocBudgetLargeNetwork(t *testing.T) {
+	const n, steps, budget = 100000, 300, 1 << 20
+	walk := rng.New(17)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := New(Config{
+		ID: 3, Start: NodeID(walk.Intn(n)), Kind: PolicyOldestNode, NetworkSize: n,
+		ShareRoutes: true, VisitCapacity: 32, TrailCapacity: 32, Stream: rng.New(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < steps; step++ {
+		a.RecordHere(step)
+		a.MoveTo(NodeID(walk.Intn(n)), step%50 == 0)
+	}
+	a.RecordHere(steps)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("agent on a %d-node network allocated %d bytes over %d steps, budget %d",
+			n, got, steps, budget)
+	}
+	if a.Visits.Len() != 32 || a.Topo.KnownCount() != 0 {
+		t.Fatalf("visits %d, known %d: want a full 32-entry memory and no topology",
+			a.Visits.Len(), a.Topo.KnownCount())
 	}
 }

@@ -153,3 +153,43 @@ func TestCloneAllocBudget(t *testing.T) {
 		t.Fatal("mutating a clone leaked into the original")
 	}
 }
+
+// TestTopologyNeighborIndexAllocatedOnFirstLearn checks the lazily
+// allocated neighbour-list index: a topology that never learns (a routing
+// agent's) costs only its source tags and mask, and every operation on it
+// — Neighbors, Reconstruct, Clone, Reset, MergeFrom in either direction —
+// behaves as on a topology whose index exists.
+func TestTopologyNeighborIndexAllocatedOnFirstLearn(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() { _ = NewTopology(1000) }); avg > 3 {
+		t.Fatalf("NewTopology allocates %v times, want <= 3 (struct, sources, mask)", avg)
+	}
+	empty := NewTopology(10)
+	if empty.Neighbors(3) != nil || empty.Reconstruct().M() != 0 {
+		t.Fatal("empty topology reports neighbours")
+	}
+	if empty.MergeFrom(NewTopology(10)) != 0 {
+		t.Fatal("merging two empty topologies moved records")
+	}
+	c := empty.Clone()
+	c.LearnFirstHand(3, []NodeID{4, 5})
+	if len(c.Neighbors(3)) != 2 || empty.Neighbors(3) != nil || empty.KnownCount() != 0 {
+		t.Fatal("learning in a clone of an empty topology failed or leaked")
+	}
+	if empty.MergeFrom(c) != 1 || len(empty.Neighbors(3)) != 2 || empty.SourceOf(3) != SecondHand {
+		t.Fatal("empty topology did not learn from a peer")
+	}
+	// Shrinking Reset keeps the index; growing Reset drops it until the
+	// next learn. Either way the result behaves like a fresh topology.
+	empty.Reset(5)
+	if len(empty.Neighbors(3)) != 0 {
+		t.Fatal("Reset kept a neighbour list")
+	}
+	empty.Reset(50)
+	if empty.Neighbors(40) != nil {
+		t.Fatal("grown Reset reports neighbours")
+	}
+	empty.LearnSecondHand(40, []NodeID{1})
+	if empty.N() != 50 || empty.KnownCount() != 1 || len(empty.Neighbors(40)) != 1 {
+		t.Fatal("learning after a grown Reset failed")
+	}
+}

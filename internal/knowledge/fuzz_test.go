@@ -1,6 +1,9 @@
 package knowledge
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzTrailOps drives a Trail with an arbitrary operation tape and checks
 // its structural invariants after every operation.
@@ -45,27 +48,122 @@ func FuzzTrailOps(f *testing.F) {
 	})
 }
 
-// FuzzVisitsOps drives a Visits memory with an arbitrary tape and checks
-// the capacity bound and recency semantics.
+// FuzzVisitsOps is a differential test of the dense visit memory against
+// the map-backed reference in visits_ref_test.go: it interleaves Record,
+// MergeFrom, MergeAll and Clone over four memories whose capacities come
+// from {0, 1, 2, 32}, and requires identical Last, Len and change counts
+// after every operation (see runVisitsTape).
 func FuzzVisitsOps(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5})
 	f.Add(uint8(0), []byte{9, 9, 9})
-	f.Fuzz(func(t *testing.T, capacity uint8, tape []byte) {
-		v := NewVisits(int(capacity))
-		highest := map[NodeID]int{}
-		for step, op := range tape {
-			node := NodeID(op % 16)
-			v.Record(node, step)
-			if prev, ok := highest[node]; !ok || step > prev {
-				highest[node] = step
+	f.Add(uint8(0b11100100), []byte{0, 7, 4, 9, 1, 200, 70, 3, 133, 250, 192, 5, 255, 77, 128, 6})
+	f.Add(uint8(0b01010101), []byte{0, 1, 4, 2, 8, 3, 12, 4, 134, 0, 195, 255, 211, 9, 64, 1})
+	f.Fuzz(func(t *testing.T, capSel uint8, tape []byte) {
+		var caps [4]int
+		for i := range caps {
+			caps[i] = []int{0, 1, 2, 32}[capSel>>(2*i)&3]
+		}
+		runVisitsTape(t, caps, tape)
+	})
+}
+
+// runVisitsTape decodes tape into operations on four dense/reference
+// memory pairs and fails on the first observable divergence. Each
+// operation is an opcode byte and, for records, an argument byte:
+//
+//   - op>>6 == 0 or 1: Record into memory op&3 at a clock that advances
+//     by (op>>2)&1 and is looked back (op>>3)&3 steps, so equal-step ties
+//     and stale records are common. The argument picks the node: 0..191
+//     map to nodes 0..63, 192..255 to sparse IDs up to 6175, well beyond
+//     the range touched first.
+//   - op>>6 == 2: memory op&3 merges memory (op>>2)&3 with MergeFrom, or
+//     is replaced by its own Clone when the two coincide.
+//   - op>>6 == 3: MergeAll over the members in bitmask op&15.
+func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
+	t.Helper()
+	var (
+		got     [4]*Visits
+		want    [4]*refVisits
+		scratch MergeScratch
+		refScr  refMergeScratch
+		clock   int
+		touched = map[NodeID]bool{}
+		probes  []NodeID
+	)
+	for i, c := range caps {
+		got[i], want[i] = NewVisits(c), newRefVisits(c)
+	}
+	check := func(op int, what string) {
+		t.Helper()
+		for i := range got {
+			if got[i].Len() != want[i].Len() || got[i].Capacity() != want[i].Capacity() {
+				t.Fatalf("op %d (%s): memory %d Len/Capacity %d/%d, reference %d/%d", op, what, i,
+					got[i].Len(), got[i].Capacity(), want[i].Len(), want[i].Capacity())
 			}
-			if capacity > 0 && v.Len() > int(capacity) {
-				t.Fatalf("step %d: len %d > capacity %d", step, v.Len(), capacity)
+			if c := caps[i]; c > 0 && got[i].Len() > c {
+				t.Fatalf("op %d (%s): memory %d holds %d > capacity %d", op, what, i, got[i].Len(), c)
 			}
-			// Anything remembered must match the true latest step.
-			if got, ok := v.Last(node); !ok || got != highest[node] {
-				t.Fatalf("step %d: Last(%d) = %d,%v want %d", step, node, got, ok, highest[node])
+			for _, u := range probes {
+				gs, gok := got[i].Last(u)
+				ws, wok := want[i].Last(u)
+				if gs != ws || gok != wok {
+					t.Fatalf("op %d (%s): memory %d Last(%d) = %d,%v, reference %d,%v",
+						op, what, i, u, gs, gok, ws, wok)
+				}
 			}
 		}
-	})
+	}
+	// Fixed probes (node 0, the first sparse ID, one far past any table)
+	// plus every node the tape touches.
+	probes = append(probes, 0, 64, 1<<20)
+	for op := 0; op < len(tape); op++ {
+		b := tape[op]
+		switch b >> 6 {
+		case 0, 1:
+			if op+1 >= len(tape) {
+				return
+			}
+			op++
+			arg := tape[op]
+			u := NodeID(arg % 64)
+			if arg >= 192 {
+				u = NodeID(arg-192)*97 + 64
+			}
+			if !touched[u] {
+				touched[u] = true
+				probes = append(probes, u)
+			}
+			clock += int(b>>2) & 1
+			step := max(clock-int(b>>3)&3, 0)
+			m := b & 3
+			got[m].Record(u, step)
+			want[m].Record(u, step)
+			check(op, "Record")
+		case 2:
+			dst, src := b&3, (b>>2)&3
+			if dst == src {
+				got[dst], want[dst] = got[dst].Clone(), want[dst].Clone()
+				check(op, "Clone")
+				continue
+			}
+			gc, wc := got[dst].MergeFrom(got[src]), want[dst].MergeFrom(want[src])
+			if gc != wc {
+				t.Fatalf("op %d: MergeFrom(%d <- %d) changed %d, reference %d", op, dst, src, gc, wc)
+			}
+			check(op, "MergeFrom")
+		case 3:
+			var gs []*Visits
+			var ws []*refVisits
+			for i := range got {
+				if b>>i&1 != 0 {
+					gs, ws = append(gs, got[i]), append(ws, want[i])
+				}
+			}
+			gc, wc := scratch.MergeAll(gs), refScr.MergeAll(ws)
+			if !slices.Equal(gc, wc) {
+				t.Fatalf("op %d: MergeAll(%04b) changed %v, reference %v", op, b&15, gc, wc)
+			}
+			check(op, "MergeAll")
+		}
+	}
 }

@@ -34,10 +34,14 @@ const (
 // node) mirrors "source != Unknown". Learning only ever sets bits, so
 // set-difference questions — which records does a peer hold that I lack? —
 // collapse to word-parallel scans over the masks, 64 nodes per AND-NOT.
+//
+// The per-node neighbour-list index is allocated on the first learn, so
+// an agent that never learns anything (a routing agent) costs no 24-byte
+// slice header per node.
 type Topology struct {
 	source []Source
-	mask   []uint64 // bit u set ⇔ source[u] != Unknown
-	adj    [][]NodeID
+	mask   []uint64   // bit u set ⇔ source[u] != Unknown
+	adj    [][]NodeID // nil until the first learn
 	known  int
 }
 
@@ -49,7 +53,6 @@ func NewTopology(n int) *Topology {
 	return &Topology{
 		source: make([]Source, n),
 		mask:   make([]uint64, maskWords(n)),
-		adj:    make([][]NodeID, n),
 	}
 }
 
@@ -70,9 +73,10 @@ func (t *Topology) Reset(n int) {
 	t.mask = t.mask[:words]
 	clear(t.mask)
 	if cap(t.adj) < n {
-		t.adj = make([][]NodeID, n)
+		t.adj = nil // reallocated by the next learn
+	} else {
+		t.adj = t.adj[:n]
 	}
-	t.adj = t.adj[:n]
 	for u := range t.adj {
 		if t.adj[u] != nil {
 			t.adj[u] = t.adj[u][:0]
@@ -119,7 +123,7 @@ func (t *Topology) LearnFirstHand(u NodeID, neighbors []NodeID) {
 		t.mask[u>>6] |= 1 << (uint(u) & 63)
 	}
 	t.source[u] = FirstHand
-	t.adj[u] = append(t.adj[u][:0], neighbors...)
+	t.setAdj(u, neighbors)
 }
 
 // LearnSecondHand records hearsay about node u. It never overwrites
@@ -133,6 +137,14 @@ func (t *Topology) LearnSecondHand(u NodeID, neighbors []NodeID) {
 		t.mask[u>>6] |= 1 << (uint(u) & 63)
 	}
 	t.source[u] = SecondHand
+	t.setAdj(u, neighbors)
+}
+
+// setAdj stores u's neighbour list, allocating the index on first use.
+func (t *Topology) setAdj(u NodeID, neighbors []NodeID) {
+	if t.adj == nil {
+		t.adj = make([][]NodeID, len(t.source))
+	}
 	t.adj[u] = append(t.adj[u][:0], neighbors...)
 }
 
@@ -159,7 +171,12 @@ func (t *Topology) MergeFrom(other *Topology) int {
 
 // Neighbors returns the known out-neighbour list for u (nil or empty if
 // unknown). Callers must not modify the returned slice.
-func (t *Topology) Neighbors(u NodeID) []NodeID { return t.adj[u] }
+func (t *Topology) Neighbors(u NodeID) []NodeID {
+	if t.adj == nil {
+		return nil
+	}
+	return t.adj[u]
+}
 
 // Reconstruct builds the directed graph this agent believes in. Unknown
 // nodes contribute no edges.
@@ -182,16 +199,19 @@ func (t *Topology) ReconstructInto(g *graph.Directed) *graph.Directed {
 }
 
 // Clone returns a deep copy. All neighbour lists are packed into one flat
-// backing array, so a clone costs five allocations however many nodes are
-// known; the clone remains fully mutable (learning a longer list than a
-// node's packed capacity migrates that list to its own storage).
+// backing array, so a clone costs at most five allocations however many
+// nodes are known; the clone remains fully mutable (learning a longer list
+// than a node's packed capacity migrates that list to its own storage).
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
 		source: append([]Source(nil), t.source...),
 		mask:   append([]uint64(nil), t.mask...),
-		adj:    make([][]NodeID, len(t.adj)),
 		known:  t.known,
 	}
+	if t.adj == nil {
+		return c
+	}
+	c.adj = make([][]NodeID, len(t.adj))
 	total := 0
 	for u := range t.adj {
 		total += len(t.adj[u])

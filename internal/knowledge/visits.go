@@ -1,8 +1,10 @@
 package knowledge
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // Visits is an agent's bounded memory of when it last visited each node.
@@ -13,55 +15,107 @@ import (
 // Capacity 0 means unbounded. When bounded and full, the entry with the
 // oldest step is evicted — forgetting the most distant visit first, which
 // is what a fixed-size ring of visit records would do.
+//
+// The memory is a per-node lookup table: step[u] holds the last visit
+// step of node u plus one (0 = not remembered), and nodes lists the
+// remembered nodes in no particular order. Last and Record are one array
+// access; only eviction scans, over the at most Capacity listed nodes.
+// Every observable order — eviction of the minimum step with ties to the
+// lowest node ID, freshest-first merge order — comes from explicit
+// comparison, never from storage order. Node IDs must be non-negative and
+// steps lie in [0, math.MaxInt32-1).
 type Visits struct {
 	capacity int
-	last     map[NodeID]int
+	step     []int32 // node-indexed: last visit step + 1, 0 = not remembered
+	nodes    []NodeID
 }
 
 // NewVisits returns a visit memory holding at most capacity entries
 // (0 = unbounded).
 func NewVisits(capacity int) *Visits {
-	return &Visits{capacity: capacity, last: make(map[NodeID]int)}
+	return &Visits{capacity: capacity}
 }
 
 // Len returns the number of remembered nodes.
-func (v *Visits) Len() int { return len(v.last) }
+func (v *Visits) Len() int { return len(v.nodes) }
 
 // Capacity returns the configured bound (0 = unbounded).
 func (v *Visits) Capacity() int { return v.capacity }
 
+// Grow sizes the node-indexed table for node IDs below n, so recording
+// visits on an n-node network never reallocates. Without it the table
+// grows on first touch of a node beyond its end.
+func (v *Visits) Grow(n int) {
+	if n > len(v.step) {
+		v.step = append(v.step, make([]int32, n-len(v.step))...)
+	}
+}
+
+// cover makes step[u] addressable, doubling the table at least so a
+// memory grown node by node reallocates O(log n) times.
+func (v *Visits) cover(u NodeID) {
+	if int(u) >= len(v.step) {
+		v.Grow(max(int(u)+1, 2*len(v.step)))
+	}
+}
+
+// encodeStep packs a visit step into the table's step+1 form.
+func encodeStep(step int) int32 {
+	if step < 0 || step >= math.MaxInt32 {
+		panic(fmt.Sprintf("knowledge: visit step %d outside [0, %d)", step, math.MaxInt32))
+	}
+	return int32(step + 1)
+}
+
 // Record notes that the agent stood on node u at the given step.
 func (v *Visits) Record(u NodeID, step int) {
-	if _, ok := v.last[u]; !ok && v.capacity > 0 && len(v.last) >= v.capacity {
-		v.evictOldest()
+	v.put(u, encodeStep(step))
+}
+
+// put installs encoded step s for u unless u holds a step at least as
+// recent, evicting first when u is new and the memory is full. It
+// reports whether v changed.
+func (v *Visits) put(u NodeID, s int32) bool {
+	v.cover(u)
+	prev := v.step[u]
+	if prev == 0 {
+		if v.capacity > 0 && len(v.nodes) >= v.capacity {
+			v.evictOldest()
+		}
+		v.nodes = append(v.nodes, u)
+	} else if s <= prev {
+		return false
 	}
-	if prev, ok := v.last[u]; !ok || step > prev {
-		v.last[u] = step
-	}
+	v.step[u] = s
+	return true
 }
 
 // Last returns when u was last visited. ok is false if the agent never
 // visited u or has forgotten the visit.
 func (v *Visits) Last(u NodeID) (step int, ok bool) {
-	step, ok = v.last[u]
-	return step, ok
+	if uint(u) < uint(len(v.step)) {
+		if s := v.step[u]; s != 0 {
+			return int(s) - 1, true
+		}
+	}
+	return 0, false
 }
 
 // evictOldest removes the entry with the smallest step, breaking ties by
-// smallest node ID so the choice is deterministic regardless of map
-// iteration order.
+// smallest node ID, with one scan of the remembered-node list.
 func (v *Visits) evictOldest() {
-	first := true
-	var victim NodeID
-	victimStep := 0
-	for u, s := range v.last {
-		if first || s < victimStep || (s == victimStep && u < victim) {
-			victim, victimStep, first = u, s, false
+	vi := 0
+	victim := v.nodes[0]
+	victimStep := v.step[victim]
+	for i, u := range v.nodes[1:] {
+		if s := v.step[u]; s < victimStep || (s == victimStep && u < victim) {
+			vi, victim, victimStep = i+1, u, s
 		}
 	}
-	if !first {
-		delete(v.last, victim)
-	}
+	last := len(v.nodes) - 1
+	v.nodes[vi] = v.nodes[last]
+	v.nodes = v.nodes[:last]
+	v.step[victim] = 0
 }
 
 // MergeFrom folds other's visit records into v, keeping the most recent
@@ -69,36 +123,35 @@ func (v *Visits) evictOldest() {
 // super-conscientious (mapping) and communicating oldest-node (routing)
 // agents. It returns the number of records that changed v.
 //
-// Records are applied freshest-first (ties by node ID) rather than in map
-// iteration order, so bounded merges evict deterministically.
+// Records are applied freshest-first (ties by node ID), so bounded merges
+// evict deterministically.
 func (v *Visits) MergeFrom(other *Visits) int {
-	entries := make([]visitRec, 0, len(other.last))
-	for u, s := range other.last {
-		entries = append(entries, visitRec{node: u, step: s})
+	entries := make([]visitRec, len(other.nodes))
+	for i, u := range other.nodes {
+		entries[i] = visitRec{node: u, step: other.step[u]}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].step != entries[j].step {
-			return entries[i].step > entries[j].step
-		}
-		return entries[i].node < entries[j].node
-	})
+	slices.SortFunc(entries, freshestFirst)
 	changed := 0
 	for _, e := range entries {
-		if prev, ok := v.last[e.node]; !ok || e.step > prev {
-			// Eviction applies only to brand-new entries.
-			if !ok && v.capacity > 0 && len(v.last) >= v.capacity {
-				v.evictOldest()
-			}
-			v.last[e.node] = e.step
+		if v.put(e.node, e.step) {
 			changed++
 		}
 	}
 	return changed
 }
 
+// visitRec is one remembered visit, its step in the table's step+1 form.
 type visitRec struct {
 	node NodeID
-	step int
+	step int32
+}
+
+// freshestFirst orders records by descending step, then ascending node ID.
+func freshestFirst(a, b visitRec) int {
+	if c := cmp.Compare(b.step, a.step); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.node, b.node)
 }
 
 // MergeAll folds the visit memories of a meeting group into their union —
@@ -113,75 +166,90 @@ func MergeAll(ms []*Visits) []int {
 	return s.MergeAll(ms)
 }
 
-// MergeScratch carries the reusable buffers of MergeAll: the union map,
-// the sorted record list, and the per-member change counts. Meetings
-// happen tens of thousands of times per run, so reusing these is a large
-// share of making the simulation loop allocation-free. The zero value is
-// ready; the slice MergeAll returns aliases the scratch and is valid until
-// the next call.
+// MergeScratch carries the reusable buffers of MergeAll: a node-indexed
+// union table (all zero between calls), the union's record list, and the
+// per-member change counts. Meetings happen tens of thousands of times
+// per run, so reusing these is a large share of making the simulation
+// loop allocation-free. The zero value is ready; the slice MergeAll
+// returns aliases the scratch and is valid until the next call.
 type MergeScratch struct {
-	union   map[NodeID]int
+	union   []int32
 	entries []visitRec
 	changed []int
 }
 
 // MergeAll is the scratch-buffered form of the package-level MergeAll:
 // identical results and member states, zero steady-state allocations.
+//
+// The union is gathered through the dense scratch table. It is sorted
+// freshest-first only when some member's capacity truncates it; a member
+// that keeps the whole union already holds a subset of it, so it is
+// upgraded in place, and unbounded (super-conscientious) merges never
+// sort at all.
 func (s *MergeScratch) MergeAll(ms []*Visits) []int {
-	if s.union == nil {
-		s.union = make(map[NodeID]int)
-	} else {
-		clear(s.union)
-	}
+	size := 0
 	for _, m := range ms {
-		for u, st := range m.last {
-			if p, ok := s.union[u]; !ok || st > p {
-				s.union[u] = st
-			}
-		}
+		size = max(size, len(m.step))
 	}
+	if len(s.union) < size {
+		s.union = make([]int32, size)
+	}
+	union := s.union
 	entries := s.entries[:0]
-	for u, st := range s.union {
-		entries = append(entries, visitRec{node: u, step: st})
+	for _, m := range ms {
+		for _, u := range m.nodes {
+			st := m.step[u]
+			if union[u] == 0 {
+				entries = append(entries, visitRec{node: u})
+			}
+			if st > union[u] {
+				union[u] = st
+			}
+		}
 	}
-	slices.SortFunc(entries, func(a, b visitRec) int {
-		if a.step != b.step {
-			if a.step > b.step {
-				return -1
-			}
-			return 1
-		}
-		if a.node != b.node {
-			if a.node < b.node {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	for i := range entries {
+		u := entries[i].node
+		entries[i].step = union[u]
+		union[u] = 0
+	}
+	truncates := func(m *Visits) bool { return m.capacity > 0 && m.capacity < len(entries) }
+	if slices.ContainsFunc(ms, truncates) {
+		slices.SortFunc(entries, freshestFirst)
+	}
 	s.entries = entries
 	if cap(s.changed) < len(ms) {
 		s.changed = make([]int, len(ms))
 	}
 	changed := s.changed[:len(ms)]
 	for i, m := range ms {
-		kept := entries
-		if m.capacity > 0 && len(kept) > m.capacity {
-			kept = kept[:m.capacity]
-		}
-		// Count what the union adds or refreshes against the member's
-		// pre-meeting state, then rewrite the member in place — the
-		// entries are unique per node, so counting first and installing
-		// second matches building a fresh map.
 		changed[i] = 0
+		if !truncates(m) {
+			// The whole union survives and contains every record m
+			// holds, so upgrading m in place equals installing it.
+			for _, e := range entries {
+				if m.put(e.node, e.step) {
+					changed[i]++
+				}
+			}
+			continue
+		}
+		// Truncated: count what the kept prefix adds or refreshes against
+		// the member's pre-meeting state, then clear just the member's own
+		// records and install the prefix.
+		kept := entries[:m.capacity]
 		for _, e := range kept {
-			if p, ok := m.last[e.node]; !ok || e.step > p {
+			m.cover(e.node)
+			if e.step > m.step[e.node] {
 				changed[i]++
 			}
 		}
-		clear(m.last)
+		for _, u := range m.nodes {
+			m.step[u] = 0
+		}
+		m.nodes = m.nodes[:0]
 		for _, e := range kept {
-			m.last[e.node] = e.step
+			m.step[e.node] = e.step
+			m.nodes = append(m.nodes, e.node)
 		}
 	}
 	return changed
@@ -189,9 +257,9 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 
 // Clone returns a deep copy.
 func (v *Visits) Clone() *Visits {
-	c := NewVisits(v.capacity)
-	for u, s := range v.last {
-		c.last[u] = s
+	return &Visits{
+		capacity: v.capacity,
+		step:     slices.Clone(v.step),
+		nodes:    slices.Clone(v.nodes),
 	}
-	return c
 }

@@ -116,6 +116,16 @@ go test -race -count=1 \
   ./internal/routing
 go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
+echo "== visit-memory equivalence gate (-race)"
+# The dense node-indexed visit memory must stay observably identical to
+# the map-backed reference kept in internal/knowledge/visits_ref_test.go:
+# the differential tests (FuzzVisitsOps runs its seed corpus as an
+# ordinary test here; go test -fuzz FuzzVisitsOps goes deeper), the
+# allocation budgets, and every pinned result, including the
+# super-conscientious pin whose unbounded merges exercise it most.
+go test -race -count=1 -run 'Visits|MergeAll|FuzzVisitsOps|Pinned' \
+  ./internal/knowledge ./internal/core .
+
 echo "== cached-sweep byte-identity gate (worldcache on/off, pointworkers 1 and 4)"
 # The whole point of the trajectory cache is that nobody can tell it is on:
 # for both scenarios, clean and faulted, the cached sweep's CSV must be
