@@ -356,6 +356,19 @@ func TestRoutingChurnResultPinned(t *testing.T) {
 // sizes. The values were recorded on the map-backed visit memory, so a
 // pass proves any rewrite of that memory changes nothing observable.
 func TestSuperConscientiousMappingPinned(t *testing.T) {
+	checkSuperConscientiousPins(t, 0)
+}
+
+// TestSuperConscientiousMappingPinnedWorkers4 is the same pin with a
+// four-worker engine: meetings of different groups then merge visit
+// histories concurrently, drawing lineage tokens from one shared counter,
+// and the results must still match bit for bit.
+func TestSuperConscientiousMappingPinnedWorkers4(t *testing.T) {
+	checkSuperConscientiousPins(t, 4)
+}
+
+func checkSuperConscientiousPins(t *testing.T, workers int) {
+	t.Helper()
 	for _, tc := range []struct {
 		agents                       int
 		finish                       int
@@ -372,6 +385,7 @@ func TestSuperConscientiousMappingPinned(t *testing.T) {
 		}
 		res, err := agentmesh.RunMapping(w, agentmesh.MappingScenario{
 			Agents: tc.agents, Kind: agentmesh.PolicySuperConscientious, Cooperate: true,
+			Workers: workers,
 		}, 7)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package knowledge
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // FuzzTrailOps drives a Trail with an arbitrary operation tape and checks
@@ -52,12 +54,17 @@ func FuzzTrailOps(f *testing.F) {
 // the map-backed reference in visits_ref_test.go: it interleaves Record,
 // MergeFrom, MergeAll and Clone over four memories whose capacities come
 // from {0, 1, 2, 32}, and requires identical Last, Len and change counts
-// after every operation (see runVisitsTape).
+// after every operation (see runVisitsTape). The seed corpus includes
+// clumped tapes (see clumpedTape), whose repeated merges of one group
+// exercise the merge-lineage path.
 func FuzzVisitsOps(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5})
 	f.Add(uint8(0), []byte{9, 9, 9})
 	f.Add(uint8(0b11100100), []byte{0, 7, 4, 9, 1, 200, 70, 3, 133, 250, 192, 5, 255, 77, 128, 6})
 	f.Add(uint8(0b01010101), []byte{0, 1, 4, 2, 8, 3, 12, 4, 134, 0, 195, 255, 211, 9, 64, 1})
+	for i, capSel := range []uint8{0, 0b11111111, 0b10101010, 0b01010101, 0b00111011} {
+		f.Add(capSel, clumpedTape(rng.New(uint64(i)+1), 200))
+	}
 	f.Fuzz(func(t *testing.T, capSel uint8, tape []byte) {
 		var caps [4]int
 		for i := range caps {
@@ -77,9 +84,18 @@ func FuzzVisitsOps(f *testing.F) {
 //     map to nodes 0..63, 192..255 to sparse IDs up to 6175, well beyond
 //     the range touched first.
 //   - op>>6 == 2: memory op&3 merges memory (op>>2)&3 with MergeFrom, or
-//     is replaced by its own Clone when the two coincide.
+//     is replaced by its own Clone when the two coincide. When
+//     (op>>4)&3 == 3 it is replaced by a Clone of the other instead, so
+//     a copy can later meet its original.
 //   - op>>6 == 3: MergeAll over the members in bitmask op&15.
-func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
+//
+// Besides the observable state it checks the merge lineage after every
+// operation: a dirty list never outgrows its memory, memories sharing a
+// token agree on every touched node in neither dirty list, and a merge
+// that starts a lineage leaves its members' dirty lists empty. It returns
+// how many MergeAll calls had at least two members and how many of those
+// found them all sharing one lineage token.
+func runVisitsTape(t *testing.T, caps [4]int, tape []byte) (merges, shared int) {
 	t.Helper()
 	var (
 		got     [4]*Visits
@@ -100,7 +116,7 @@ func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
 				t.Fatalf("op %d (%s): memory %d Len/Capacity %d/%d, reference %d/%d", op, what, i,
 					got[i].Len(), got[i].Capacity(), want[i].Len(), want[i].Capacity())
 			}
-			if c := caps[i]; c > 0 && got[i].Len() > c {
+			if c := got[i].Capacity(); c > 0 && got[i].Len() > c {
 				t.Fatalf("op %d (%s): memory %d holds %d > capacity %d", op, what, i, got[i].Len(), c)
 			}
 			for _, u := range probes {
@@ -109,6 +125,29 @@ func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
 				if gs != ws || gok != wok {
 					t.Fatalf("op %d (%s): memory %d Last(%d) = %d,%v, reference %d,%v",
 						op, what, i, u, gs, gok, ws, wok)
+				}
+			}
+			if len(got[i].dirty) > got[i].Len() {
+				t.Fatalf("op %d (%s): memory %d dirty list %d > its %d records", op, what, i,
+					len(got[i].dirty), got[i].Len())
+			}
+		}
+		for i, a := range got {
+			for j, b := range got[i+1:] {
+				if a.token == 0 || a.token != b.token {
+					continue
+				}
+				dirty := map[NodeID]bool{}
+				for _, m := range []*Visits{a, b} {
+					for _, u := range m.dirty {
+						dirty[u] = true
+					}
+				}
+				for _, u := range probes {
+					if a.at(u) != b.at(u) && !dirty[u] {
+						t.Fatalf("op %d (%s): memories %d and %d share token %d but differ at clean node %d",
+							op, what, i, i+1+j, a.token, u)
+					}
 				}
 			}
 		}
@@ -121,7 +160,7 @@ func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
 		switch b >> 6 {
 		case 0, 1:
 			if op+1 >= len(tape) {
-				return
+				return merges, shared
 			}
 			op++
 			arg := tape[op]
@@ -141,8 +180,8 @@ func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
 			check(op, "Record")
 		case 2:
 			dst, src := b&3, (b>>2)&3
-			if dst == src {
-				got[dst], want[dst] = got[dst].Clone(), want[dst].Clone()
+			if dst == src || b>>4&3 == 3 {
+				got[dst], want[dst] = got[src].Clone(), want[src].Clone()
 				check(op, "Clone")
 				continue
 			}
@@ -154,16 +193,86 @@ func runVisitsTape(t *testing.T, caps [4]int, tape []byte) {
 		case 3:
 			var gs []*Visits
 			var ws []*refVisits
+			var before []uint64
 			for i := range got {
 				if b>>i&1 != 0 {
 					gs, ws = append(gs, got[i]), append(ws, want[i])
+					before = append(before, got[i].token)
+				}
+			}
+			if len(gs) >= 2 {
+				merges++
+				if sharesLineage(gs) {
+					shared++
 				}
 			}
 			gc, wc := scratch.MergeAll(gs), refScr.MergeAll(ws)
 			if !slices.Equal(gc, wc) {
 				t.Fatalf("op %d: MergeAll(%04b) changed %v, reference %v", op, b&15, gc, wc)
 			}
+			for _, m := range gs {
+				if m.token != 0 && !slices.Contains(before, m.token) && len(m.dirty) != 0 {
+					t.Fatalf("op %d: MergeAll(%04b) started a lineage with %d dirty nodes",
+						op, b&15, len(m.dirty))
+				}
+			}
 			check(op, "MergeAll")
 		}
 	}
+	return merges, shared
+}
+
+// clumpedTape generates a runVisitsTape tape shaped like cooperating
+// agents. Memories 0–2 are a clump: each round they mostly record the
+// node the clump walks onto, at one step, and then re-merge; a member
+// sometimes strays to another node or records a stale step. Memory 3
+// wanders alone. Some rounds re-merge only part of the clump, merge one
+// member with the loner before it rejoins, or replace the loner with a
+// Clone of a member that then meets its original.
+func clumpedTape(s *rng.Stream, rounds int) []byte {
+	var tape []byte
+	record := func(m, arg int, advance bool, lookback int) {
+		op := byte(m) | byte(lookback)<<3
+		if advance {
+			op |= 1 << 2
+		}
+		tape = append(tape, op, byte(arg))
+	}
+	mergeAll := func(mask int) { tape = append(tape, 0xC0|byte(mask)) }
+	const clump = 0b0111
+	walk := 0
+	for r := 0; r < rounds; r++ {
+		walk = (walk + 1 + s.Intn(3)) % 48
+		record(0, walk, true, 0)
+		for m := 1; m < 3; m++ {
+			switch s.Intn(6) {
+			case 0:
+				record(m, s.Intn(64), false, s.Intn(4))
+			case 1: // sits the round out
+			default:
+				record(m, walk, false, 0)
+			}
+		}
+		if s.Intn(8) == 0 {
+			record(s.Intn(3), 192+s.Intn(64), false, s.Intn(4))
+		}
+		record(3, s.Intn(256), s.Intn(2) == 0, s.Intn(4))
+		switch k := s.Intn(10); {
+		case k < 6:
+			mergeAll(clump)
+		case k < 8:
+			mergeAll(clump &^ (1 << s.Intn(3)))
+		case k < 9:
+			i := s.Intn(3)
+			mergeAll(1<<i | 1<<3)
+			record(i, walk, false, 0)
+			mergeAll(clump)
+		default:
+			i := s.Intn(3)
+			tape = append(tape, 0x80|3<<4|byte(i)<<2|3)
+			record(3, s.Intn(64), false, s.Intn(4))
+			mergeAll(1<<i | 1<<3)
+		}
+	}
+	return tape
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Visits is an agent's bounded memory of when it last visited each node.
@@ -24,11 +25,25 @@ import (
 // lowest node ID, freshest-first merge order — comes from explicit
 // comparison, never from storage order. Node IDs must be non-negative and
 // steps lie in [0, math.MaxInt32-1).
+//
+// A memory also carries a merge lineage: a token (0 = none) shared by the
+// members a MergeAll left identical, and a dirty list of the nodes it has
+// written or evicted since. Two memories with the same token agree on
+// every node in neither dirty list, so their next merge need only look
+// at those lists. The lineage changes what a merge costs, never what it
+// produces.
 type Visits struct {
 	capacity int
 	step     []int32 // node-indexed: last visit step + 1, 0 = not remembered
 	nodes    []NodeID
+	token    uint64   // merge lineage, 0 = none
+	dirty    []NodeID // nodes written or evicted since the lineage began
 }
+
+// lineageTokens issues merge-lineage tokens. Meetings of different groups
+// run concurrently, so it is atomic; results depend only on which
+// memories share a token, never on its value.
+var lineageTokens atomic.Uint64
 
 // NewVisits returns a visit memory holding at most capacity entries
 // (0 = unbounded).
@@ -87,16 +102,43 @@ func (v *Visits) put(u NodeID, s int32) bool {
 		return false
 	}
 	v.step[u] = s
+	v.markDirty(u)
 	return true
+}
+
+// markDirty notes a write or eviction of u for the merge lineage. A dirty
+// list that would outgrow the memory's own record count is no cheaper to
+// merge than the records themselves, so the lineage is dropped instead.
+func (v *Visits) markDirty(u NodeID) {
+	if v.token == 0 {
+		return
+	}
+	if len(v.dirty) >= len(v.nodes) {
+		v.dropLineage()
+		return
+	}
+	v.dirty = append(v.dirty, u)
+}
+
+// dropLineage detaches v from its merge lineage.
+func (v *Visits) dropLineage() {
+	v.token = 0
+	v.dirty = v.dirty[:0]
+}
+
+// at returns u's encoded step, 0 when u is not remembered.
+func (v *Visits) at(u NodeID) int32 {
+	if uint(u) < uint(len(v.step)) {
+		return v.step[u]
+	}
+	return 0
 }
 
 // Last returns when u was last visited. ok is false if the agent never
 // visited u or has forgotten the visit.
 func (v *Visits) Last(u NodeID) (step int, ok bool) {
-	if uint(u) < uint(len(v.step)) {
-		if s := v.step[u]; s != 0 {
-			return int(s) - 1, true
-		}
+	if s := v.at(u); s != 0 {
+		return int(s) - 1, true
 	}
 	return 0, false
 }
@@ -116,6 +158,7 @@ func (v *Visits) evictOldest() {
 	v.nodes[vi] = v.nodes[last]
 	v.nodes = v.nodes[:last]
 	v.step[victim] = 0
+	v.markDirty(victim)
 }
 
 // MergeFrom folds other's visit records into v, keeping the most recent
@@ -181,51 +224,43 @@ type MergeScratch struct {
 // MergeAll is the scratch-buffered form of the package-level MergeAll:
 // identical results and member states, zero steady-state allocations.
 //
-// The union is gathered through the dense scratch table. It is sorted
-// freshest-first only when some member's capacity truncates it; a member
-// that keeps the whole union already holds a subset of it, so it is
-// upgraded in place, and unbounded (super-conscientious) merges never
-// sort at all.
+// Only the union's differences from each member matter, so the gather
+// reads candidate nodes: when every member carries one lineage token, the
+// members' dirty lists, since all of them agree everywhere else; in any
+// other meeting, every record each member holds. The union is sorted
+// freshest-first only when some member's capacity truncates it, and that
+// needs the full gather. A member that keeps the whole union already
+// holds a subset of it, so it is upgraded in place over the candidates,
+// and unbounded (super-conscientious) merges never sort at all. A merge
+// that leaves every member identical starts a fresh lineage.
 func (s *MergeScratch) MergeAll(ms []*Visits) []int {
-	size := 0
-	for _, m := range ms {
-		size = max(size, len(m.step))
+	lineage := sharesLineage(ms)
+	size := s.gather(ms, lineage)
+	truncates := func(m *Visits) bool { return m.capacity > 0 && m.capacity < size }
+	anyTruncates := slices.ContainsFunc(ms, truncates)
+	if lineage && anyTruncates {
+		// The kept prefix depends on the whole union's order.
+		size = s.gather(ms, false)
 	}
-	if len(s.union) < size {
-		s.union = make([]int32, size)
-	}
-	union := s.union
-	entries := s.entries[:0]
-	for _, m := range ms {
-		for _, u := range m.nodes {
-			st := m.step[u]
-			if union[u] == 0 {
-				entries = append(entries, visitRec{node: u})
-			}
-			if st > union[u] {
-				union[u] = st
-			}
-		}
-	}
-	for i := range entries {
-		u := entries[i].node
-		entries[i].step = union[u]
-		union[u] = 0
-	}
-	truncates := func(m *Visits) bool { return m.capacity > 0 && m.capacity < len(entries) }
-	if slices.ContainsFunc(ms, truncates) {
+	entries := s.entries
+	if anyTruncates {
 		slices.SortFunc(entries, freshestFirst)
 	}
-	s.entries = entries
+	identical := !anyTruncates ||
+		!slices.ContainsFunc(ms, func(m *Visits) bool { return m.capacity != ms[0].capacity })
 	if cap(s.changed) < len(ms) {
 		s.changed = make([]int, len(ms))
 	}
 	changed := s.changed[:len(ms)]
 	for i, m := range ms {
 		changed[i] = 0
+		if identical {
+			m.dropLineage() // a fresh one follows; nothing to mark meanwhile
+		}
 		if !truncates(m) {
 			// The whole union survives and contains every record m
-			// holds, so upgrading m in place equals installing it.
+			// holds, and m already agrees with it off the candidates,
+			// so upgrading m over them equals installing the union.
 			for _, e := range entries {
 				if m.put(e.node, e.step) {
 					changed[i]++
@@ -236,10 +271,10 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 		// Truncated: count what the kept prefix adds or refreshes against
 		// the member's pre-meeting state, then clear just the member's own
 		// records and install the prefix.
+		m.dropLineage()
 		kept := entries[:m.capacity]
 		for _, e := range kept {
-			m.cover(e.node)
-			if e.step > m.step[e.node] {
+			if e.step > m.at(e.node) {
 				changed[i]++
 			}
 		}
@@ -248,11 +283,74 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 		}
 		m.nodes = m.nodes[:0]
 		for _, e := range kept {
+			m.cover(e.node)
 			m.step[e.node] = e.step
 			m.nodes = append(m.nodes, e.node)
 		}
 	}
+	if identical {
+		token := lineageTokens.Add(1)
+		for _, m := range ms {
+			m.token = token
+		}
+	}
 	return changed
+}
+
+// sharesLineage reports whether every member carries one non-zero
+// lineage token.
+func sharesLineage(ms []*Visits) bool {
+	return len(ms) > 0 && ms[0].token != 0 &&
+		!slices.ContainsFunc(ms[1:], func(m *Visits) bool { return m.token != ms[0].token })
+}
+
+// gather collects into s.entries the union records — the most recent
+// step over all members — of the candidate nodes: the members' dirty
+// lists when lineage is set, else every record they hold. It returns the
+// union's size, counted as the first member's records plus the
+// candidates it lacks; off the candidates every member agrees with it.
+func (s *MergeScratch) gather(ms []*Visits, lineage bool) int {
+	if len(ms) == 0 {
+		s.entries = s.entries[:0]
+		return 0
+	}
+	size := 0
+	for _, m := range ms {
+		size = max(size, len(m.step))
+	}
+	if len(s.union) < size {
+		s.union = make([]int32, size)
+	}
+	union := s.union // marks candidates already gathered
+	entries := s.entries[:0]
+	for _, m := range ms {
+		candidates := m.nodes
+		if lineage {
+			candidates = m.dirty
+		}
+		for _, u := range candidates {
+			if union[u] != 0 {
+				continue
+			}
+			var st int32
+			for _, o := range ms {
+				st = max(st, o.at(u))
+			}
+			if st != 0 { // held by some member
+				union[u] = st
+				entries = append(entries, visitRec{node: u, step: st})
+			}
+		}
+	}
+	n := ms[0].Len()
+	for _, e := range entries {
+		union[e.node] = 0
+		if ms[0].at(e.node) == 0 {
+			n++
+		}
+	}
+	s.entries = entries
+	return n
 }
 
 // Clone returns a deep copy.
@@ -261,5 +359,7 @@ func (v *Visits) Clone() *Visits {
 		capacity: v.capacity,
 		step:     slices.Clone(v.step),
 		nodes:    slices.Clone(v.nodes),
+		token:    v.token,
+		dirty:    slices.Clone(v.dirty),
 	}
 }

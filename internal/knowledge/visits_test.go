@@ -27,6 +27,36 @@ func TestVisitsMatchReferenceRandomized(t *testing.T) {
 			runVisitsTape(t, caps, tape)
 		})
 	}
+	// Clumped tapes: one group re-merging after every round of records,
+	// as cooperating agents do. A stated share of those merges must find
+	// the group sharing one lineage token, or the lineage path goes
+	// untested. Equal capacities keep most merges on it. Mixed ones leave
+	// members different after most merges, so fewer share a token. A
+	// capacity-1 memory drops its lineage on every move to a new node
+	// (victim and newcomer outgrow its one record), so there only Clones
+	// share one, and the mix checks the drop.
+	for _, tc := range []struct {
+		caps     [4]int
+		minShare float64
+	}{
+		{[4]int{0, 0, 0, 0}, 0.5},
+		{[4]int{32, 32, 32, 32}, 0.5},
+		{[4]int{2, 2, 2, 2}, 0.4},
+		{[4]int{1, 1, 1, 1}, 0},
+		{[4]int{32, 0, 32, 2}, 0.03},
+		{[4]int{2, 1, 0, 32}, 0.02},
+	} {
+		t.Run(fmt.Sprint("clumped", tc.caps), func(t *testing.T) {
+			s := rng.New(uint64(tc.caps[0]*1000+tc.caps[1]*100+tc.caps[2]*10+tc.caps[3]) + 7)
+			merges, shared := runVisitsTape(t, tc.caps, clumpedTape(s, 3000))
+			share := float64(shared) / float64(merges)
+			t.Logf("%d of %d merges shared a lineage token (%.2f)", shared, merges, share)
+			if share < tc.minShare {
+				t.Errorf("%d of %d merges shared a lineage token (%.2f), want at least %.2f",
+					shared, merges, share, tc.minShare)
+			}
+		})
+	}
 }
 
 // TestVisitsSteadyStateAllocs enforces the dense memory's allocation
@@ -85,5 +115,53 @@ func TestVisitsSteadyStateAllocs(t *testing.T) {
 		}); avg > 0 {
 			t.Fatalf("capacity %d: warmed MergeAll allocates %v per call, want 0", capacity, avg)
 		}
+
+		// Re-meetings: the group moves as one clump, records the same
+		// node at the same step, and merges again over its dirty lists.
+		clump := func() {
+			u := NodeID(s.Intn(n))
+			for _, m := range group {
+				m.Record(u, step)
+			}
+			step++
+			if !sharesLineage(group) {
+				t.Fatalf("capacity %d: re-meeting group shares no lineage token", capacity)
+			}
+			scratch.MergeAll(group)
+		}
+		scratch.MergeAll(group) // start the lineage
+		for i := 0; i < 50; i++ {
+			clump()
+		}
+		if avg := testing.AllocsPerRun(200, clump); avg > 0 {
+			t.Fatalf("capacity %d: warmed re-meeting MergeAll allocates %v per call, want 0", capacity, avg)
+		}
+	}
+}
+
+// TestVisitsDirtyListBounded records 10,000 steps into memories that
+// never meet again after starting a lineage: the dirty list must never
+// outgrow the memory's own record count.
+func TestVisitsDirtyListBounded(t *testing.T) {
+	const n = 300
+	for _, capacity := range []int{0, 1, 2, 32} {
+		s := rng.New(uint64(capacity) + 11)
+		v, peer := NewVisits(capacity), NewVisits(capacity)
+		for u := 0; u < n; u++ {
+			v.Record(NodeID(u), 0)
+		}
+		MergeAll([]*Visits{v, peer})
+		if v.token == 0 {
+			t.Fatalf("capacity %d: merge started no lineage", capacity)
+		}
+		most := 0
+		for step := 1; step <= 10000; step++ {
+			v.Record(NodeID(s.Intn(n)), step)
+			if len(v.dirty) > v.Len() {
+				t.Fatalf("capacity %d, step %d: dirty list %d > %d records", capacity, step, len(v.dirty), v.Len())
+			}
+			most = max(most, len(v.dirty))
+		}
+		t.Logf("capacity %d: longest dirty list %d", capacity, most)
 	}
 }

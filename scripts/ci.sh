@@ -116,13 +116,18 @@ go test -race -count=1 \
   ./internal/routing
 go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
-echo "== visit-memory equivalence gate (-race)"
+echo "== visit-memory equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The dense node-indexed visit memory must stay observably identical to
 # the map-backed reference kept in internal/knowledge/visits_ref_test.go:
 # the differential tests (FuzzVisitsOps runs its seed corpus as an
 # ordinary test here; go test -fuzz FuzzVisitsOps goes deeper), the
 # allocation budgets, and every pinned result, including the
-# super-conscientious pin whose unbounded merges exercise it most.
+# super-conscientious pin whose unbounded merges exercise it most. Its
+# four-worker twin merges concurrently and shares the merge-lineage token
+# counter across goroutines, so the gate also runs at a forced
+# GOMAXPROCS=2.
+GOMAXPROCS=2 go test -race -count=1 -run 'Visits|MergeAll|FuzzVisitsOps|Pinned' \
+  ./internal/knowledge ./internal/core .
 go test -race -count=1 -run 'Visits|MergeAll|FuzzVisitsOps|Pinned' \
   ./internal/knowledge ./internal/core .
 
