@@ -336,7 +336,10 @@ func benchStepWorld(b *testing.B, n int) *network.World {
 // bit-identical topologies (pinned by the equivalence and fuzz tests in
 // internal/network), so the ratios are pure maintenance cost. The
 // n=100000 tier adds the sharded modes — that is the scale where per-step
-// work is large enough for intra-step parallelism to pay.
+// work is large enough for intra-step parallelism to pay. The routing250
+// tier steps the paper's own Fig 8 world instead (RoutingNetwork: an
+// always-moving random-velocity half on decaying batteries), where every
+// mover scans every step.
 func BenchmarkWorldStep(b *testing.B) {
 	benchWorldStep := func(b *testing.B, n, shards int, rebuild bool) {
 		w := benchStepWorld(b, n)
@@ -388,12 +391,42 @@ func BenchmarkWorldStep(b *testing.B) {
 			rw.Step()
 		}
 	}
+	// benchWorldStepRouting250 steps each generated Fig 8 world for one
+	// run's length (300 steps), then re-arms the next seed's world with the
+	// timer stopped, so the timed steps follow Fig 8's battery drain.
+	benchWorldStepRouting250 := func(b *testing.B, rebuild bool) {
+		const runSteps = 300
+		var w *network.World
+		seed, left := uint64(0), 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left == 0 {
+				b.StopTimer()
+				seed++
+				var err error
+				if w, err = agentmesh.RoutingNetwork(seed); err != nil {
+					b.Fatal(err)
+				}
+				w.SetFullRebuild(rebuild)
+				left = runSteps
+				b.StartTimer()
+			}
+			w.Step()
+			left--
+		}
+	}
 	for _, n := range []int{500, 2000, 8000} {
 		for _, mode := range []string{"rebuild", "incremental"} {
 			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
 				benchWorldStep(b, n, 1, mode == "rebuild")
 			})
 		}
+	}
+	for _, mode := range []string{"rebuild", "incremental"} {
+		b.Run("routing250/mode="+mode, func(b *testing.B) {
+			benchWorldStepRouting250(b, mode == "rebuild")
+		})
 	}
 	for _, n := range []int{500, 8000} {
 		b.Run(fmt.Sprintf("n=%d/mode=replay", n), func(b *testing.B) {

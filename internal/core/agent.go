@@ -202,15 +202,16 @@ func (a *Agent) MoveTo(next NodeID, isGateway bool) {
 }
 
 // DepositRoute writes the agent's current gateway route into the table of
-// the node it occupies. neighbors is the current node's out-neighbour list
-// — the agent can see it by standing there — and the deposited next hop is
-// the EARLIEST trail node (closest to the gateway) that appears in it.
-// That one check does two jobs: it never writes a route whose first link
-// is already dead (asymmetric radio ranges make the reverse of the walked
-// edge unreliable, especially next to long-range gateways), and it
-// shortcuts the agent's wander into the shortest route its trail supports.
-// It reports whether an entry was offered.
-func (a *Agent) DepositRoute(neighbors []NodeID, update func(gw, nextHop NodeID, hops int) bool) bool {
+// the node it occupies. nbrs holds the current node's out-neighbours —
+// the agent can see them by standing there — stamped by the caller, and
+// the deposited next hop is the EARLIEST trail node (closest to the
+// gateway) among them. That one check does two jobs: it never writes a
+// route whose first link is already dead (asymmetric radio ranges make
+// the reverse of the walked edge unreliable, especially next to
+// long-range gateways), and it shortcuts the agent's wander into the
+// shortest route its trail supports. It reports whether an entry was
+// offered.
+func (a *Agent) DepositRoute(nbrs *NeighborMarks, update func(gw, nextHop NodeID, hops int) bool) bool {
 	if !a.Trail.Anchored() {
 		return false
 	}
@@ -220,7 +221,7 @@ func (a *Agent) DepositRoute(neighbors []NodeID, update func(gw, nextHop NodeID,
 	}
 	for i := 0; i < a.Trail.Len()-1; i++ {
 		hop := a.Trail.At(i)
-		if !containsID(neighbors, hop) {
+		if !nbrs.Has(hop) {
 			continue
 		}
 		if update(a.Trail.Gateway(), hop, i+1) {
@@ -231,16 +232,36 @@ func (a *Agent) DepositRoute(neighbors []NodeID, update func(gw, nextHop NodeID,
 	return false
 }
 
-// containsID reports whether xs (sorted ascending) contains v.
-func containsID(xs []NodeID, v NodeID) bool {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(xs) && xs[lo] == v
+// NeighborMarks is a node-indexed epoch array holding one node's
+// out-neighbour set: Stamp costs the out-list's length, and each Has
+// lookup is one load. Reset sizes it for a world of n nodes; a stamp
+// stays valid until the next Stamp or Reset.
+type NeighborMarks struct {
+	mark  []uint32
+	epoch uint32
 }
+
+// Reset sizes m for nodes [0, n) and empties it.
+func (m *NeighborMarks) Reset(n int) {
+	if cap(m.mark) < n {
+		m.mark = make([]uint32, n)
+	}
+	m.mark = m.mark[:n]
+	clear(m.mark)
+	m.epoch = 0
+}
+
+// Stamp makes neighbors the current set.
+func (m *NeighborMarks) Stamp(neighbors []NodeID) {
+	m.epoch++
+	if m.epoch == 0 { // wrapped: old stamps could alias the new epoch
+		clear(m.mark)
+		m.epoch = 1
+	}
+	for _, v := range neighbors {
+		m.mark[v] = m.epoch
+	}
+}
+
+// Has reports whether v is in the current set.
+func (m *NeighborMarks) Has(v NodeID) bool { return m.mark[v] == m.epoch }

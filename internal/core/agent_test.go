@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -293,18 +294,24 @@ func TestDepositRoute(t *testing.T) {
 		gotGW, gotHop, gotHops = gw, hop, hops
 		return true
 	}
+	var nbrs NeighborMarks
+	nbrs.Reset(10)
+	stamped := func(neighbors ...NodeID) *NeighborMarks {
+		nbrs.Stamp(neighbors)
+		return &nbrs
+	}
 	all := []NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	// Unanchored: nothing to deposit.
-	if a.DepositRoute(all, update) {
+	if a.DepositRoute(stamped(all...), update) {
 		t.Fatal("unanchored agent deposited")
 	}
 	a.MoveTo(5, true) // gateway
 	// Standing on gateway: nothing to deposit.
-	if a.DepositRoute(all, update) {
+	if a.DepositRoute(stamped(all...), update) {
 		t.Fatal("deposited while on gateway")
 	}
 	a.MoveTo(6, false)
-	if !a.DepositRoute(all, update) {
+	if !a.DepositRoute(stamped(all...), update) {
 		t.Fatal("deposit failed")
 	}
 	if gotGW != 5 || gotHop != 5 || gotHops != 1 {
@@ -313,17 +320,18 @@ func TestDepositRoute(t *testing.T) {
 	a.MoveTo(7, false)
 	// Node 7 is adjacent to the gateway itself, so the deposit shortcuts
 	// straight to it.
-	a.DepositRoute(all, update)
+	a.DepositRoute(stamped(all...), update)
 	if gotGW != 5 || gotHop != 5 || gotHops != 1 {
 		t.Fatalf("second deposit = gw%d hop%d hops%d", gotGW, gotHop, gotHops)
 	}
 	// With the gateway out of radio range, the next trail node is used.
-	a.DepositRoute([]NodeID{6, 9}, update)
+	a.DepositRoute(stamped(6, 9), update)
 	if gotHop != 6 || gotHops != 2 {
 		t.Fatalf("fallback deposit = gw%d hop%d hops%d", gotGW, gotHop, gotHops)
 	}
-	// With no trail node in range, nothing is offered.
-	if a.DepositRoute([]NodeID{9}, update) {
+	// With no trail node in range, nothing is offered — the previous
+	// stamp's members no longer count.
+	if a.DepositRoute(stamped(9), update) {
 		t.Fatal("deposited with no reachable trail node")
 	}
 	if a.Overhead.RouteDeposits != 3 {
@@ -331,11 +339,24 @@ func TestDepositRoute(t *testing.T) {
 	}
 	// Rejected updates still count as offers but not deposits.
 	before := a.Overhead.RouteDeposits
-	if !a.DepositRoute(all, func(NodeID, NodeID, int) bool { return false }) {
+	if !a.DepositRoute(stamped(all...), func(NodeID, NodeID, int) bool { return false }) {
 		t.Fatal("offer should be reported")
 	}
 	if a.Overhead.RouteDeposits != before {
 		t.Fatal("rejected update counted as deposit")
+	}
+}
+
+// TestNeighborMarksEpochWrap checks that a stamp taken after the epoch
+// counter wraps cannot alias marks left by earlier stamps.
+func TestNeighborMarksEpochWrap(t *testing.T) {
+	var m NeighborMarks
+	m.Reset(4)
+	m.Stamp([]NodeID{1})
+	m.epoch = math.MaxUint32
+	m.Stamp([]NodeID{2})
+	if m.Has(1) || !m.Has(2) {
+		t.Fatalf("after wrap: Has(1)=%v Has(2)=%v, want false true", m.Has(1), m.Has(2))
 	}
 }
 

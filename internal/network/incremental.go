@@ -58,47 +58,65 @@ import (
 // dist(v_old, w_new) ≤ reach; a link is wanted now ⇒
 // dist(v_new, w_new) ≤ maxRange, and v itself moved ≤ maxDisp, so again
 // dist(v_old, w_new) ≤ reach. The grid box covering that disc therefore
-// contains every relevant w, and a single squared distance per candidate
-// is the whole reject test. For each survivor, membership before (from
-// snapshotted positions and ranges) and after the step is recomputed with
-// the same float expressions as the full rebuild, and the sorted out-lists
-// are surgically edited only when the two differ — so the maintained graph
-// is bit-identical to a full rebuild, which the equivalence and fuzz tests
-// in this package pin. (The coverage argument assumes positions stay
-// inside the arena, which Rect.Bounce and the generators guarantee; the
-// grid clamps outside positions into border cells, where a box query could
-// miss them.)
+// contains every relevant w, and a single squared distance over the
+// bucket-embedded position is the whole reject test. (The argument
+// assumes positions stay inside the arena, which Rect.Bounce and the
+// generators guarantee; the grid clamps outside positions into border
+// cells, where a box query could miss them.)
+//
+// The class-3 kernel (scanMoved) decides each surviving candidate from
+// two memory streams: the bucket entry (w's current position) and w's
+// packed nodeRec — its pre-step position, which equals its current one
+// unless it moved, its squared range before and after this step's decay,
+// a moved flag and a static-decaying-source flag. With the pre-step
+// position always valid, dOld needs no moved branch, and the two
+// directions reduce to flip tests:
+//
+//	outFlip := (dNew <= cur(v)) != (dOld <= prev(v))   // v→w changed
+//	inFlip  := (dNew <= cur(w)) != (dOld <= prev(w))   // w→v changed
+//
+// — the same membership predicate and float expressions as the full
+// rebuild, evaluated on the pre-step snapshot and the current state. Only
+// a flip enters the one rarely-taken branch, which holds the moved-pair
+// dedupe (a pair of moved nodes appears in both box scans; the lower id's
+// scan, which runs first, settles it) and the sorted out-list edits, so
+// the maintained graph stays bit-identical to a full rebuild (pinned by
+// the equivalence and fuzz tests in this package). No separate
+// "farther than maxRange before and after" reject is needed: every range
+// is at most maxRange, so such a pair cannot flip, and its class-4 test
+// (dNew <= cur(w)) fails too. The sequential path and the sharded scan
+// phase run this one kernel and differ only in where the edits go (a
+// churnSink).
 
-// rangeR2 caches one node's squared range before and after the current
-// decay phase, in the sqOrNeg encoding. Candidate positions come straight
-// from the grid's cell buckets (geom.CellEntry embeds them), so this
-// 16-byte record is the only random access a surviving candidate costs.
-type rangeR2 struct {
-	prev float64
-	cur  float64
+// nodeRec is the packed per-node record the class-3 kernel reads for a
+// surviving candidate: everything the flip test and the class-4 append
+// need about w in one random access. It is the single source of truth for
+// pre-step positions, cached squared ranges (sqOrNeg encoding) and moved
+// flags; the mobility loops, advanceDecay and syncRecords maintain it.
+type nodeRec struct {
+	// prev is the pre-step position: the position before this step's move
+	// for a node that moved, its current position otherwise.
+	prev        geom.Point
+	r2prev      float64 // squared range before this step's decay
+	r2cur       float64 // squared range after it
+	moved       bool    // position changed this step
+	staticDecay bool    // static decaying source (classes 2 and 4)
 }
 
 // incrState is the per-world state of the incremental topology engine.
 type incrState struct {
 	mobile   []int32 // mobility-capable node ids, ascending
 	isMobile []bool  // node id -> mover is not mobility.Static
-	decays   []bool  // node id -> radio battery decays
-	moved    []bool  // node id -> position changed this step
-
-	// prevPos[id] is the pre-step position — written (and later read)
-	// only for nodes that moved this step; everything else is at its
-	// bucket-embedded position on both sides of the step.
-	prevPos      []geom.Point
-	r2           []rangeR2
-	rangeChanged []bool  // node id -> range shrank this step
-	decayIds     []int32 // all decaying node ids (r2 refresh set)
+	rec      []nodeRec
+	decayIds []int32 // all decaying node ids (range refresh set)
 
 	decaySrcs []int32 // static decaying sources (classes 2 and 4)
 	decay     []decayCursor
 	inDecay   [][]inSrc // mobile node id -> decaying static in-sources
 	outBuf    []int32   // class-5 out-walk scratch
+	sink      seqSink   // class-3 edit sink of the sequential path
 
-	// stale marks the r2 cache and inDecay lists invalid: full-rebuild
+	// stale marks the node records and inDecay lists invalid: full-rebuild
 	// steps move nodes, drain batteries, and rewrite the topology without
 	// maintaining them, so the first incremental step after a mode toggle
 	// resynchronizes from the world (decay cursors tolerate staleness on
@@ -138,19 +156,16 @@ func sqOrNeg(r float64) float64 {
 }
 
 // initIncremental builds the engine state for a freshly constructed
-// dynamic world: mover classification, the squared-range cache, the
-// class-2 decay cursors, and the class-4 in-source lists. Called after the
-// initial rebuildTopology, so the grid and topology are populated.
+// dynamic world: mover classification, the node records, the class-2
+// decay cursors, and the class-4 in-source lists. Called after the initial
+// rebuildTopology, so the grid and topology are populated.
 func (w *World) initIncremental(movers []mobility.Mover) {
 	n := w.N()
 	t := &incrState{
-		isMobile:     make([]bool, n),
-		decays:       make([]bool, n),
-		moved:        make([]bool, n),
-		prevPos:      make([]geom.Point, n),
-		r2:           make([]rangeR2, n),
-		rangeChanged: make([]bool, n),
-		inDecay:      make([][]inSrc, n),
+		isMobile: make([]bool, n),
+		rec:      make([]nodeRec, n),
+		inDecay:  make([][]inSrc, n),
+		sink:     seqSink{w: w},
 	}
 	for i, m := range movers {
 		if _, static := m.(mobility.Static); !static {
@@ -159,15 +174,14 @@ func (w *World) initIncremental(movers []mobility.Mover) {
 		}
 	}
 	for u := 0; u < n; u++ {
-		t.decays[u] = w.radios[u].Decays()
-		r2 := sqOrNeg(w.radios[u].Range())
-		t.r2[u] = rangeR2{prev: r2, cur: r2}
-		if t.decays[u] {
-			t.decayIds = append(t.decayIds, int32(u))
-		}
-		if t.isMobile[u] || !t.decays[u] {
+		if !w.radios[u].Decays() {
 			continue
 		}
+		t.decayIds = append(t.decayIds, int32(u))
+		if t.isMobile[u] {
+			continue
+		}
+		t.rec[u].staticDecay = true
 		t.decaySrcs = append(t.decaySrcs, int32(u))
 		// One cursor per source, even when its target list is currently
 		// empty: t.decay indices stay aligned with decaySrcs forever, which
@@ -176,6 +190,7 @@ func (w *World) initIncremental(movers []mobility.Mover) {
 		t.decay = append(t.decay, decayCursor{src: NodeID(u)})
 	}
 	w.incr = t
+	w.syncRecords()
 	w.fillDecayCursors()
 	w.rebuildInLists()
 	// Pre-size the steady-state growth points so maintenance settles into
@@ -266,16 +281,24 @@ func (w *World) fillDecayCursors() {
 	}
 }
 
-// resyncAfterFullRebuild refreshes the squared-range cache (batteries
-// drained — and fault events may have degraded or restored any radio —
-// while full-rebuild steps ran; the grid was rebuilt by those steps
-// already), the class-2 decay cursors, and the class-4 lists.
-func (w *World) resyncAfterFullRebuild() {
+// syncRecords re-derives every node record from the world: pre-step
+// position = current position, no move, both squared ranges = the current
+// one. The static-decay flag is fixed at init and kept.
+func (w *World) syncRecords() {
 	t := w.incr
-	for u := range t.r2 {
+	for u := range t.rec {
 		r2 := sqOrNeg(w.radios[u].Range())
-		t.r2[u] = rangeR2{prev: r2, cur: r2}
+		t.rec[u] = nodeRec{prev: w.pos[u], r2prev: r2, r2cur: r2, staticDecay: t.rec[u].staticDecay}
 	}
+}
+
+// resyncAfterFullRebuild refreshes the node records (nodes moved,
+// batteries drained — and fault events may have degraded or restored any
+// radio or respawned any node — while full-rebuild steps ran; the grid was
+// rebuilt by those steps already), the class-2 decay cursors, and the
+// class-4 lists.
+func (w *World) resyncAfterFullRebuild() {
+	w.syncRecords()
 	w.fillDecayCursors()
 	w.rebuildInLists()
 }
@@ -296,23 +319,23 @@ func (w *World) stepIncremental() {
 	}
 	maxDisp2 := 0.0
 	for _, id := range t.mobile {
+		r := &t.rec[id]
 		// Dead nodes freeze: mover not stepped (RNG pauses), position
 		// unchanged — identical to the full-rebuild and sharded paths.
 		if dead != nil && dead[id] {
-			t.moved[id] = false
+			r.moved = false
 			continue
 		}
 		// The grid stores each node's position as of its last Update, i.e.
-		// the pre-step position — the movement detector and the snapshot
-		// for this step's "had" predicates in one place.
+		// the pre-step position — the movement detector and the record's
+		// pre-step position in one place.
 		old := w.grid.Pos(id)
 		w.pos[id] = w.fleet.StepOne(int(id), w.pos[id])
-		if w.pos[id] == old {
-			t.moved[id] = false
+		r.prev = old
+		r.moved = w.pos[id] != old
+		if !r.moved {
 			continue
 		}
-		t.moved[id] = true
-		t.prevPos[id] = old
 		if d2 := old.Dist2(w.pos[id]); d2 > maxDisp2 {
 			maxDisp2 = d2
 		}
@@ -330,20 +353,114 @@ func (w *World) stepIncremental() {
 	w.m.edges.Set(float64(w.topo.M()))
 }
 
-// advanceDecay drains the decaying radios one step and refreshes the
-// squared-range cache — the decay phase shared by the sequential and
+// advanceDecay drains the decaying radios one step and rolls their
+// records' squared ranges — the decay phase shared by the sequential and
 // sharded incremental paths.
 func (w *World) advanceDecay() {
 	t := w.incr
 	for _, id := range t.decayIds {
-		t.r2[id].prev = t.r2[id].cur
+		r := &t.rec[id]
+		r.r2prev = r.r2cur
 		w.radios[id].Step()
-		c2 := sqOrNeg(w.radios[id].Range())
-		t.r2[id].cur = c2
-		// sqOrNeg is injective on the non-negative ranges radios produce,
-		// so comparing encodings detects exactly the real range changes.
-		t.rangeChanged[id] = c2 != t.r2[id].prev
+		r.r2cur = sqOrNeg(w.radios[id].Range())
 	}
+}
+
+// churnSink receives the class-3 kernel's edits: insert (add) or remove
+// the directed edge u→v. The sequential path applies them to the topology
+// directly; a shard applies edits to rows it owns and buffers the rest.
+type churnSink interface {
+	edit(u, v NodeID, add bool)
+}
+
+// seqSink is the sequential path's churnSink. Class-3 churn is counted
+// and streamed at decision time, unconditionally, exactly as the sharded
+// path counts it.
+type seqSink struct {
+	w              *World
+	added, removed uint64
+}
+
+func (s *seqSink) edit(u, v NodeID, add bool) {
+	dl := s.w.watch
+	if add {
+		s.w.topo.InsertEdgeSorted(u, v)
+		s.added++
+		if dl != nil {
+			dl.add(u, v)
+		}
+		return
+	}
+	s.w.topo.RemoveEdgeSorted(u, v)
+	s.removed++
+	if dl != nil {
+		dl.remove(u, v)
+	}
+}
+
+// scanMoved is the class-3 kernel: it settles every pair (vi, w) for the
+// moved node vi — both directions — and rebuilds vi's class-4 in-source
+// list, sending edits to sink in candidate order (v→w before w→v). It
+// reads the node records and the grid and writes only inDecay[vi], so
+// shards may run it concurrently for the moved nodes they own. See the
+// file comment for the coverage argument and the flip test.
+func (w *World) scanMoved(vi int32, maxDisp float64, sink churnSink) {
+	t := w.incr
+	rec := t.rec
+	v := NodeID(vi)
+	pOld, pNew := rec[vi].prev, w.pos[vi]
+	pr2v, cr2v := rec[vi].r2prev, rec[vi].r2cur
+	// The small absolute slack keeps the triangle-inequality containment
+	// valid under float rounding; it admits a vanishing sliver of extra
+	// candidates and can never exclude a real one.
+	reach := w.maxRange + maxDisp + 1e-6
+	reach2 := reach * reach
+	lo := geom.Point{X: pOld.X - reach, Y: pOld.Y - reach}
+	hi := geom.Point{X: pOld.X + reach, Y: pOld.Y + reach}
+	x0, x1, y0, y1 := w.grid.BoxCellRange(lo, hi)
+	cols := w.grid.Cols()
+	ins := t.inDecay[vi][:0]
+	for cy := y0; cy <= y1; cy++ {
+		base := cy * cols
+		for cx := x0; cx <= x1; cx++ {
+			bucket := w.grid.CellBucket(base + cx)
+			for bi := range bucket {
+				e := &bucket[bi]
+				// Beyond reach of pOld (measured to w's current position)
+				// a candidate cannot have had a link, cannot want one, and
+				// cannot hold a class-4 entry: reject on sequential bucket
+				// data before the record load.
+				dx, dy := pOld.X-e.X, pOld.Y-e.Y
+				if dx*dx+dy*dy > reach2 {
+					continue
+				}
+				dx, dy = pNew.X-e.X, pNew.Y-e.Y
+				dNew := dx*dx + dy*dy
+				wi := e.ID
+				r := &rec[wi]
+				dx, dy = pOld.X-r.prev.X, pOld.Y-r.prev.Y
+				dOld := dx*dx + dy*dy
+				outFlip := (dNew <= cr2v) != (dOld <= pr2v)
+				inFlip := (dNew <= r.r2cur) != (dOld <= r.r2prev)
+				if outFlip || inFlip {
+					// Self never links; a moved pair belongs to the lower
+					// id's scan.
+					if wi != vi && (!r.moved || wi > vi) {
+						if outFlip {
+							sink.edit(v, wi, dNew <= cr2v)
+						}
+						if inFlip {
+							sink.edit(wi, v, dNew <= r.r2cur)
+						}
+					}
+				}
+				if r.staticDecay && dNew <= r.r2cur {
+					ins = append(ins, inSrc{src: wi, d2: dNew})
+				}
+			}
+		}
+	}
+	t.inDecay[vi] = ins
 }
 
 // applyChurn repairs the topology after movers re-bucketed and batteries
@@ -358,129 +475,27 @@ func (w *World) applyChurn(maxDisp float64) (added, removed uint64) {
 	// success branches. Either way the stream may only over-report, which
 	// the TopoDeltas contract allows.
 	dl := w.watch
-	maxR2 := w.maxRange * w.maxRange
-	// Every candidate relevant to a moved node v lies within
-	// maxRange+maxDisp of v's OLD position (see the coverage argument in
-	// the file comment), so one disc — one distance per candidate — is the
-	// whole reject test. The small absolute slack keeps the triangle-
-	// inequality containment valid under float rounding; it admits a
-	// vanishing sliver of extra candidates and can never exclude a real one.
-	reach := w.maxRange + maxDisp + 1e-6
-	reach2 := reach * reach
-	cols := w.grid.Cols()
-	moved, prevPos, r2 := t.moved, t.prevPos, t.r2
-	// Class 3: box scan per moved node, both directions per candidate
-	// pair. The box covers disc(pOld, maxRange+maxDisp) ∪ disc(pNew,
-	// maxRange). Candidate positions are read sequentially out of the
-	// bucket entries; a pair farther than maxRange both before and after
-	// the step cannot have churned (and cannot hold a class-4 entry), so
-	// it is rejected on bucket data alone — only survivors chase the
-	// per-node range cache.
+	// Class 3: one box scan per moved node, ascending id.
+	sink := &t.sink
+	sink.added, sink.removed = 0, 0
 	for _, vi := range t.mobile {
-		if !t.moved[vi] {
-			continue
+		if t.rec[vi].moved {
+			w.scanMoved(vi, maxDisp, sink)
 		}
-		v := NodeID(vi)
-		pOld, pNew := t.prevPos[vi], w.pos[vi]
-		pr2v, cr2v := t.r2[vi].prev, t.r2[vi].cur
-		lo := geom.Point{X: pOld.X - reach, Y: pOld.Y - reach}
-		hi := geom.Point{X: pOld.X + reach, Y: pOld.Y + reach}
-		x0, x1, y0, y1 := w.grid.BoxCellRange(lo, hi)
-		ins := t.inDecay[vi][:0]
-		for cy := y0; cy <= y1; cy++ {
-			base := cy * cols
-			for cx := x0; cx <= x1; cx++ {
-				bucket := w.grid.CellBucket(base + cx)
-				for bi := range bucket {
-					e := &bucket[bi]
-					// dOldS measures pOld against w's *current* position.
-					// Candidates beyond reach cannot have had a link, cannot
-					// want one (disc(pNew, maxRange) ⊆ disc(pOld, reach)),
-					// and cannot hold a class-4 entry — so the vast majority
-					// reject on one distance over sequential bucket data,
-					// before any random load.
-					ddx, ddy := pOld.X-e.X, pOld.Y-e.Y
-					dOldS := ddx*ddx + ddy*ddy
-					if dOldS > reach2 {
-						continue
-					}
-					dx, dy := pNew.X-e.X, pNew.Y-e.Y
-					dNew := dx*dx + dy*dy
-					wi := e.ID
-					if wi == vi {
-						continue
-					}
-					// The bucket holds w's current position; its pre-step
-					// position differs only if w moved this step. A pair of
-					// moved nodes appears in both box scans; the lower id's
-					// scan (which runs first — mobile is ascending) handles
-					// it once, both directions.
-					dOld := dOldS
-					if moved[wi] {
-						if wi < vi {
-							continue
-						}
-						pp := prevPos[wi]
-						ddx, ddy = pOld.X-pp.X, pOld.Y-pp.Y
-						dOld = ddx*ddx + ddy*ddy
-					}
-					if dOld > maxR2 && dNew > maxR2 {
-						continue
-					}
-					// v→w, then w→v: same membership predicate as the
-					// rebuild path, evaluated on the pre-step snapshot for
-					// "had" and the current state for "want".
-					if (dNew <= cr2v) != (dOld <= pr2v) {
-						if dNew <= cr2v {
-							g.InsertEdgeSorted(v, wi)
-							added++
-							if dl != nil {
-								dl.add(v, wi)
-							}
-						} else {
-							g.RemoveEdgeSorted(v, wi)
-							removed++
-							if dl != nil {
-								dl.remove(v, wi)
-							}
-						}
-					}
-					rw := r2[wi]
-					wantIn := dNew <= rw.cur
-					if wantIn != (dOld <= rw.prev) {
-						if wantIn {
-							g.InsertEdgeSorted(wi, v)
-							added++
-							if dl != nil {
-								dl.add(wi, v)
-							}
-						} else {
-							g.RemoveEdgeSorted(wi, v)
-							removed++
-							if dl != nil {
-								dl.remove(wi, v)
-							}
-						}
-					}
-					if wantIn && t.decays[wi] && !t.isMobile[wi] {
-						ins = append(ins, inSrc{src: NodeID(wi), d2: dNew})
-					}
-				}
-			}
-		}
-		t.inDecay[vi] = ins
 	}
+	added, removed = sink.added, sink.removed
 	// Classes 4 and 5: mobile nodes that did not move this step. Their
 	// stored distances are current (any move rebuilds the class-4 list
 	// above and settles class-5 pairs), so expiry is a plain compare
 	// against the shrunk squared range.
 	for _, vi := range t.mobile {
-		if t.moved[vi] {
+		rv := &t.rec[vi]
+		if rv.moved {
 			continue
 		}
 		if lst := t.inDecay[vi]; len(lst) > 0 {
 			for k := 0; k < len(lst); {
-				if lst[k].d2 <= t.r2[lst[k].src].cur {
+				if lst[k].d2 <= t.rec[lst[k].src].r2cur {
 					k++
 					continue
 				}
@@ -495,12 +510,14 @@ func (w *World) applyChurn(maxDisp float64) (added, removed uint64) {
 			}
 			t.inDecay[vi] = lst
 		}
-		if !t.rangeChanged[vi] {
+		// sqOrNeg is injective on the non-negative ranges radios produce,
+		// so comparing encodings detects exactly the real range changes.
+		if rv.r2cur == rv.r2prev {
 			continue
 		}
 		// Class 5: own range shrank while dwelling — out-edges can only
 		// expire. Collect first: removal shifts the out-list in place.
-		cr2 := t.r2[vi].cur
+		cr2 := rv.r2cur
 		pv := w.pos[vi]
 		t.outBuf = t.outBuf[:0]
 		for _, tv := range g.Out(NodeID(vi)) {

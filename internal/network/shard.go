@@ -3,7 +3,6 @@ package network
 import (
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/parallel"
 )
 
@@ -34,14 +33,15 @@ import (
 // Phase structure of one sharded step (∥ = parallel over bands, — = serial):
 //
 //	∥ mobility     each band steps its own movers (per-node RNG streams
-//	               make mover order irrelevant), records moved/prevPos
-//	               and a band-local max displacement
+//	               make mover order irrelevant), writes their node
+//	               records and a band-local max displacement
 //	— re-bucket    grid updates for moved nodes in ascending id order
 //	               (identical to the sequential path), band re-assignment
 //	               for boundary crossers, per-band scan lists
-//	— decay        radio drain + squared-range cache refresh (tiny)
-//	∥ scan (P1)    class-3 box scans of owned moved nodes; ops on foreign
-//	               rows go to the band's halo buffer
+//	— decay        radio drain + node-record range roll (tiny)
+//	∥ scan (P1)    the class-3 kernel for owned moved nodes (the one the
+//	               sequential path runs); ops on foreign rows go to the
+//	               band's halo buffer
 //	— merge (M1)   apply halo buffers band by band
 //	∥ expiry (P2)  classes 4/5 for owned dwelling movers and class-2
 //	               cursors for owned static decaying sources; class-4
@@ -64,8 +64,11 @@ type edgeOp struct {
 	add  bool
 }
 
-// worldShard is one band's working state.
+// worldShard is one band's working state. It is the band's churnSink
+// for the class-3 kernel.
 type worldShard struct {
+	w       *World
+	band    int32
 	mobile  []int32  // owned mobility-capable ids this step, ascending
 	scan    []int32  // owned ids that moved this step, ascending
 	cursors []int32  // indices into incr.decay owned by this band
@@ -129,6 +132,9 @@ func (w *World) SetShardWorkers(s int) {
 	}
 	for c := 0; c < cols; c++ {
 		st.colToBand[c] = int32(c * s / cols)
+	}
+	for b := range st.shards {
+		st.shards[b].w, st.shards[b].band = w, int32(b)
 	}
 	for u := 0; u < n; u++ {
 		st.bandOf[u] = st.colToBand[w.grid.ColOf(w.grid.Pos(int32(u)))]
@@ -210,7 +216,7 @@ func (w *World) stepSharded() {
 	// path's order), band re-assignment for boundary crossers, and the
 	// per-band scan lists for P1.
 	for _, id := range t.mobile {
-		if !t.moved[id] {
+		if !t.rec[id].moved {
 			continue
 		}
 		w.grid.Update(id, w.pos[id])
@@ -281,8 +287,8 @@ func (w *World) stepSharded() {
 	w.m.edges.Set(float64(w.topo.M()))
 }
 
-// moveShard steps band b's movers. Positions, moved flags and prevPos are
-// indexed by node id and each node has exactly one owner, so the writes of
+// moveShard steps band b's movers. Positions and node records are indexed
+// by node id and each node has exactly one owner, so the writes of
 // concurrent bands are disjoint; movers own per-node RNG streams, so
 // stepping order is unobservable.
 func (w *World) moveShard(b int) {
@@ -293,142 +299,65 @@ func (w *World) moveShard(b int) {
 		dead = w.flt.dead
 	}
 	for _, id := range sh.mobile {
+		r := &t.rec[id]
 		if dead != nil && dead[id] {
-			t.moved[id] = false
+			r.moved = false
 			continue
 		}
 		old := w.grid.Pos(id)
 		np := w.fleet.StepOne(int(id), w.pos[id])
 		w.pos[id] = np
-		if np == old {
-			t.moved[id] = false
+		r.prev = old
+		r.moved = np != old
+		if !r.moved {
 			continue
 		}
-		t.moved[id] = true
-		t.prevPos[id] = old
 		if d2 := old.Dist2(np); d2 > sh.maxDisp2 {
 			sh.maxDisp2 = d2
 		}
 	}
 }
 
-// scanShard runs the class-3 box scans for band b's moved nodes — the
-// same candidate coverage, predicates and float expressions as the
-// sequential applyChurn, so the two paths stay bit-identical. Edits to
-// rows the band owns apply immediately; edits to foreign rows (the halo)
-// are buffered for M1. Churn is counted at decision time, exactly as the
-// sequential path does for class 3.
+// scanShard runs the class-3 kernel for band b's moved nodes, with the
+// band itself as the edit sink.
 func (w *World) scanShard(b int) {
-	t := w.incr
-	st := w.shard
-	sh := &st.shards[b]
-	g := w.topo
-	maxR2 := w.maxRange * w.maxRange
-	reach := w.maxRange + st.maxDisp + 1e-6
-	reach2 := reach * reach
-	cols := w.grid.Cols()
-	moved, prevPos, r2 := t.moved, t.prevPos, t.r2
-	bandOf := st.bandOf
-	me := int32(b)
-	watching := w.watch != nil
+	sh := &w.shard.shards[b]
 	for _, vi := range sh.scan {
-		v := NodeID(vi)
-		pOld, pNew := t.prevPos[vi], w.pos[vi]
-		pr2v, cr2v := t.r2[vi].prev, t.r2[vi].cur
-		lo := geom.Point{X: pOld.X - reach, Y: pOld.Y - reach}
-		hi := geom.Point{X: pOld.X + reach, Y: pOld.Y + reach}
-		x0, x1, y0, y1 := w.grid.BoxCellRange(lo, hi)
-		ins := t.inDecay[vi][:0]
-		for cy := y0; cy <= y1; cy++ {
-			base := cy * cols
-			for cx := x0; cx <= x1; cx++ {
-				bucket := w.grid.CellBucket(base + cx)
-				for bi := range bucket {
-					e := &bucket[bi]
-					ddx, ddy := pOld.X-e.X, pOld.Y-e.Y
-					dOldS := ddx*ddx + ddy*ddy
-					if dOldS > reach2 {
-						continue
-					}
-					dx, dy := pNew.X-e.X, pNew.Y-e.Y
-					dNew := dx*dx + dy*dy
-					wi := e.ID
-					if wi == vi {
-						continue
-					}
-					dOld := dOldS
-					if moved[wi] {
-						if wi < vi {
-							continue
-						}
-						pp := prevPos[wi]
-						ddx, ddy = pOld.X-pp.X, pOld.Y-pp.Y
-						dOld = ddx*ddx + ddy*ddy
-					}
-					if dOld > maxR2 && dNew > maxR2 {
-						continue
-					}
-					// v→w: row v is always owned (v's scan runs on v's band).
-					if (dNew <= cr2v) != (dOld <= pr2v) {
-						if dNew <= cr2v {
-							g.InsertEdgeSortedLocal(v, wi)
-							sh.mDelta++
-							sh.added++
-							if watching {
-								sh.dAddU = append(sh.dAddU, v)
-								sh.dAddV = append(sh.dAddV, wi)
-							}
-						} else {
-							g.RemoveEdgeSortedLocal(v, wi)
-							sh.mDelta--
-							sh.removed++
-							if watching {
-								sh.dRemU = append(sh.dRemU, v)
-								sh.dRemV = append(sh.dRemV, wi)
-							}
-						}
-					}
-					// w→v: row w is owned only if w sits in this band;
-					// otherwise the edit crosses the boundary and joins the
-					// halo buffer.
-					rw := r2[wi]
-					wantIn := dNew <= rw.cur
-					if wantIn != (dOld <= rw.prev) {
-						if bandOf[wi] == me {
-							if wantIn {
-								g.InsertEdgeSortedLocal(wi, v)
-								sh.mDelta++
-								sh.added++
-							} else {
-								g.RemoveEdgeSortedLocal(wi, v)
-								sh.mDelta--
-								sh.removed++
-							}
-						} else {
-							sh.ops = append(sh.ops, edgeOp{u: wi, v: v, add: wantIn})
-							if wantIn {
-								sh.added++
-							} else {
-								sh.removed++
-							}
-						}
-						if watching {
-							if wantIn {
-								sh.dAddU = append(sh.dAddU, wi)
-								sh.dAddV = append(sh.dAddV, v)
-							} else {
-								sh.dRemU = append(sh.dRemU, wi)
-								sh.dRemV = append(sh.dRemV, v)
-							}
-						}
-					}
-					if wantIn && t.decays[wi] && !t.isMobile[wi] {
-						ins = append(ins, inSrc{src: NodeID(wi), d2: dNew})
-					}
-				}
-			}
+		w.scanMoved(vi, w.shard.maxDisp, sh)
+	}
+}
+
+// edit is the band's class-3 edit sink. Row v of a moved node v is always
+// owned (v's scan runs on v's band); row w of a candidate is owned only if
+// w sits in this band, otherwise the edit crosses the boundary and joins
+// the halo buffer for M1. Churn is counted at decision time, exactly as
+// the sequential path does for class 3.
+func (sh *worldShard) edit(u, v NodeID, add bool) {
+	w := sh.w
+	if w.shard.bandOf[u] == sh.band {
+		if add {
+			w.topo.InsertEdgeSortedLocal(u, v)
+			sh.mDelta++
+		} else {
+			w.topo.RemoveEdgeSortedLocal(u, v)
+			sh.mDelta--
 		}
-		t.inDecay[vi] = ins
+	} else {
+		sh.ops = append(sh.ops, edgeOp{u: u, v: v, add: add})
+	}
+	if add {
+		sh.added++
+	} else {
+		sh.removed++
+	}
+	if w.watch != nil {
+		if add {
+			sh.dAddU = append(sh.dAddU, u)
+			sh.dAddV = append(sh.dAddV, v)
+		} else {
+			sh.dRemU = append(sh.dRemU, u)
+			sh.dRemV = append(sh.dRemV, v)
+		}
 	}
 }
 
@@ -446,12 +375,13 @@ func (w *World) expireShard(b int) {
 	me := int32(b)
 	watching := w.watch != nil
 	for _, vi := range sh.mobile {
-		if t.moved[vi] {
+		rv := &t.rec[vi]
+		if rv.moved {
 			continue
 		}
 		if lst := t.inDecay[vi]; len(lst) > 0 {
 			for k := 0; k < len(lst); {
-				if lst[k].d2 <= t.r2[lst[k].src].cur {
+				if lst[k].d2 <= t.rec[lst[k].src].r2cur {
 					k++
 					continue
 				}
@@ -473,10 +403,10 @@ func (w *World) expireShard(b int) {
 			}
 			t.inDecay[vi] = lst
 		}
-		if !t.rangeChanged[vi] {
+		if rv.r2cur == rv.r2prev {
 			continue
 		}
-		cr2 := t.r2[vi].cur
+		cr2 := rv.r2cur
 		pv := w.pos[vi]
 		sh.outBuf = sh.outBuf[:0]
 		for _, tv := range g.Out(NodeID(vi)) {

@@ -629,6 +629,7 @@ type runState struct {
 	scratch Scratch
 	tables  Tables
 	meter   Meter
+	nbrs    core.NeighborMarks // deposit phase: the current node's out-list
 }
 
 // statePool recycles runState across runs and executor workers.
@@ -648,6 +649,7 @@ func (st *runState) reset(n, agents, capacity int) {
 		st.grouper.Reset(n)
 	}
 	st.tables.reset(n, capacity)
+	st.nbrs.Reset(n)
 }
 
 // reset prepares ts for a fresh run over n nodes with per-table capacity,
@@ -715,6 +717,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	next := st.next
 	grouper := st.grouper
 	scratch := &st.scratch
+	nbrs := &st.nbrs
 	// Measurement engine: incremental by default (bit-identical to the
 	// scratch path, pinned by the differential tests), full recompute on
 	// request. The meter enables write tracking on the run's tables.
@@ -826,7 +829,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		for _, a := range alive {
 			node := a.At
 			agent := a
-			a.DepositRoute(w.Neighbors(node), func(gw, hop NodeID, hops int) bool {
+			nbrs.Stamp(w.Neighbors(node))
+			a.DepositRoute(nbrs, func(gw, hop NodeID, hops int) bool {
 				changed := tables.Update(node, network.Entry{
 					Gateway: gw, NextHop: hop, Hops: hops, Updated: step,
 				})

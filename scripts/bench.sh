@@ -95,9 +95,10 @@ ijson="$out/BENCH_incremental.json"
   echo "# previous step's graph in place, touching only moved nodes and"
   echo "# decay-expired links. Equivalence and fuzz tests in internal/network"
   echo "# pin the two modes bit-identical, so the ratio is pure maintenance"
-  echo "# cost. Acceptance floor: >=3x at n=8000."
+  echo "# cost. Acceptance floor: >=3x at n=8000. The routing250 tier steps"
+  echo "# the paper's Fig 8 world (RoutingNetwork), where every mover moves."
   go test -run '^$' -benchtime "$world_benchtime" -benchmem \
-    -bench 'BenchmarkWorldStep/n=(500|2000|8000)/' .
+    -bench 'BenchmarkWorldStep/(n=(500|2000|8000)|routing250)/' .
 } | tee "$iraw"
 
 awk '

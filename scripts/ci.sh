@@ -32,14 +32,19 @@ GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|Paralle
 go test -race -run 'ParallelEquivalence|ParallelDeterminism' \
   . ./internal/routing ./internal/mapping
 
-echo "== incremental-vs-rebuild topology equivalence gate (-race)"
+echo "== incremental-vs-rebuild topology equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The full -race suite above already runs these, but the equivalence of the
 # incremental topology engine against the full per-step rebuild is a
 # correctness cornerstone (bit-identical graphs under mobility, decay, and
 # mode toggles), so it gets an explicit named gate that fails loudly on
-# its own.
+# its own. TopoDeltasReplayTopology checks the per-step delta stream
+# against the graph on the sequential and the sharded engine, so the gate
+# also runs at a forced GOMAXPROCS=2 next to the host default.
+GOMAXPROCS=2 go test -race -count=1 \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
+  ./internal/network
 go test -race -count=1 \
-  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs' \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
   ./internal/network
 
 echo "== sharded-stepping determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
