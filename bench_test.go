@@ -260,28 +260,23 @@ func BenchmarkRoutingBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelVsSequentialMapping runs a batch of 40-agent
+// cooperative mapping runs with RunWorkers 1 versus one per CPU.
 func BenchmarkParallelVsSequentialMapping(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		name := "sequential"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := mapWorld(b)
+	worldFor := func(int) (*agentmesh.World, error) { return agentmesh.MappingNetwork(1) }
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", runtime.NumCPU()}} {
+		b.Run(bc.name, func(b *testing.B) {
 			sc := agentmesh.MappingScenario{
 				Agents: 40, Kind: agentmesh.PolicyConscientious,
-				Cooperate: true, Workers: workers,
+				Cooperate: true, RunWorkers: bc.workers,
 			}
-			if workers == 0 {
-				sc.Workers = 8
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := agentmesh.RunMapping(w, sc, uint64(i)+1); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchBatch(b, bc.workers, func() error {
+				_, err := agentmesh.RunMappingBatch(worldFor, sc, 4, 1)
+				return err
+			})
 		})
 	}
 }
@@ -328,28 +323,18 @@ func benchStepWorld(b *testing.B, n int) *network.World {
 // BenchmarkWorldStep measures raw per-step topology maintenance at
 // growing network sizes with mover fraction 0.5. mode=rebuild forces the
 // pre-incremental full per-step recompute; mode=incremental is the
-// churn-proportional engine (the default for dynamic worlds); mode=sharded
-// steps the incremental engine as S concurrent spatial bands with
-// deterministic halo exchange; mode=replay applies a pre-recorded
-// trajectory — no mobility RNG, no disc scans, no grid — the engine the
-// sweep harness amortises across replications. All modes produce
-// bit-identical topologies (pinned by the equivalence and fuzz tests in
-// internal/network), so the ratios are pure maintenance cost. The
-// n=100000 tier adds the sharded modes — that is the scale where per-step
-// work is large enough for intra-step parallelism to pay. The routing250
-// tier steps the paper's own Fig 8 world instead (RoutingNetwork: an
-// always-moving random-velocity half on decaying batteries), where every
-// mover scans every step.
+// churn-proportional engine (the default for dynamic worlds); mode=replay
+// applies a pre-recorded trajectory — no mobility RNG, no disc scans, no
+// grid — the engine the sweep harness amortises across replications. All
+// modes produce bit-identical topologies (pinned by the equivalence and
+// fuzz tests in internal/network), so the ratios are pure maintenance
+// cost. The routing250 tier steps the paper's own Fig 8 world instead
+// (RoutingNetwork: an always-moving random-velocity half on decaying
+// batteries), where every mover scans every step.
 func BenchmarkWorldStep(b *testing.B) {
-	benchWorldStep := func(b *testing.B, n, shards int, rebuild bool) {
+	benchWorldStep := func(b *testing.B, n int, rebuild bool) {
 		w := benchStepWorld(b, n)
 		w.SetFullRebuild(rebuild)
-		if shards > 1 {
-			w.SetShardWorkers(shards)
-			old := parallel.Budget()
-			parallel.SetBudget(runtime.NumCPU() - 1)
-			defer parallel.SetBudget(old)
-		}
 		// Warm scratch storage and let the waypoint fleet settle into
 		// its steady-state moving/dwelling mix before timing.
 		for i := 0; i < 150; i++ {
@@ -419,7 +404,7 @@ func BenchmarkWorldStep(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		for _, mode := range []string{"rebuild", "incremental"} {
 			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				benchWorldStep(b, n, 1, mode == "rebuild")
+				benchWorldStep(b, n, mode == "rebuild")
 			})
 		}
 	}
@@ -436,12 +421,7 @@ func BenchmarkWorldStep(b *testing.B) {
 	const big = 100000
 	for _, mode := range []string{"rebuild", "incremental"} {
 		b.Run(fmt.Sprintf("n=%d/mode=%s", big, mode), func(b *testing.B) {
-			benchWorldStep(b, big, 1, mode == "rebuild")
-		})
-	}
-	for _, s := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("n=%d/mode=sharded/S=%d", big, s), func(b *testing.B) {
-			benchWorldStep(b, big, s, false)
+			benchWorldStep(b, big, mode == "rebuild")
 		})
 	}
 	// 256 recorded steps keeps the n=100000 recording's memory bounded

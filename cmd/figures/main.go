@@ -33,19 +33,17 @@ import (
 
 func main() {
 	var (
-		fig          = flag.String("fig", "", "figure to reproduce: 1..11, A..E (or fig1..extE); empty with -all for everything")
-		all          = flag.Bool("all", false, "run every experiment")
-		quick        = flag.Bool("quick", false, "fast smoke pass (fewer runs, smaller sweeps)")
-		runs         = flag.Int("runs", 0, "independent runs per setting (default 40, paper-faithful)")
-		seed         = flag.Uint64("seed", 1, "root seed")
-		workers      = flag.Int("workers", runtime.NumCPU(), "simulation workers (1 = sequential)")
-		runWorkers   = flag.Int("runworkers", 1, "concurrent independent runs per setting (results are identical at any value)")
-		shardWorkers = flag.Int("shardworkers", 1, "concurrent spatial shards per world step (results are identical at any value)")
-		expWorkers   = flag.Int("expworkers", 1, "concurrent experiments (reports still print in order)")
-		tsvDir       = flag.String("tsv", "", "directory to write per-figure TSV series into")
-		mdFile       = flag.String("md", "", "append Markdown sections for each experiment to this file")
-		list         = flag.Bool("list", false, "list available experiments")
-		fromLog      = flag.String("fromlog", "", "render curves from a recorded binary run log (routing/mapping -binlog) instead of simulating")
+		fig        = flag.String("fig", "", "figure to reproduce: 1..11, A..E (or fig1..extE); empty with -all for everything")
+		all        = flag.Bool("all", false, "run every experiment")
+		quick      = flag.Bool("quick", false, "fast smoke pass (fewer runs, smaller sweeps)")
+		runs       = flag.Int("runs", 0, "independent runs per setting (default 40, paper-faithful)")
+		seed       = flag.Uint64("seed", 1, "root seed")
+		runWorkers = flag.Int("runworkers", runtime.NumCPU(), "concurrent independent runs per setting (results are identical at any value)")
+		expWorkers = flag.Int("expworkers", 1, "concurrent experiments (reports still print in order)")
+		tsvDir     = flag.String("tsv", "", "directory to write per-figure TSV series into")
+		mdFile     = flag.String("md", "", "append Markdown sections for each experiment to this file")
+		list       = flag.Bool("list", false, "list available experiments")
+		fromLog    = flag.String("fromlog", "", "render curves from a recorded binary run log (routing/mapping -binlog) instead of simulating")
 	)
 	flag.Parse()
 
@@ -76,12 +74,10 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Runs:         *runs,
-		Seed:         *seed,
-		Workers:      *workers,
-		RunWorkers:   *runWorkers,
-		ShardWorkers: *shardWorkers,
-		Quick:        *quick,
+		Runs:       *runs,
+		Seed:       *seed,
+		RunWorkers: *runWorkers,
+		Quick:      *quick,
 	}
 	var md *os.File
 	if *mdFile != "" {

@@ -29,29 +29,27 @@ import (
 
 func main() {
 	var (
-		nodes        = flag.Int("nodes", 300, "network size")
-		edges        = flag.Int("edges", 2164, "target directed edge count")
-		arena        = flag.Float64("arena", 100, "arena side length")
-		spread       = flag.Float64("spread", 0.25, "radio range spread (0 = homogeneous)")
-		agents       = flag.Int("agents", 15, "agent population")
-		policy       = flag.String("policy", "conscientious", "random | conscientious | super")
-		cooperate    = flag.Bool("cooperate", true, "exchange topology knowledge when agents meet")
-		stigmergy    = flag.Bool("stigmergy", false, "leave and respect footprints")
-		epsilon      = flag.Float64("epsilon", 0, "probability of a random move (Minar's fix)")
-		memory       = flag.Int("memory", 0, "visit-memory bound (0 = unbounded)")
-		runs         = flag.Int("runs", 40, "independent runs")
-		seed         = flag.Uint64("seed", 1, "root seed (network and placements)")
-		maxSteps     = flag.Int("maxsteps", 200000, "per-run step budget")
-		faultPreset  = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
-		workers      = flag.Int("workers", runtime.NumCPU(), "simulation workers")
-		runWorkers   = flag.Int("runworkers", 1, "concurrent independent runs (aggregates are identical at any value)")
-		shardWorkers = flag.Int("shardworkers", 1, "concurrent spatial shards per world step (topologies are identical at any value)")
-		curve        = flag.Bool("curve", false, "print the averaged knowledge curve as TSV")
-		traceFile    = flag.String("trace", "", "write a JSONL event trace of ONE run to this file")
-		binlogFile   = flag.String("binlog", "", "write a binary event+world log of ONE run to this file (replayable with cmd/replay)")
-		anchorEvery  = flag.Int("anchorevery", network.DefaultAnchorEvery, "snapshot anchor cadence in the binary log")
-		metricsFile  = flag.String("metrics", "", "dump a metrics snapshot to this file (Prometheus text; .json for JSON)")
-		httpAddr     = flag.String("http", "", "serve /metrics, expvar and pprof on this address (e.g. :6060) while running")
+		nodes       = flag.Int("nodes", 300, "network size")
+		edges       = flag.Int("edges", 2164, "target directed edge count")
+		arena       = flag.Float64("arena", 100, "arena side length")
+		spread      = flag.Float64("spread", 0.25, "radio range spread (0 = homogeneous)")
+		agents      = flag.Int("agents", 15, "agent population")
+		policy      = flag.String("policy", "conscientious", "random | conscientious | super")
+		cooperate   = flag.Bool("cooperate", true, "exchange topology knowledge when agents meet")
+		stigmergy   = flag.Bool("stigmergy", false, "leave and respect footprints")
+		epsilon     = flag.Float64("epsilon", 0, "probability of a random move (Minar's fix)")
+		memory      = flag.Int("memory", 0, "visit-memory bound (0 = unbounded)")
+		runs        = flag.Int("runs", 40, "independent runs")
+		seed        = flag.Uint64("seed", 1, "root seed (network and placements)")
+		maxSteps    = flag.Int("maxsteps", 200000, "per-run step budget")
+		faultPreset = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
+		runWorkers  = flag.Int("runworkers", runtime.NumCPU(), "concurrent independent runs (aggregates are identical at any value)")
+		curve       = flag.Bool("curve", false, "print the averaged knowledge curve as TSV")
+		traceFile   = flag.String("trace", "", "write a JSONL event trace of ONE run to this file")
+		binlogFile  = flag.String("binlog", "", "write a binary event+world log of ONE run to this file (replayable with cmd/replay)")
+		anchorEvery = flag.Int("anchorevery", network.DefaultAnchorEvery, "snapshot anchor cadence in the binary log")
+		metricsFile = flag.String("metrics", "", "dump a metrics snapshot to this file (Prometheus text; .json for JSON)")
+		httpAddr    = flag.String("http", "", "serve /metrics, expvar and pprof on this address (e.g. :6060) while running")
 	)
 	flag.Parse()
 
@@ -79,9 +77,7 @@ func main() {
 		Epsilon:       *epsilon,
 		VisitCapacity: *memory,
 		MaxSteps:      *maxSteps,
-		Workers:       *workers,
 		RunWorkers:    *runWorkers,
-		ShardWorkers:  *shardWorkers,
 	}
 	if *faultPreset != "" {
 		// Cap the preset horizon well below the step budget: mapping runs
@@ -202,7 +198,6 @@ func recordOneRun(path string, meta replay.RunMeta, w *network.World, sc mapping
 	}
 	sc.Tracer = lw
 	sc.AnchorEvery = meta.AnchorEvery
-	sc.Workers = 1 // sequential: reproducible log
 	if _, err := mapping.Run(w, sc, seed); err != nil {
 		lw.Close()
 		return 0, err
@@ -219,7 +214,6 @@ func traceOneRun(path string, w *network.World, sc mapping.Scenario, seed uint64
 	defer f.Close()
 	tw := trace.NewWriter(f)
 	sc.Tracer = tw
-	sc.Workers = 1 // sequential: reproducible trace
 	if _, err := mapping.Run(w, sc, seed); err != nil {
 		return err
 	}

@@ -43,9 +43,7 @@ func main() {
 		steps        = flag.Int("steps", 300, "steps per run")
 		runs         = flag.Int("runs", 40, "independent runs")
 		seed         = flag.Uint64("seed", 1, "root seed (world trace and placements)")
-		workers      = flag.Int("workers", runtime.NumCPU(), "simulation workers")
-		runWorkers   = flag.Int("runworkers", 1, "concurrent independent runs (aggregates are identical at any value)")
-		shardWorkers = flag.Int("shardworkers", 1, "concurrent spatial shards per world step (topologies are identical at any value)")
+		runWorkers   = flag.Int("runworkers", runtime.NumCPU(), "concurrent independent runs (aggregates are identical at any value)")
 		faultPreset  = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
 		strandedKill = flag.Bool("strandedkill", false, "remove stranded agents instead of respawning them")
 		curve        = flag.Bool("curve", false, "print averaged connectivity curve as TSV")
@@ -80,15 +78,13 @@ func main() {
 	fmt.Println("network:", netgen.Describe(w))
 
 	sc := routing.Scenario{
-		Agents:       *agents,
-		Kind:         kind,
-		Communicate:  *communicate,
-		Stigmergy:    *stigmergy,
-		HistorySize:  *history,
-		Steps:        *steps,
-		Workers:      *workers,
-		RunWorkers:   *runWorkers,
-		ShardWorkers: *shardWorkers,
+		Agents:      *agents,
+		Kind:        kind,
+		Communicate: *communicate,
+		Stigmergy:   *stigmergy,
+		HistorySize: *history,
+		Steps:       *steps,
+		RunWorkers:  *runWorkers,
 	}
 	if *faultPreset != "" {
 		sched, err := faults.Preset(*faultPreset, w.N(), w.Gateways(), *steps, *seed)
@@ -208,7 +204,6 @@ func recordOneRun(path string, meta replay.RunMeta, worldFor func(int) (*network
 	}
 	sc.Tracer = lw
 	sc.AnchorEvery = meta.AnchorEvery
-	sc.Workers = 1 // sequential: reproducible log
 	if _, err := routing.Run(w, sc, seed); err != nil {
 		lw.Close()
 		return 0, err
@@ -229,7 +224,6 @@ func traceOneRun(path string, worldFor func(int) (*network.World, error), sc rou
 	}
 	tw := trace.NewWriter(f)
 	sc.Tracer = tw
-	sc.Workers = 1 // sequential: reproducible trace
 	if _, err := routing.Run(w, sc, seed); err != nil {
 		return err
 	}

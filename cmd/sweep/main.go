@@ -49,9 +49,7 @@ func main() {
 		stigmergy    = flag.Bool("stigmergy", false, "use footprints")
 		runs         = flag.Int("runs", 10, "independent runs per value")
 		seed         = flag.Uint64("seed", 1, "root seed")
-		workers      = flag.Int("workers", runtime.NumCPU(), "simulation workers")
-		runWorkers   = flag.Int("runworkers", 1, "concurrent independent runs per point (aggregates are identical at any value)")
-		shardWorkers = flag.Int("shardworkers", 1, "concurrent spatial shards per world step (topologies are identical at any value)")
+		runWorkers   = flag.Int("runworkers", runtime.NumCPU(), "concurrent independent runs per point (aggregates are identical at any value)")
 		pointWorkers = flag.Int("pointworkers", 1, "concurrent sweep points (rows still emitted in sweep order)")
 		worldCache   = flag.Bool("worldcache", true, "record the world trajectory once and replay it for every point and run (results are bit-identical)")
 		faultPreset  = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
@@ -85,7 +83,7 @@ func main() {
 	}
 	cfg := sweepConfig{
 		runs: *runs, seed: *seed,
-		workers: *workers, runWorkers: *runWorkers, shardWorkers: *shardWorkers,
+		runWorkers:   *runWorkers,
 		pointWorkers: *pointWorkers, worldCache: *worldCache,
 		faultPreset: *faultPreset, strandedKill: *strandedKill,
 		reg: reg,
@@ -114,9 +112,7 @@ func main() {
 type sweepConfig struct {
 	runs         int
 	seed         uint64
-	workers      int
 	runWorkers   int
-	shardWorkers int
 	pointWorkers int
 	worldCache   bool
 	faultPreset  string
@@ -244,8 +240,7 @@ func sweepMapping(param string, vals []float64, policy string, cooperate, stigme
 		sc := mapping.Scenario{
 			Agents: 15, Kind: kind, Cooperate: cooperate, Stigmergy: stigmergy,
 			MaxSteps: maxSteps, Faults: sched,
-			Workers: cfg.workers, RunWorkers: cfg.runWorkers,
-			ShardWorkers: cfg.shardWorkers, Metrics: preg,
+			RunWorkers: cfg.runWorkers, Metrics: preg,
 		}
 		switch param {
 		case "agents":
@@ -318,8 +313,7 @@ func sweepRouting(param string, vals []float64, policy string, communicate, stig
 		sc := routing.Scenario{
 			Agents: 100, Kind: kind, Communicate: communicate, Stigmergy: stigmergy,
 			Steps: steps, Faults: sched,
-			Workers: cfg.workers, RunWorkers: cfg.runWorkers,
-			ShardWorkers: cfg.shardWorkers, Metrics: preg,
+			RunWorkers: cfg.runWorkers, Metrics: preg,
 		}
 		if cfg.strandedKill {
 			sc.StrandedPolicy = routing.StrandedKill

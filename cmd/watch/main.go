@@ -27,19 +27,18 @@ import (
 
 func main() {
 	var (
-		agents       = flag.Int("agents", 100, "agent population")
-		policy       = flag.String("policy", "oldest", "random | oldest")
-		communicate  = flag.Bool("communicate", false, "exchange best route in meetings")
-		stigmergy    = flag.Bool("stigmergy", false, "use footprints")
-		steps        = flag.Int("steps", 300, "steps to simulate")
-		every        = flag.Int("every", 10, "render a frame every N steps")
-		delay        = flag.Duration("delay", 120*time.Millisecond, "pause between frames")
-		seed         = flag.Uint64("seed", 1, "world + placement seed")
-		cols         = flag.Int("cols", 72, "heat map columns")
-		rows         = flag.Int("rows", 24, "heat map rows")
-		httpAddr     = flag.String("http", "", "serve /metrics, expvar and pprof on this address (e.g. :6060) while running")
-		shardWorkers = flag.Int("shardworkers", 1, "concurrent spatial shards per world step (frames are identical at any value)")
-		faultPreset  = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
+		agents      = flag.Int("agents", 100, "agent population")
+		policy      = flag.String("policy", "oldest", "random | oldest")
+		communicate = flag.Bool("communicate", false, "exchange best route in meetings")
+		stigmergy   = flag.Bool("stigmergy", false, "use footprints")
+		steps       = flag.Int("steps", 300, "steps to simulate")
+		every       = flag.Int("every", 10, "render a frame every N steps")
+		delay       = flag.Duration("delay", 120*time.Millisecond, "pause between frames")
+		seed        = flag.Uint64("seed", 1, "world + placement seed")
+		cols        = flag.Int("cols", 72, "heat map columns")
+		rows        = flag.Int("rows", 24, "heat map rows")
+		httpAddr    = flag.String("http", "", "serve /metrics, expvar and pprof on this address (e.g. :6060) while running")
+		faultPreset = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
 	)
 	flag.Parse()
 
@@ -75,14 +74,13 @@ func main() {
 	var series []float64
 	var snap metrics.Snapshot
 	sc := routing.Scenario{
-		Agents:       *agents,
-		Kind:         kind,
-		Communicate:  *communicate,
-		Stigmergy:    *stigmergy,
-		Steps:        *steps,
-		ShardWorkers: *shardWorkers,
-		Faults:       sched,
-		Metrics:      reg,
+		Agents:      *agents,
+		Kind:        kind,
+		Communicate: *communicate,
+		Stigmergy:   *stigmergy,
+		Steps:       *steps,
+		Faults:      sched,
+		Metrics:     reg,
 		Observer: func(step int, w *network.World, tables *routing.Tables) {
 			series = append(series, routing.LocalConnectivity(w, tables))
 			if step%*every != 0 {

@@ -15,6 +15,7 @@ import (
 
 	agentmesh "repro"
 	"repro/internal/netgen"
+	"repro/internal/parallel"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -356,20 +357,21 @@ func TestRoutingChurnResultPinned(t *testing.T) {
 // sizes. The values were recorded on the map-backed visit memory, so a
 // pass proves any rewrite of that memory changes nothing observable.
 func TestSuperConscientiousMappingPinned(t *testing.T) {
-	checkSuperConscientiousPins(t, 0)
+	checkSuperConscientiousPins(t, 1)
 }
 
-// TestSuperConscientiousMappingPinnedWorkers4 is the same pin with a
-// four-worker engine: meetings of different groups then merge visit
-// histories concurrently, drawing lineage tokens from one shared counter,
-// and the results must still match bit for bit.
+// TestSuperConscientiousMappingPinnedWorkers4 is the same pin with the
+// runs executed side by side on a four-worker run pool, the executor
+// RunWorkers sizes: the runs then merge visit histories concurrently,
+// drawing lineage tokens from one shared counter, and the results must
+// still match bit for bit.
 func TestSuperConscientiousMappingPinnedWorkers4(t *testing.T) {
-	checkSuperConscientiousPins(t, 4)
+	withBudget(t, 4, func() { checkSuperConscientiousPins(t, 4) })
 }
 
-func checkSuperConscientiousPins(t *testing.T, workers int) {
+func checkSuperConscientiousPins(t *testing.T, runWorkers int) {
 	t.Helper()
-	for _, tc := range []struct {
+	cases := []struct {
 		agents                       int
 		finish                       int
 		curve, minCurve              float64
@@ -378,18 +380,23 @@ func checkSuperConscientiousPins(t *testing.T, workers int) {
 		{5, 817, 305772.88933333335, 285699.60666666651, 4080, 2141, 176, 438},
 		{15, 439, 86714.054222222214, 74411.540000000023, 6570, 5755, 2330, 7354},
 		{40, 496, 110215.89425000001, 93788.973333333328, 19800, 19331, 5867, 14753},
-	} {
+	}
+	results := make([]agentmesh.MappingResult, len(cases))
+	err := parallel.NewPool(runWorkers).Run(len(cases), func(i int) error {
 		w, err := agentmesh.MappingNetwork(1)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		res, err := agentmesh.RunMapping(w, agentmesh.MappingScenario{
-			Agents: tc.agents, Kind: agentmesh.PolicySuperConscientious, Cooperate: true,
-			Workers: workers,
+		results[i], err = agentmesh.RunMapping(w, agentmesh.MappingScenario{
+			Agents: cases[i].agents, Kind: agentmesh.PolicySuperConscientious, Cooperate: true,
 		}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range cases {
+		res := results[i]
 		if !res.Finished || res.FinishStep != tc.finish || len(res.Curve) != tc.finish {
 			t.Errorf("agents=%d: Finished=%v FinishStep=%d len(Curve)=%d, pinned true/%d/%d",
 				tc.agents, res.Finished, res.FinishStep, len(res.Curve), tc.finish, tc.finish)

@@ -6,9 +6,7 @@
 //
 // An Agent is pure state plus a decision rule; the scenario harnesses in
 // internal/mapping and internal/routing drive the per-step protocol
-// (learn → meet → move → mark / deposit). Keeping agents passive makes the
-// same Agent type usable from both the sequential and the concurrent
-// engine.
+// (learn → meet → move → mark / deposit).
 package core
 
 import (

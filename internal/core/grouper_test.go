@@ -7,9 +7,7 @@ import (
 )
 
 // TestGrouperMatchesGroupByNode drives one reused Grouper over many random
-// agent placements and checks Meetings against the convenience form, and
-// All against the documented order (meetings by node, then singletons in
-// agent order).
+// agent placements and checks Meetings against the convenience form.
 func TestGrouperMatchesGroupByNode(t *testing.T) {
 	const n = 20
 	agents := make([]*Agent, 12)
@@ -37,42 +35,6 @@ func TestGrouperMatchesGroupByNode(t *testing.T) {
 				}
 			}
 		}
-
-		all := gr.All(agents)
-		covered := 0
-		for _, g := range all {
-			covered += len(g)
-		}
-		if covered != len(agents) {
-			t.Fatalf("trial %d: All covers %d agents, want %d", trial, covered, len(agents))
-		}
-		// Meetings first (node order), then singletons in agent order.
-		meetings := 0
-		for _, g := range all {
-			if len(g) > 1 {
-				meetings++
-			}
-		}
-		prevNode := NodeID(-1)
-		for _, g := range all[:meetings] {
-			if len(g) < 2 {
-				t.Fatalf("trial %d: singleton before meetings end", trial)
-			}
-			if g[0].At <= prevNode {
-				t.Fatalf("trial %d: meetings not in node order", trial)
-			}
-			prevNode = g[0].At
-		}
-		prevID := NodeID(-1)
-		for _, g := range all[meetings:] {
-			if len(g) != 1 {
-				t.Fatalf("trial %d: meeting after singletons start", trial)
-			}
-			if g[0].ID <= prevID {
-				t.Fatalf("trial %d: singletons not in agent order", trial)
-			}
-			prevID = g[0].ID
-		}
 	}
 }
 
@@ -86,11 +48,7 @@ func TestGrouperZeroAllocs(t *testing.T) {
 	}
 	gr := NewGrouper(n)
 	gr.Meetings(agents)
-	gr.All(agents)
 	if avg := testing.AllocsPerRun(50, func() { gr.Meetings(agents) }); avg != 0 {
 		t.Fatalf("Grouper.Meetings allocates %v per run, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() { gr.All(agents) }); avg != 0 {
-		t.Fatalf("Grouper.All allocates %v per run, want 0", avg)
 	}
 }

@@ -48,17 +48,6 @@ func (gr *Grouper) Reset(n int) {
 // ID with members in input order — the same deterministic contract as
 // GroupByNode.
 func (gr *Grouper) Meetings(agents []*Agent) [][]*Agent {
-	return gr.group(agents, false)
-}
-
-// All returns the meeting groups (node order) followed by singleton groups
-// in agent input order — the partition the stigmergic decide phase
-// parallelises over.
-func (gr *Grouper) All(agents []*Agent) [][]*Agent {
-	return gr.group(agents, true)
-}
-
-func (gr *Grouper) group(agents []*Agent, singletons bool) [][]*Agent {
 	gr.touched = gr.touched[:0]
 	for _, a := range agents {
 		if gr.count[a.At] == 0 {
@@ -89,14 +78,6 @@ func (gr *Grouper) group(agents []*Agent, singletons bool) [][]*Agent {
 			gr.groups = append(gr.groups, gr.members[start:end:end])
 		}
 	}
-	if singletons {
-		for _, a := range agents {
-			if gr.count[a.At] == 1 {
-				end := gr.cursor[a.At]
-				gr.groups = append(gr.groups, gr.members[end-1:end:end])
-			}
-		}
-	}
 	for _, node := range gr.touched {
 		gr.count[node] = 0
 	}
@@ -118,8 +99,8 @@ func GroupByNode(agents []*Agent) [][]*Agent {
 	return NewGrouper(int(maxNode + 1)).Meetings(agents)
 }
 
-// meetScratch holds the buffers a meeting needs. Meetings run concurrently
-// across co-located groups, so the scratch is pooled rather than shared.
+// meetScratch holds the buffers a meeting needs. Concurrent runs hold
+// meetings at the same time, so the scratch is pooled rather than shared.
 type meetScratch struct {
 	sharers []*Agent
 	vs      []*Agent

@@ -34,7 +34,7 @@ func extH(cfg Config) (Report, error) {
 		}
 		agg, err := routing.RunManyCached(build, routing.Scenario{
 			Agents: 100, Kind: core.PolicyOldestNode,
-			Workers: cfg.Workers, RunWorkers: cfg.RunWorkers, ShardWorkers: cfg.ShardWorkers,
+			RunWorkers: cfg.RunWorkers,
 		}, cfg.Runs, seedFor(cfg.Seed, "extH/"+m.name))
 		if err != nil {
 			return Report{}, err
@@ -95,7 +95,7 @@ func extI(cfg Config) (Report, error) {
 		static := staticWorldFor(cfg, w)
 		mapAgg, err := mapping.RunMany(static, mapping.Scenario{
 			Agents: 15, Kind: core.PolicyConscientious, Cooperate: true,
-			MaxSteps: 200000, Workers: cfg.Workers, RunWorkers: cfg.RunWorkers, ShardWorkers: cfg.ShardWorkers,
+			MaxSteps: 200000, RunWorkers: cfg.RunWorkers,
 		}, cfg.Runs, seedFor(cfg.Seed, "extI/map/"+st.name))
 		if err != nil {
 			return Report{}, err
@@ -108,7 +108,7 @@ func extI(cfg Config) (Report, error) {
 		}
 		routeAgg, err := routing.RunManyCached(build, routing.Scenario{
 			Agents: 100, Kind: core.PolicyOldestNode,
-			Workers: cfg.Workers, RunWorkers: cfg.RunWorkers, ShardWorkers: cfg.ShardWorkers,
+			RunWorkers: cfg.RunWorkers,
 		}, cfg.Runs, seedFor(cfg.Seed, "extI/route/"+st.name))
 		if err != nil {
 			return Report{}, err
@@ -194,7 +194,7 @@ func extK(cfg Config) (Report, error) {
 			static := staticWorldFor(cfg, w)
 			mapAgg, err := mapping.RunMany(static, mapping.Scenario{
 				Agents: 15, Kind: core.PolicyConscientious, Cooperate: true,
-				MaxSteps: 200000, Workers: cfg.Workers, RunWorkers: cfg.RunWorkers, ShardWorkers: cfg.ShardWorkers,
+				MaxSteps: 200000, RunWorkers: cfg.RunWorkers,
 			}, cfg.Runs, seedFor(cfg.Seed, "extK/map/"+l.name))
 			if err != nil {
 				return Report{}, err
@@ -208,7 +208,7 @@ func extK(cfg Config) (Report, error) {
 		}
 		routeAgg, err := routing.RunManyCached(build, routing.Scenario{
 			Agents: 100, Kind: core.PolicyOldestNode,
-			Workers: cfg.Workers, RunWorkers: cfg.RunWorkers, ShardWorkers: cfg.ShardWorkers,
+			RunWorkers: cfg.RunWorkers,
 		}, cfg.Runs, seedFor(cfg.Seed, "extK/route/"+l.name))
 		if err != nil {
 			return Report{}, err

@@ -20,17 +20,11 @@ type Config struct {
 	Runs int
 	// Seed is the root seed; all randomness derives from it. 0 means 1.
 	Seed uint64
-	// Workers sizes the simulation engine (0/1 = sequential).
-	Workers int
 	// RunWorkers is the number of independent replications each RunMany
 	// batch may execute concurrently (0/1 = sequential). Aggregates are
 	// bit-identical at any value; see internal/parallel for the shared
-	// budget that keeps RunWorkers × Workers from oversubscribing.
+	// budget that keeps nested pools from oversubscribing.
 	RunWorkers int
-	// ShardWorkers partitions each dynamic world's grid into that many
-	// concurrently stepped spatial bands (0/1 = sequential stepping).
-	// Topologies are bit-identical at any value; see internal/network.
-	ShardWorkers int
 	// Quick shrinks workloads (fewer runs, smaller sweeps) for smoke
 	// runs; reports note when it is set.
 	Quick bool

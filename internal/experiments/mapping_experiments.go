@@ -49,9 +49,7 @@ func staticWorldFor(cfg Config, w *network.World) func(int) (*network.World, err
 
 // mapSetting runs one mapping parameter setting.
 func mapSetting(cfg Config, label string, sc mapping.Scenario) (mapping.Aggregate, error) {
-	sc.Workers = cfg.Workers
 	sc.RunWorkers = cfg.RunWorkers
-	sc.ShardWorkers = cfg.ShardWorkers
 	if sc.MaxSteps == 0 {
 		sc.MaxSteps = 200000
 	}
@@ -343,8 +341,7 @@ func extE(cfg Config) (Report, error) {
 			return Report{}, err
 		}
 		sc := mapping.Scenario{Agents: 15, Kind: core.PolicyConscientious,
-			Cooperate: true, Stigmergy: true,
-			Workers: cfg.Workers, ShardWorkers: cfg.ShardWorkers}
+			Cooperate: true, Stigmergy: true}
 		res, err := mapping.Run(w, sc, seedFor(cfg.Seed, "extE")+uint64(r))
 		if err != nil {
 			return Report{}, err

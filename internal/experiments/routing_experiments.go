@@ -27,9 +27,7 @@ func routingBuild(seed uint64) func() (*network.World, error) {
 // per setting and replayed bit-identically by every run, so replication
 // parallelises safely without paying the world-step cost R times.
 func routeSetting(cfg Config, label string, sc routing.Scenario) (routing.Aggregate, error) {
-	sc.Workers = cfg.Workers
 	sc.RunWorkers = cfg.RunWorkers
-	sc.ShardWorkers = cfg.ShardWorkers
 	return routing.RunManyCached(routingBuild(cfg.Seed), sc, cfg.Runs, seedFor(cfg.Seed, label))
 }
 
@@ -377,7 +375,6 @@ func extD(cfg Config) (Report, error) {
 		gen := traffic.NewGen(5, 64, 100, rng.New(seedFor(cfg.Seed, "extD/traffic")+uint64(r)))
 		sc := routing.Scenario{
 			Agents: 100, Kind: core.PolicyOldestNode,
-			Workers: cfg.Workers, ShardWorkers: cfg.ShardWorkers,
 			Observer: gen.Step,
 		}
 		res, err := routing.Run(w, sc, seedFor(cfg.Seed, "extD")+uint64(r))

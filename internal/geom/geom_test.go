@@ -244,45 +244,6 @@ func BenchmarkGridWithin(b *testing.B) {
 	}
 }
 
-// TestGridColOf pins the column mapping the spatial shard layout is built
-// on: positions map to their containing grid column, and out-of-arena
-// positions clamp to the edge columns instead of escaping the band table.
-func TestGridColOf(t *testing.T) {
-	g := NewGrid(Square(100), 100, 10)
-	cols := g.Cols()
-	if cols < 2 {
-		t.Fatalf("Cols = %d, want at least 2", cols)
-	}
-	cases := []struct {
-		p    Point
-		want int
-	}{
-		{Point{0, 50}, 0},
-		{Point{5, 0}, 0},
-		{Point{95, 100}, int(95 / g.CellSize())},
-		{Point{-3, 50}, 0},         // clamped left
-		{Point{107, 50}, cols - 1}, // clamped right
-	}
-	for _, c := range cases {
-		if got := g.ColOf(c.p); got != c.want {
-			t.Errorf("ColOf(%v) = %d, want %d", c.p, got, c.want)
-		}
-	}
-	// ColOf must agree with the cell the point actually buckets into:
-	// same column as a Within query centred there would scan.
-	s := rng.New(4)
-	for i := 0; i < 200; i++ {
-		p := Point{s.Range(0, 100), s.Range(0, 100)}
-		c := g.ColOf(p)
-		if c < 0 || c >= cols {
-			t.Fatalf("ColOf(%v) = %d out of [0,%d)", p, c, cols)
-		}
-		if want := int(p.X / g.CellSize()); want < cols && c != want {
-			t.Fatalf("ColOf(%v) = %d, want %d", p, c, want)
-		}
-	}
-}
-
 // TestGridReserveBucketsNoSteadyStateGrowth pins ReserveBuckets' purpose:
 // after reserving for the item count, single-node Update churn must not
 // grow any cell bucket, so incremental stepping stays allocation-free.

@@ -175,19 +175,6 @@ func (g *Grid) BoxCellRange(lo, hi Point) (minCX, maxCX, minCY, maxCY int) {
 // Cols returns the number of cell columns (the flat-index row stride).
 func (g *Grid) Cols() int { return g.cols }
 
-// ColOf returns the cell-column index of p, clamped to the arena — the
-// spatial coordinate world sharding partitions on.
-func (g *Grid) ColOf(p Point) int {
-	cx := int((p.X - g.arena.MinX) / g.cell)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	return cx
-}
-
 // ReserveBuckets pre-grows every cell bucket to hold roughly twice the
 // mean occupancy for items uniformly spread over the grid, so steady-state
 // Update churn (a node entering a cell fuller than that cell has ever

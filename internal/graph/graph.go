@@ -104,47 +104,6 @@ func (g *Directed) RemoveEdgeSorted(u, v NodeID) bool {
 	return true
 }
 
-// InsertEdgeSortedLocal is InsertEdgeSorted minus the graph-level
-// bookkeeping: it edits only row u (its slice header and its disjoint
-// storage), leaving the edge count and the reverse-adjacency flag
-// untouched. Workers that own disjoint row sets may therefore call it
-// concurrently; the caller folds the returned successes back with AddM and
-// invalidates the reverse adjacency once with InvalidateIn.
-func (g *Directed) InsertEdgeSortedLocal(u, v NodeID) bool {
-	adj := g.out[u]
-	i := lowerBound(adj, v)
-	if i < len(adj) && adj[i] == v {
-		return false
-	}
-	adj = append(adj, 0)
-	copy(adj[i+1:], adj[i:])
-	adj[i] = v
-	g.out[u] = adj
-	return true
-}
-
-// RemoveEdgeSortedLocal is RemoveEdgeSorted minus the graph-level
-// bookkeeping, with the same concurrency contract as
-// InsertEdgeSortedLocal.
-func (g *Directed) RemoveEdgeSortedLocal(u, v NodeID) bool {
-	adj := g.out[u]
-	i := lowerBound(adj, v)
-	if i == len(adj) || adj[i] != v {
-		return false
-	}
-	copy(adj[i:], adj[i+1:])
-	g.out[u] = adj[:len(adj)-1]
-	return true
-}
-
-// AddM folds a batch of Local edge surgeries into the edge count: delta is
-// (successful inserts) - (successful removals).
-func (g *Directed) AddM(delta int) { g.m += delta }
-
-// InvalidateIn marks the reverse adjacency stale after a batch of Local
-// edge surgeries. Call once per batch from a serial section.
-func (g *Directed) InvalidateIn() { g.inOK = false }
-
 // OwnRows migrates every CSR-aliased adjacency list into node-owned
 // storage with spare capacity — half the row's current degree plus
 // headroom slots — so InsertEdgeSorted calls after a SetOut build rarely

@@ -390,110 +390,6 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-// TestLocalEdgeSurgery exercises the concurrent-worker edge API: the
-// Local insert/remove variants must edit exactly one row, report success
-// accurately, and leave the graph-level bookkeeping to AddM/InvalidateIn.
-func TestLocalEdgeSurgery(t *testing.T) {
-	g := New(4)
-	g.Reset(4)
-	g.SetOut(0, []NodeID{1, 3})
-	g.SetOut(1, []NodeID{2})
-	g.SetOut(2, nil)
-	g.SetOut(3, nil)
-	g.OwnRows(2)
-	if g.M() != 3 {
-		t.Fatalf("M = %d, want 3", g.M())
-	}
-	delta := 0
-	if !g.InsertEdgeSortedLocal(0, 2) {
-		t.Fatal("insert 0->2 should succeed")
-	}
-	delta++
-	if g.InsertEdgeSortedLocal(0, 2) {
-		t.Fatal("duplicate insert 0->2 should fail")
-	}
-	if !g.RemoveEdgeSortedLocal(1, 2) {
-		t.Fatal("remove 1->2 should succeed")
-	}
-	delta--
-	if g.RemoveEdgeSortedLocal(1, 2) {
-		t.Fatal("removing absent 1->2 should fail")
-	}
-	// Local variants leave M untouched until the serial fold.
-	if g.M() != 3 {
-		t.Fatalf("M = %d before AddM, want 3", g.M())
-	}
-	g.AddM(delta)
-	g.InvalidateIn()
-	if g.M() != 3 {
-		t.Fatalf("M = %d after AddM, want 3", g.M())
-	}
-	want := [][]NodeID{{1, 2, 3}, {}, {}, {}}
-	for u, adj := range want {
-		got := g.Out(NodeID(u))
-		if len(got) != len(adj) {
-			t.Fatalf("Out(%d) = %v, want %v", u, got, adj)
-		}
-		for i := range adj {
-			if got[i] != adj[i] {
-				t.Fatalf("Out(%d) = %v, want %v", u, got, adj)
-			}
-		}
-	}
-	// InvalidateIn forces the reverse adjacency to rebuild correctly.
-	in := g.In(2)
-	if len(in) != 1 || in[0] != 0 {
-		t.Fatalf("In(2) = %v, want [0]", in)
-	}
-}
-
-// TestLocalMatchesGlobalSurgery drives random sorted-edge surgery through
-// the Local variants plus AddM and through the classic InsertEdgeSorted /
-// RemoveEdgeSorted on a twin graph; they must stay identical throughout.
-func TestLocalMatchesGlobalSurgery(t *testing.T) {
-	const n = 12
-	a, b := New(n), New(n)
-	a.Reset(n)
-	b.Reset(n)
-	for u := 0; u < n; u++ {
-		a.SetOut(NodeID(u), nil)
-		b.SetOut(NodeID(u), nil)
-	}
-	a.OwnRows(1)
-	s := rng.New(7)
-	for i := 0; i < 2000; i++ {
-		u := NodeID(s.Intn(n))
-		v := NodeID(s.Intn(n))
-		if u == v {
-			continue
-		}
-		delta := 0
-		if s.Intn(2) == 0 {
-			if a.InsertEdgeSortedLocal(u, v) {
-				delta++
-			}
-			if b.InsertEdgeSorted(u, v) != (delta == 1) {
-				t.Fatalf("op %d: insert disagreement at %d->%d", i, u, v)
-			}
-		} else {
-			if a.RemoveEdgeSortedLocal(u, v) {
-				delta--
-			}
-			if b.RemoveEdgeSorted(u, v) != (delta == -1) {
-				t.Fatalf("op %d: remove disagreement at %d->%d", i, u, v)
-			}
-		}
-		a.AddM(delta)
-	}
-	a.InvalidateIn()
-	if !a.Equal(b) {
-		t.Fatal("local-surgery graph diverged from global-surgery twin")
-	}
-	if a.M() != b.M() {
-		t.Fatalf("M: local %d vs global %d", a.M(), b.M())
-	}
-}
-
 // TestOwnRowsPreservesContent pins that OwnRows is content-neutral and
 // actually unshares CSR storage: mutating one row afterwards cannot bleed
 // into a neighbouring row's slice.
@@ -517,10 +413,10 @@ func TestOwnRowsPreservesContent(t *testing.T) {
 		}
 	}
 	// Growing row 0 in place must leave row 1 untouched (disjoint storage).
-	g.InsertEdgeSortedLocal(0, 1) // duplicate, no-op
+	g.InsertEdgeSorted(0, 1) // duplicate, no-op
 	for i := 0; i < 6; i++ {
-		g.InsertEdgeSortedLocal(1, NodeID(2))
-		g.RemoveEdgeSortedLocal(1, NodeID(2))
+		g.InsertEdgeSorted(1, NodeID(2))
+		g.RemoveEdgeSorted(1, NodeID(2))
 	}
 	if got := g.Out(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("row 0 corrupted by row-1 surgery: %v", got)

@@ -40,8 +40,8 @@ type Visits struct {
 	dirty    []NodeID // nodes written or evicted since the lineage began
 }
 
-// lineageTokens issues merge-lineage tokens. Meetings of different groups
-// run concurrently, so it is atomic; results depend only on which
+// lineageTokens issues merge-lineage tokens. Concurrent runs draw from it
+// at the same time, so it is atomic; results depend only on which
 // memories share a token, never on its value.
 var lineageTokens atomic.Uint64
 

@@ -21,7 +21,9 @@ func cachedBuild() func() (*network.World, error) {
 // mapping-harness level: a record-once/replay-many batch must produce an
 // aggregate bit-identical to live per-run stepping, clean and under node
 // churn (which exercises the stranded-respawn path through the replayed
-// fault epochs), at every RunWorkers × ShardWorkers in {1,2,4}².
+// fault epochs), at every RunWorkers in {1,2,4}. The grid also sets the
+// deprecated ShardWorkers field to {1,2,4}: callers still set it, and the
+// aggregate must not depend on it.
 func TestRunManyCachedMatchesLive(t *testing.T) {
 	const runs, maxSteps = 3, 2000
 	w := smallWorld(t)

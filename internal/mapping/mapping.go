@@ -60,23 +60,21 @@ type Scenario struct {
 	StigWindow  int
 	// MaxSteps bounds the run (default 50000).
 	MaxSteps int
-	// Workers sizes the engine (0/1 = sequential).
+	// Workers is not read by any code.
+	//
+	// Deprecated: ignored; results never depended on it.
 	Workers int
 	// RunWorkers is the number of independent runs RunMany may execute
 	// concurrently (0/1 = sequential). Replication is embarrassingly
 	// parallel, so aggregates are bit-identical at any value; extra
-	// goroutines come from the shared parallel budget, with run workers
-	// taking priority over the per-agent engine. Parallel replication
-	// requires worldFor to return a fresh world per run (even static
-	// worlds are stepped), which RunMany enforces. A Tracer forces
+	// goroutines come from the shared parallel budget. Parallel
+	// replication requires worldFor to return a fresh world per run (even
+	// static worlds are stepped), which RunMany enforces. A Tracer forces
 	// sequential execution so the shared sink observes runs in order.
 	RunWorkers int
-	// ShardWorkers partitions the world grid into that many spatial
-	// bands stepped concurrently (0 leaves the world's setting, 1 forces
-	// the sequential incremental path); static worlds ignore it.
-	// Topologies are bit-identical at any value, so results never depend
-	// on it; shard workers draw from the same parallel budget as
-	// RunWorkers and degrade to sequential when the budget is claimed.
+	// ShardWorkers is not read by any code.
+	//
+	// Deprecated: ignored; results never depended on it.
 	ShardWorkers int
 	// Faults, if set, is a fault schedule attached to the world before
 	// the run (see internal/faults). The mapping reaction is minimal:
@@ -87,11 +85,11 @@ type Scenario struct {
 	// still bounds the run.
 	Faults *faults.Schedule
 	// Tracer, if set, receives structured events (moves, meetings,
-	// per-step knowledge). Events are emitted from sequential sections,
-	// so traces are reproducible with Workers <= 1. A Tracer that also
-	// implements trace.WorldSink (the binary LogWriter does) additionally
-	// receives snapshot anchors every AnchorEvery steps and per-step world
-	// deltas, making the log replayable offline.
+	// per-step knowledge). Events are emitted in a fixed order, so traces
+	// are reproducible. A Tracer that also implements trace.WorldSink (the
+	// binary LogWriter does) additionally receives snapshot anchors every
+	// AnchorEvery steps and per-step world deltas, making the log
+	// replayable offline.
 	Tracer trace.Tracer
 	// AnchorEvery is the snapshot-anchor cadence for WorldSink tracers
 	// (<= 0 uses network.DefaultAnchorEvery). Ignored for plain tracers.
@@ -202,7 +200,7 @@ func newRunMetrics(r *metrics.Registry) runMetrics {
 }
 
 // syncCounts publishes the per-step growth of the agents' overhead
-// counters. Runs in a sequential section so it observes a settled step.
+// counters. Runs between phases, so it observes a settled step.
 func (m *runMetrics) syncCounts(agents []*core.Agent) {
 	if !m.enabled {
 		return
@@ -255,9 +253,6 @@ func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
 // run is Run on caller-provided scratch state.
 func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, error) {
 	sc = sc.withDefaults()
-	if sc.ShardWorkers > 0 {
-		w.SetShardWorkers(sc.ShardWorkers)
-	}
 	if sc.Faults != nil {
 		w.SetFaults(sc.Faults)
 	}
@@ -270,7 +265,6 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	if sc.Stigmergy {
 		board = stigmergy.NewBoard(w.N(), sc.StigPerNode, sc.StigWindow)
 	}
-	engine := sim.NewEngine(sc.Workers)
 	st.reset(w.N(), len(agents))
 	next := st.next
 	grouper := st.grouper
@@ -301,23 +295,21 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		m.steps.Inc()
 		rec.BeforeStep(step)
 		// Fault reaction: respawn agents stranded on nodes that died during
-		// the previous world step. Sequential, so deterministic at any
-		// worker setting.
+		// the previous world step.
 		if sc.Faults != nil {
 			if ep := w.FaultEpoch(); ep != lastEpoch {
 				lastEpoch = ep
 				res.Stranded += respawnStranded(w, agents, faultRng, sc.Tracer, step)
 			}
 		}
-		// Phase 1: first-hand learning + visit recording (independent).
+		// Phase 1: first-hand learning + visit recording.
 		sp := m.learn.Start()
-		engine.ForEach(len(agents), func(i int) {
-			a := agents[i]
+		for _, a := range agents {
 			a.RecordHere(step)
 			a.LearnNeighbors(w.Neighbors(a.At))
-		})
+		}
 		sp.Stop()
-		// Phase 2: meetings (independent across co-located groups).
+		// Phase 2: meetings, one co-located group at a time.
 		sp = m.meet.Start()
 		if sc.Cooperate && len(agents) > 1 {
 			groups := grouper.Meetings(agents)
@@ -333,9 +325,9 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 					}
 				}
 			}
-			engine.ForEach(len(groups), func(g int) {
-				core.ExchangeTopology(groups[g])
-			})
+			for _, g := range groups {
+				core.ExchangeTopology(g)
+			}
 		}
 		sp.Stop()
 		// Metrics + completion check. The slowest agent and the finish test
@@ -379,23 +371,11 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 			}
 			return true
 		}
-		// Phase 3: decide + mark. Agents on distinct nodes are
-		// independent (footprints are only read and written at the
-		// agent's own node), so parallelise across node groups and keep
-		// agent order within a group — bit-identical to sequential.
+		// Phase 3: decide + mark, in agent order (board is nil without
+		// stigmergy).
 		sp = m.decide.Start()
-		if sc.Stigmergy {
-			groups := grouper.All(agents)
-			engine.ForEach(len(groups), func(g int) {
-				for _, a := range groups[g] {
-					next[a.ID] = a.Decide(board, step, w.Neighbors(a.At))
-				}
-			})
-		} else {
-			engine.ForEach(len(agents), func(i int) {
-				a := agents[i]
-				next[a.ID] = a.Decide(nil, step, w.Neighbors(a.At))
-			})
+		for _, a := range agents {
+			next[a.ID] = a.Decide(board, step, w.Neighbors(a.At))
 		}
 		sp.Stop()
 		// Phase 4: move, then the world itself evolves.

@@ -172,7 +172,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestEngineEquivalence(t *testing.T) {
-	// The concurrent engine must be bit-identical to the sequential one.
+	// The deprecated Workers field is still set by callers; a run must be
+	// bit-identical whatever it holds.
 	w := smallWorld(t)
 	for _, sc := range []Scenario{
 		{Agents: 8, Kind: core.PolicyConscientious, Cooperate: true},
@@ -192,7 +193,7 @@ func TestEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.FinishStep != b.FinishStep {
-			t.Fatalf("%v: engines diverged: %d vs %d", sc.Kind, a.FinishStep, b.FinishStep)
+			t.Fatalf("%v: runs diverged: %d vs %d", sc.Kind, a.FinishStep, b.FinishStep)
 		}
 		for i := range a.Curve {
 			if a.Curve[i] != b.Curve[i] {

@@ -158,9 +158,9 @@ func (f *Fleet) Step(pos []geom.Point) {
 
 // StepOne advances the single node i and returns its new position. Every
 // mover owns its node's state and RNG stream exclusively (constructors
-// take a per-node stream), so distinct nodes may be stepped concurrently
-// and in any order with results identical to a whole-fleet Step — the
-// contract sharded world stepping relies on.
+// take a per-node stream), so distinct nodes may be stepped in any order
+// with results identical to a whole-fleet Step — the contract the
+// incremental engine, which steps only mobility-capable nodes, relies on.
 func (f *Fleet) StepOne(i int, p geom.Point) geom.Point {
 	return f.movers[i].Step(p)
 }

@@ -182,10 +182,10 @@ func TestDeterministicTraces(t *testing.T) {
 	}
 }
 
-// TestFleetStepOneMatchesStep pins the shard-worker entry point: stepping
-// each mover individually through StepOne (in any per-node order) must
-// reproduce Fleet.Step exactly, because every mover owns a private RNG
-// stream.
+// TestFleetStepOneMatchesStep pins the incremental engine's entry point:
+// stepping each mover individually through StepOne (in any per-node order)
+// must reproduce Fleet.Step exactly, because every mover owns a private
+// RNG stream.
 func TestFleetStepOneMatchesStep(t *testing.T) {
 	arena := geom.Square(60)
 	build := func() (*Fleet, []geom.Point) {

@@ -8,8 +8,6 @@ func connEngines() map[string]func(w *World) {
 	return map[string]func(w *World){
 		"incremental": func(w *World) {},
 		"rebuild":     func(w *World) { w.SetFullRebuild(true) },
-		"sharded-2":   func(w *World) { w.SetShardWorkers(2) },
-		"sharded-4":   func(w *World) { w.SetShardWorkers(4) },
 	}
 }
 

@@ -9,8 +9,8 @@ package network
 // consumers keep their own step cursor (Step) and must fall back to a full
 // resync whenever Rebuilt is set or their cursor shows a missed step.
 //
-// The stream may over-report: the incremental and sharded engines emit at
-// decision points, so an entry can name an edge whose surgical edit turned
+// The stream may over-report: the incremental engine emits at decision
+// points, so an entry can name an edge whose surgical edit turned
 // out to be a no-op (it was already present or already gone). Consumers
 // must tolerate that — the DynReach protocol does by construction. The
 // stream never under-reports on a step with Rebuilt == false.
@@ -50,7 +50,7 @@ func (d *TopoDeltas) remove(u, v NodeID) {
 // topology delta buffer. The World owns the buffer and rewrites it every
 // Step; multiple consumers may read it, each keeping its own cursor.
 // Watching is free on the full-rebuild path and costs two appends per
-// churned edge on the incremental/sharded/replay paths; an unwatched world
+// churned edge on the incremental and replay paths; an unwatched world
 // pays nothing. The returned buffer starts with Rebuilt set so a consumer
 // attaching mid-run starts from a resync.
 func (w *World) WatchTopology() *TopoDeltas {

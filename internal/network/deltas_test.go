@@ -9,7 +9,7 @@ import (
 )
 
 // TestTopoDeltasReplayTopology pins the TopoDeltas contract directly, on
-// the sequential and the sharded incremental engine: on every step not
+// the incremental engine: on every step not
 // marked Rebuilt, applying the step's removals and then its additions to
 // the previous topology reproduces the current one; every reported edge is
 // one the step decided on at most once, and one the graph reflects (a
@@ -19,19 +19,13 @@ import (
 // also runs against an always-full-rebuild twin, so an engine whose edits
 // and reports agree but are both wrong fails too.
 func TestTopoDeltasReplayTopology(t *testing.T) {
-	engines := []struct {
-		name   string
-		shards int
-	}{{"incremental", 1}, {"sharded=2", 2}}
 	for name, sc := range incrementalScenarios() {
-		for _, eng := range engines {
-			t.Run(name+"/"+eng.name, func(t *testing.T) {
-				build := func() *World { return buildPlannedWorld(t, sc.plans(), sc.p, 5) }
-				// Full-rebuild interludes make the engine resync from a
-				// world that moved and drained behind its back.
-				checkTopoDeltas(t, build, eng.shards, nil, sc.steps, func(step int) bool { return step%60 >= 50 })
-			})
-		}
+		t.Run(name+"/incremental", func(t *testing.T) {
+			build := func() *World { return buildPlannedWorld(t, sc.plans(), sc.p, 5) }
+			// Full-rebuild interludes make the engine resync from a world
+			// that moved and drained behind its back.
+			checkTopoDeltas(t, build, nil, sc.steps, func(step int) bool { return step%60 >= 50 })
+		})
 	}
 	const n, steps = 120, 120
 	gateways := []NodeID{0, 40, 80}
@@ -39,22 +33,18 @@ func TestTopoDeltasReplayTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range engines {
-		t.Run("faults=churn/"+eng.name, func(t *testing.T) {
-			build := func() *World { return buildFaultWorld(t, n, gateways, 3) }
-			checkTopoDeltas(t, build, eng.shards, sched, steps, func(int) bool { return false })
-		})
-	}
+	t.Run("faults=churn/incremental", func(t *testing.T) {
+		build := func() *World { return buildFaultWorld(t, n, gateways, 3) }
+		checkTopoDeltas(t, build, sched, steps, func(int) bool { return false })
+	})
 }
 
 // checkTopoDeltas steps a watched world built by build (with the given
-// shard count and fault schedule, running full rebuilds on the steps
-// fullAt selects) next to an always-full-rebuild twin, and checks every
+// fault schedule, running full rebuilds on the steps fullAt selects) next to an always-full-rebuild twin, and checks every
 // step's TopoDeltas against the topologies before and after it.
-func checkTopoDeltas(t *testing.T, build func() *World, shards int, sched *faults.Schedule, steps int, fullAt func(step int) bool) {
+func checkTopoDeltas(t *testing.T, build func() *World, sched *faults.Schedule, steps int, fullAt func(step int) bool) {
 	t.Helper()
 	w, twin := build(), build()
-	w.SetShardWorkers(shards)
 	twin.SetFullRebuild(true)
 	w.SetFaults(sched)
 	twin.SetFaults(sched)

@@ -111,7 +111,7 @@ func faultSchedules(n int, gateways []NodeID, steps int) map[string]*faults.Sche
 }
 
 // TestFaultedEnginesMatch is the fault-equivalence gate: under every fault
-// workload, the incremental, sharded, and full-rebuild stepping paths must
+// workload, the incremental and full-rebuild stepping paths must
 // produce bit-identical topologies, alive masks, and gateway sets at every
 // step, and all must match the fault-aware brute-force referee.
 func TestFaultedEnginesMatch(t *testing.T) {
@@ -121,34 +121,28 @@ func TestFaultedEnginesMatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			inc := buildFaultWorld(t, n, gateways, 3)
 			full := buildFaultWorld(t, n, gateways, 3)
-			shd := buildFaultWorld(t, n, gateways, 3)
 			full.SetFullRebuild(true)
-			shd.SetShardWorkers(3)
-			for _, w := range []*World{inc, full, shd} {
+			for _, w := range []*World{inc, full} {
 				w.SetFaults(sched)
 			}
 			fired := 0
 			for step := 0; step < steps; step++ {
 				inc.Step()
 				full.Step()
-				shd.Step()
-				if inc.FaultEpoch() != full.FaultEpoch() || inc.FaultEpoch() != shd.FaultEpoch() {
-					t.Fatalf("step %d: fault epochs diverge: %d/%d/%d",
-						step+1, inc.FaultEpoch(), full.FaultEpoch(), shd.FaultEpoch())
+				if inc.FaultEpoch() != full.FaultEpoch() {
+					t.Fatalf("step %d: fault epochs diverge: %d/%d",
+						step+1, inc.FaultEpoch(), full.FaultEpoch())
 				}
 				fired = inc.FaultEpoch()
-				if inc.AliveCount() != full.AliveCount() || inc.AliveCount() != shd.AliveCount() {
-					t.Fatalf("step %d: alive counts diverge: %d/%d/%d",
-						step+1, inc.AliveCount(), full.AliveCount(), shd.AliveCount())
+				if inc.AliveCount() != full.AliveCount() {
+					t.Fatalf("step %d: alive counts diverge: %d/%d",
+						step+1, inc.AliveCount(), full.AliveCount())
 				}
 				if ga, gb := fmt.Sprint(inc.Gateways()), fmt.Sprint(full.Gateways()); ga != gb {
 					t.Fatalf("step %d: gateway sets diverge: %s vs %s", step+1, ga, gb)
 				}
 				if diff, ok := sameTopology(inc.Topology(), full.Topology()); !ok {
 					t.Fatalf("step %d: incremental vs full rebuild: %s", step+1, diff)
-				}
-				if diff, ok := sameTopology(shd.Topology(), full.Topology()); !ok {
-					t.Fatalf("step %d: sharded vs full rebuild: %s", step+1, diff)
 				}
 				if step%10 == 0 || step == steps-1 {
 					if diff, ok := sameTopology(inc.Topology(), bruteForceFaultTopology(inc)); !ok {

@@ -9,14 +9,13 @@ import (
 // FuzzIncrementalTopology drives a mixed mobility/decay tape: each tape
 // byte configures one node (mover kind, whether its battery decays, decay
 // speed, floor), and the trailing bytes pick the seed spread, step count,
-// and the maximum radio range (up to most of the arena, so discs straddle
-// many shard-band boundaries at once). The same bytes also script a fault
+// and the maximum radio range (up to most of the arena, so discs cover
+// most of the grid at once). The same bytes also script a fault
 // schedule — node death and revival (sometimes respawned elsewhere), radio
 // degradation and restoration, gateway service flaps, and a partition
 // window — interleaved with the mobility churn. For every tape the
 // incrementally maintained topology must stay bit-identical to a full
-// rebuild after every single step — and so must a spatially sharded twin
-// at every shard count in {1, 2, 3, 7} — and all must match an O(n²)
+// rebuild after every single step, and both must match an O(n²)
 // fault-aware brute-force referee at the end.
 func FuzzIncrementalTopology(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 30})
@@ -44,8 +43,7 @@ func FuzzIncrementalTopology(f *testing.F) {
 		}
 		p := planParams{
 			arena: 40, minR: 3,
-			// Up to 30 on a 40-unit arena: discs can cover most of the grid,
-			// so a single moved node straddles every shard-band boundary.
+			// Up to 30 on a 40-unit arena: discs can cover most of the grid.
 			maxR:     6 + float64(tape[len(tape)-1]%25),
 			minSpeed: 0.2, maxSpeed: 1 + float64(tape[0]%8), // up to speeds past the cell size
 			pause: int(tape[0] % 5),
@@ -68,25 +66,11 @@ func FuzzIncrementalTopology(f *testing.F) {
 			}
 			return
 		}
-		shardCounts := []int{1, 2, 3, 7}
-		sharded := make([]*World, len(shardCounts))
-		for i, s := range shardCounts {
-			sharded[i] = buildPlannedWorld(t, plans, p, seed)
-			sharded[i].SetShardWorkers(s)
-			sharded[i].SetFaults(sched)
-		}
 		for step := 0; step < steps; step++ {
 			inc.Step()
 			full.Step()
 			if diff, ok := sameTopology(inc.Topology(), full.Topology()); !ok {
 				t.Fatalf("step %d: incremental vs full rebuild: %s", step+1, diff)
-			}
-			for i, w := range sharded {
-				w.Step()
-				if diff, ok := sameTopology(inc.Topology(), w.Topology()); !ok {
-					t.Fatalf("step %d: incremental vs sharded S=%d: %s",
-						step+1, shardCounts[i], diff)
-				}
 			}
 		}
 		if diff, ok := sameTopology(inc.Topology(), bruteForceFaultTopology(inc)); !ok {

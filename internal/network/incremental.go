@@ -84,9 +84,7 @@ import (
 // the equivalence and fuzz tests in this package). No separate
 // "farther than maxRange before and after" reject is needed: every range
 // is at most maxRange, so such a pair cannot flip, and its class-4 test
-// (dNew <= cur(w)) fails too. The sequential path and the sharded scan
-// phase run this one kernel and differ only in where the edits go (a
-// churnSink).
+// (dNew <= cur(w)) fails too.
 
 // nodeRec is the packed per-node record the class-3 kernel reads for a
 // surviving candidate: everything the flip test and the class-4 append
@@ -114,7 +112,9 @@ type incrState struct {
 	decay     []decayCursor
 	inDecay   [][]inSrc // mobile node id -> decaying static in-sources
 	outBuf    []int32   // class-5 out-walk scratch
-	sink      seqSink   // class-3 edit sink of the sequential path
+
+	// added and removed count this step's class-3 edits (see editLink).
+	added, removed uint64
 
 	// stale marks the node records and inDecay lists invalid: full-rebuild
 	// steps move nodes, drain batteries, and rewrite the topology without
@@ -165,7 +165,6 @@ func (w *World) initIncremental(movers []mobility.Mover) {
 		isMobile: make([]bool, n),
 		rec:      make([]nodeRec, n),
 		inDecay:  make([][]inSrc, n),
-		sink:     seqSink{w: w},
 	}
 	for i, m := range movers {
 		if _, static := m.(mobility.Static); !static {
@@ -185,8 +184,8 @@ func (w *World) initIncremental(movers []mobility.Mover) {
 		t.decaySrcs = append(t.decaySrcs, int32(u))
 		// One cursor per source, even when its target list is currently
 		// empty: t.decay indices stay aligned with decaySrcs forever, which
-		// the shard cursor partition and the fault-resync cursor rebuild
-		// rely on (an empty cursor is a no-op).
+		// the fault-resync cursor rebuild relies on (an empty cursor is a
+		// no-op).
 		t.decay = append(t.decay, decayCursor{src: NodeID(u)})
 	}
 	w.incr = t
@@ -236,9 +235,9 @@ func (w *World) rebuildInLists() {
 // events can grow a range back (RadioRestore) or teleport a static node
 // (respawn), both of which invalidate a cursor's never-rewind premise; a
 // rebuilt cursor restores it, since between fault steps ranges only shrink.
-// Entries keep their slot (one per decay source), so indices held by shard
-// cursor partitions stay valid. Dead sources get an empty list: they have
-// no out-edges to expire, and revival is itself a fault resync.
+// Entries keep their slot (one per decay source). Dead sources get an
+// empty list: they have no out-edges to expire, and revival is itself a
+// fault resync.
 func (w *World) fillDecayCursors() {
 	t := w.incr
 	for i := range t.decay {
@@ -321,7 +320,7 @@ func (w *World) stepIncremental() {
 	for _, id := range t.mobile {
 		r := &t.rec[id]
 		// Dead nodes freeze: mover not stepped (RNG pauses), position
-		// unchanged — identical to the full-rebuild and sharded paths.
+		// unchanged — identical to the full-rebuild path.
 		if dead != nil && dead[id] {
 			r.moved = false
 			continue
@@ -354,8 +353,7 @@ func (w *World) stepIncremental() {
 }
 
 // advanceDecay drains the decaying radios one step and rolls their
-// records' squared ranges — the decay phase shared by the sequential and
-// sharded incremental paths.
+// records' squared ranges.
 func (w *World) advanceDecay() {
 	t := w.incr
 	for _, id := range t.decayIds {
@@ -366,33 +364,22 @@ func (w *World) advanceDecay() {
 	}
 }
 
-// churnSink receives the class-3 kernel's edits: insert (add) or remove
-// the directed edge u→v. The sequential path applies them to the topology
-// directly; a shard applies edits to rows it owns and buffers the rest.
-type churnSink interface {
-	edit(u, v NodeID, add bool)
-}
-
-// seqSink is the sequential path's churnSink. Class-3 churn is counted
-// and streamed at decision time, unconditionally, exactly as the sharded
-// path counts it.
-type seqSink struct {
-	w              *World
-	added, removed uint64
-}
-
-func (s *seqSink) edit(u, v NodeID, add bool) {
-	dl := s.w.watch
+// editLink applies one class-3 edit: insert (add) or remove the directed
+// edge u→v. Class-3 churn is counted and streamed at decision time,
+// unconditionally.
+func (w *World) editLink(u, v NodeID, add bool) {
+	t := w.incr
+	dl := w.watch
 	if add {
-		s.w.topo.InsertEdgeSorted(u, v)
-		s.added++
+		w.topo.InsertEdgeSorted(u, v)
+		t.added++
 		if dl != nil {
 			dl.add(u, v)
 		}
 		return
 	}
-	s.w.topo.RemoveEdgeSorted(u, v)
-	s.removed++
+	w.topo.RemoveEdgeSorted(u, v)
+	t.removed++
 	if dl != nil {
 		dl.remove(u, v)
 	}
@@ -400,11 +387,9 @@ func (s *seqSink) edit(u, v NodeID, add bool) {
 
 // scanMoved is the class-3 kernel: it settles every pair (vi, w) for the
 // moved node vi — both directions — and rebuilds vi's class-4 in-source
-// list, sending edits to sink in candidate order (v→w before w→v). It
-// reads the node records and the grid and writes only inDecay[vi], so
-// shards may run it concurrently for the moved nodes they own. See the
-// file comment for the coverage argument and the flip test.
-func (w *World) scanMoved(vi int32, maxDisp float64, sink churnSink) {
+// list, applying edits in candidate order (v→w before w→v). See the file
+// comment for the coverage argument and the flip test.
+func (w *World) scanMoved(vi int32, maxDisp float64) {
 	t := w.incr
 	rec := t.rec
 	v := NodeID(vi)
@@ -447,10 +432,10 @@ func (w *World) scanMoved(vi int32, maxDisp float64, sink churnSink) {
 					// id's scan.
 					if wi != vi && (!r.moved || wi > vi) {
 						if outFlip {
-							sink.edit(v, wi, dNew <= cr2v)
+							w.editLink(v, wi, dNew <= cr2v)
 						}
 						if inFlip {
-							sink.edit(wi, v, dNew <= r.r2cur)
+							w.editLink(wi, v, dNew <= r.r2cur)
 						}
 					}
 				}
@@ -476,14 +461,13 @@ func (w *World) applyChurn(maxDisp float64) (added, removed uint64) {
 	// the TopoDeltas contract allows.
 	dl := w.watch
 	// Class 3: one box scan per moved node, ascending id.
-	sink := &t.sink
-	sink.added, sink.removed = 0, 0
+	t.added, t.removed = 0, 0
 	for _, vi := range t.mobile {
 		if t.rec[vi].moved {
-			w.scanMoved(vi, maxDisp, sink)
+			w.scanMoved(vi, maxDisp)
 		}
 	}
-	added, removed = sink.added, sink.removed
+	added, removed = t.added, t.removed
 	// Classes 4 and 5: mobile nodes that did not move this step. Their
 	// stored distances are current (any move rebuilds the class-4 list
 	// above and settles class-5 pairs), so expiry is a plain compare

@@ -57,12 +57,10 @@ type World struct {
 
 	// incr holds the incremental topology engine's per-world state (nil
 	// for static worlds); fullRebuild forces the per-step full recompute
-	// path instead, for equivalence tests and benchmarks. shard, when
-	// non-nil, steps the incremental engine as concurrent spatial bands
-	// (see shard.go); all three paths produce bit-identical topologies.
+	// path instead, for equivalence tests and benchmarks. Both paths
+	// produce bit-identical topologies.
 	incr        *incrState
 	fullRebuild bool
-	shard       *shardState
 
 	// flt, when non-nil, is the fault-injection runtime (see faults.go):
 	// alive mask, gateway service mask, partition cut, and the schedule
@@ -272,10 +270,6 @@ func (w *World) Step() {
 		w.stepFullRebuild()
 		return
 	}
-	if w.shard != nil {
-		w.stepSharded()
-		return
-	}
 	w.stepIncremental()
 }
 
@@ -296,8 +290,8 @@ func (w *World) stepFullRebuild() {
 		w.fleet.Step(w.pos)
 	} else {
 		// Dead nodes freeze: their movers are not stepped, so their RNG
-		// streams pause — exactly as the incremental and sharded paths skip
-		// them — and resume from the same state on revival.
+		// streams pause — exactly as the incremental path skips them — and
+		// resume from the same state on revival.
 		for i := range w.pos {
 			if !w.flt.dead[i] {
 				w.pos[i] = w.fleet.StepOne(i, w.pos[i])

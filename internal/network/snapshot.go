@@ -28,11 +28,7 @@ const SnapshotVersion = 2
 // mobility, battery state and the fault schedule are deliberately not
 // captured (movers carry RNG state), so snapshots are for sharing fixture
 // networks, not for checkpointing dynamic runs. Dynamic runs are reproduced
-// from (spec, seed) instead. Snapshots are also oblivious to how the world
-// is stepped: all three stepping paths (full rebuild, sequential
-// incremental, spatially sharded) maintain bit-identical positions and
-// topology, so a world stepped with any SetShardWorkers setting serialises
-// byte-for-byte the same (pinned by TestSnapshotShardLayoutIndependent).
+// from (spec, seed) instead.
 type Snapshot struct {
 	Version   int          `json:"version"`
 	Arena     geom.Rect    `json:"arena"`

@@ -1,7 +1,7 @@
 package network
 
-// Trajectory replay: the fourth world-stepping engine, alongside the full
-// rebuild, the sequential incremental engine, and the sharded engine.
+// Trajectory replay: the third world-stepping engine, alongside the full
+// rebuild and the incremental engine.
 //
 // The paper's agents only *observe* the world — mobility and link churn
 // evolve independently of agent decisions — so every replication and every

@@ -18,33 +18,33 @@ func withBudget(t *testing.T, n int, fn func()) {
 
 func TestTryAcquireRespectsLimit(t *testing.T) {
 	withBudget(t, 3, func() {
-		if got := TryAcquire(2); got != 2 {
-			t.Fatalf("TryAcquire(2) = %d, want 2", got)
+		if got := tryAcquire(2); got != 2 {
+			t.Fatalf("tryAcquire(2) = %d, want 2", got)
 		}
-		if got := TryAcquire(5); got != 1 {
-			t.Fatalf("TryAcquire(5) = %d, want remaining 1", got)
+		if got := tryAcquire(5); got != 1 {
+			t.Fatalf("tryAcquire(5) = %d, want remaining 1", got)
 		}
-		if got := TryAcquire(1); got != 0 {
-			t.Fatalf("TryAcquire on spent budget = %d, want 0", got)
+		if got := tryAcquire(1); got != 0 {
+			t.Fatalf("tryAcquire on spent budget = %d, want 0", got)
 		}
-		Release(3)
-		if got := InUse(); got != 0 {
-			t.Fatalf("InUse after release = %d, want 0", got)
+		release(3)
+		if got := int(inUse.Load()); got != 0 {
+			t.Fatalf("tokens in use after release = %d, want 0", got)
 		}
 	})
 }
 
 func TestTryAcquireZeroAndNegative(t *testing.T) {
 	withBudget(t, 2, func() {
-		if TryAcquire(0) != 0 || TryAcquire(-1) != 0 {
+		if tryAcquire(0) != 0 || tryAcquire(-1) != 0 {
 			t.Fatal("non-positive requests must grant nothing")
 		}
-		Release(0)
-		Release(-5) // must not corrupt the pool
-		if got := TryAcquire(2); got != 2 {
-			t.Fatalf("budget corrupted: TryAcquire(2) = %d", got)
+		release(0)
+		release(-5) // must not corrupt the pool
+		if got := tryAcquire(2); got != 2 {
+			t.Fatalf("budget corrupted: tryAcquire(2) = %d", got)
 		}
-		Release(2)
+		release(2)
 	})
 }
 
@@ -115,7 +115,7 @@ func TestPoolReleasesBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := InUse(); got != 0 {
+		if got := int(inUse.Load()); got != 0 {
 			t.Fatalf("pool leaked %d budget tokens", got)
 		}
 	})
@@ -156,93 +156,5 @@ func TestSetBudgetClamps(t *testing.T) {
 	SetBudget(-7)
 	if Budget() != 0 {
 		t.Fatalf("SetBudget(-7) stored %d, want 0", Budget())
-	}
-}
-
-// TestGroupRunsEveryItemOnce checks Do's basic contract at several worker
-// counts, including the degraded inline path.
-func TestGroupRunsEveryItemOnce(t *testing.T) {
-	for _, budget := range []int{0, 1, 3} {
-		withBudget(t, budget, func() {
-			var g Group
-			g.Acquire(4)
-			defer g.Release()
-			const n = 100
-			var counts [n]atomic.Int64
-			g.Do(n, func(i int) { counts[i].Add(1) })
-			for i := range counts {
-				if got := counts[i].Load(); got != 1 {
-					t.Fatalf("budget %d: item %d ran %d times", budget, i, got)
-				}
-			}
-		})
-	}
-}
-
-// TestGroupDegradesInlineAtZeroBudget pins that a starved group runs the
-// batch on the caller goroutine — and therefore allocation-free, the
-// property the sharded world-step degraded mode relies on.
-func TestGroupDegradesInlineAtZeroBudget(t *testing.T) {
-	withBudget(t, 0, func() {
-		var g Group
-		g.Acquire(8)
-		defer g.Release()
-		if w := g.Workers(); w != 1 {
-			t.Fatalf("Workers = %d with zero budget, want 1", w)
-		}
-		sum := 0
-		fn := func(i int) { sum += i } // caller-only: no races possible
-		avg := testing.AllocsPerRun(100, func() {
-			sum = 0
-			g.Do(10, fn)
-		})
-		if sum != 45 {
-			t.Fatalf("sum = %d, want 45", sum)
-		}
-		if avg > 0 {
-			t.Fatalf("degraded Do allocates %v per batch, want 0", avg)
-		}
-	})
-}
-
-// TestGroupReleaseReturnsTokens checks Acquire/Release round-trip the
-// budget so a stepping loop cannot leak tokens.
-func TestGroupReleaseReturnsTokens(t *testing.T) {
-	withBudget(t, 4, func() {
-		var g Group
-		g.Acquire(5)
-		if got := g.Workers(); got != 5 {
-			t.Fatalf("Workers = %d, want 5 (4 tokens + caller)", got)
-		}
-		if free := Budget() - InUse(); free != 0 {
-			t.Fatalf("free tokens = %d during hold, want 0", free)
-		}
-		g.Release()
-		if InUse() != 0 {
-			t.Fatalf("InUse = %d after Release, want 0", InUse())
-		}
-	})
-}
-
-// TestGroupResultIndependentOfWorkers runs the same deterministic batch at
-// several worker counts and checks the merged-by-index outputs are
-// identical — the Do determinism contract.
-func TestGroupResultIndependentOfWorkers(t *testing.T) {
-	const n = 64
-	run := func(budget int) [n]int {
-		var out [n]int
-		withBudget(t, budget, func() {
-			var g Group
-			g.Acquire(8)
-			defer g.Release()
-			g.Do(n, func(i int) { out[i] = i * i })
-		})
-		return out
-	}
-	want := run(0)
-	for _, budget := range []int{1, 2, 7} {
-		if got := run(budget); got != want {
-			t.Fatalf("budget %d produced different outputs", budget)
-		}
 	}
 }

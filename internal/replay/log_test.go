@@ -43,7 +43,6 @@ func recordRun(t *testing.T, meta replay.RunMeta) ([]byte, routing.Result) {
 	sc := routing.Scenario{
 		Agents:      20,
 		Steps:       meta.Steps,
-		Workers:     1,
 		Tracer:      lw,
 		AnchorEvery: meta.AnchorEvery,
 	}

@@ -19,7 +19,9 @@ func cachedBuild(seed uint64) func() (*network.World, error) {
 // TestRunManyCachedMatchesLive is the tentpole acceptance gate at the
 // routing-harness level: a record-once/replay-many batch must produce an
 // aggregate bit-identical to live per-run stepping, clean and under the
-// blackout preset, at every RunWorkers × ShardWorkers in {1,2,4}².
+// blackout preset, at every RunWorkers in {1,2,4}. The grid also sets the
+// deprecated ShardWorkers field to {1,2,4}: callers still set it, and the
+// aggregate must not depend on it.
 func TestRunManyCachedMatchesLive(t *testing.T) {
 	const steps, runs = 120, 3
 	for _, faulted := range []bool{false, true} {

@@ -32,7 +32,7 @@ func testFaultSchedule(t *testing.T, steps int) *faults.Schedule {
 
 // TestFaultedRunEquivalenceAcrossWorkers is the PR's acceptance gate: a
 // churn + gateway-failure + partition scenario must produce bit-identical
-// aggregates at every RunWorkers and ShardWorkers setting in {1, 2, 4}.
+// aggregates at every RunWorkers setting in {1, 2, 4}.
 func TestFaultedRunEquivalenceAcrossWorkers(t *testing.T) {
 	const steps, runs = 120, 3
 	sched := testFaultSchedule(t, steps)
@@ -42,26 +42,24 @@ func TestFaultedRunEquivalenceAcrossWorkers(t *testing.T) {
 	}
 	var baseline Aggregate
 	for _, rw := range []int{1, 2, 4} {
-		for _, sw := range []int{1, 2, 4} {
-			sc := base
-			sc.RunWorkers, sc.ShardWorkers = rw, sw
-			agg, err := RunMany(freshWorld(11), sc, runs, 99)
-			if err != nil {
-				t.Fatalf("runworkers=%d shardworkers=%d: %v", rw, sw, err)
+		sc := base
+		sc.RunWorkers = rw
+		agg, err := RunMany(freshWorld(11), sc, runs, 99)
+		if err != nil {
+			t.Fatalf("runworkers=%d: %v", rw, err)
+		}
+		if rw == 1 {
+			baseline = agg
+			if agg.Stranded == 0 {
+				t.Fatal("churn stranded no agents — workload too tame to gate on")
 			}
-			if rw == 1 && sw == 1 {
-				baseline = agg
-				if agg.Stranded == 0 {
-					t.Fatal("churn stranded no agents — workload too tame to gate on")
-				}
-				if agg.Recovered+agg.Censored == 0 {
-					t.Fatal("no recovery events measured")
-				}
-				continue
+			if agg.Recovered+agg.Censored == 0 {
+				t.Fatal("no recovery events measured")
 			}
-			if !reflect.DeepEqual(agg, baseline) {
-				t.Errorf("runworkers=%d shardworkers=%d: aggregate diverges from sequential baseline", rw, sw)
-			}
+			continue
+		}
+		if !reflect.DeepEqual(agg, baseline) {
+			t.Errorf("runworkers=%d: aggregate diverges from sequential baseline", rw)
 		}
 	}
 }

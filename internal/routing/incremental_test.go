@@ -36,31 +36,22 @@ func meterSchedules(t *testing.T, steps int) map[string]*faults.Schedule {
 // path, under every fault preset and every stepping engine.
 func TestMeterMatchesFullMeasure(t *testing.T) {
 	const steps = 100
-	engines := map[string]struct {
-		rebuild bool
-		shards  int
-	}{
-		"incremental": {},
-		"rebuild":     {rebuild: true},
-		"sharded-3":   {shards: 3},
-	}
+	engines := map[string]bool{"incremental": false, "rebuild": true}
 	for sname, sched := range meterSchedules(t, steps) {
-		for ename, eng := range engines {
+		for ename, rebuild := range engines {
 			t.Run(sname+"/"+ename, func(t *testing.T) {
 				sc := Scenario{
 					Agents: 25, Communicate: true, Steps: steps, MeasureFrom: 30,
-					Faults: sched, ShardWorkers: eng.shards,
+					Faults: sched,
 				}
 				run := func(full bool) Result {
 					w, err := netgen.Generate(testSpec(), 11)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if eng.rebuild {
-						w.SetFullRebuild(true)
-					}
+					w.SetFullRebuild(rebuild)
 					s := sc
-					s.FullMeasure = full
+					s.fullMeasure = full
 					res, err := Run(w, s, 99)
 					if err != nil {
 						t.Fatal(err)
@@ -88,7 +79,7 @@ func TestMeterMatchesFullMeasure(t *testing.T) {
 
 // TestMeterRunManyGrids checks the incremental path through both batch
 // runners at every worker setting: aggregates must be bit-identical to the
-// FullMeasure baseline, and to each other across the grid.
+// full-measure baseline, and to each other across the grid.
 func TestMeterRunManyGrids(t *testing.T) {
 	const steps, runs = 80, 3
 	sched := testFaultSchedule(t, steps)
@@ -97,22 +88,20 @@ func TestMeterRunManyGrids(t *testing.T) {
 		Faults: sched,
 	}
 	full := base
-	full.FullMeasure = true
+	full.fullMeasure = true
 	want, err := RunMany(freshWorld(11), full, runs, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rw := range []int{1, 4} {
-		for _, sw := range []int{1, 2} {
-			sc := base
-			sc.RunWorkers, sc.ShardWorkers = rw, sw
-			got, err := RunMany(freshWorld(11), sc, runs, 99)
-			if err != nil {
-				t.Fatalf("runworkers=%d shardworkers=%d: %v", rw, sw, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("runworkers=%d shardworkers=%d: incremental aggregate diverges from FullMeasure baseline", rw, sw)
-			}
+		sc := base
+		sc.RunWorkers = rw
+		got, err := RunMany(freshWorld(11), sc, runs, 99)
+		if err != nil {
+			t.Fatalf("runworkers=%d: %v", rw, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("runworkers=%d: incremental aggregate diverges from full-measure baseline", rw)
 		}
 	}
 	cached, err := RunManyCached(func() (*network.World, error) { return netgen.Generate(testSpec(), 11) }, base, runs, 99)
@@ -120,12 +109,12 @@ func TestMeterRunManyGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cached, want) {
-		t.Error("RunManyCached (trajectory replay) aggregate diverges from FullMeasure baseline")
+		t.Error("RunManyCached (trajectory replay) aggregate diverges from full-measure baseline")
 	}
 }
 
 // scratchQuad is the reference measurement: the four metrics computed from
-// scratch, exactly as the FullMeasure path does.
+// scratch, exactly as the full-measure path does.
 func scratchQuad(w *network.World, ts *Tables, s *Scratch, step int) Measurement {
 	return Measurement{
 		Local:     LocalConnectivity(w, ts),

@@ -59,22 +59,20 @@ type Scenario struct {
 	// StigPerNode and StigWindow size the footprint board.
 	StigPerNode int
 	StigWindow  int
-	// Workers sizes the engine (0/1 = sequential).
+	// Workers is not read by any code.
+	//
+	// Deprecated: ignored; results never depended on it.
 	Workers int
 	// RunWorkers is the number of independent runs RunMany may execute
 	// concurrently (0/1 = sequential). Replication is embarrassingly
 	// parallel, so aggregates are bit-identical at any value; extra
-	// goroutines are claimed from the shared parallel budget, with run
-	// workers taking priority over the per-agent engine. When a Tracer or
-	// Observer is attached, RunMany forces sequential execution so the
-	// shared sink observes runs in order.
+	// goroutines are claimed from the shared parallel budget. When a
+	// Tracer or Observer is attached, RunMany forces sequential execution
+	// so the shared sink observes runs in order.
 	RunWorkers int
-	// ShardWorkers partitions the world grid into that many spatial
-	// bands stepped concurrently (0 leaves the world's setting, 1 forces
-	// the sequential incremental path). Topologies are bit-identical at
-	// any value, so results never depend on it; shard workers draw from
-	// the same parallel budget as RunWorkers and degrade to sequential
-	// when outer run-level parallelism has claimed it.
+	// ShardWorkers is not read by any code.
+	//
+	// Deprecated: ignored; results never depended on it.
 	ShardWorkers int
 	// Faults, if set, is a fault schedule attached to the world before the
 	// run (see internal/faults): node churn, gateway failure, partitions,
@@ -100,11 +98,11 @@ type Scenario struct {
 	// not retain it.
 	Observer func(step int, w *network.World, tables *Tables)
 	// Tracer, if set, receives structured events (moves, meetings,
-	// deposits, per-step connectivity). Events are emitted from
-	// sequential sections, so traces are reproducible with Workers <= 1.
-	// A Tracer that also implements trace.WorldSink (the binary LogWriter
-	// does) additionally receives snapshot anchors every AnchorEvery steps
-	// and per-step world deltas, making the log replayable offline.
+	// deposits, per-step connectivity). Events are emitted in a fixed
+	// order, so traces are reproducible. A Tracer that also implements
+	// trace.WorldSink (the binary LogWriter does) additionally receives
+	// snapshot anchors every AnchorEvery steps and per-step world deltas,
+	// making the log replayable offline.
 	Tracer trace.Tracer
 	// AnchorEvery is the snapshot-anchor cadence for WorldSink tracers
 	// (<= 0 uses network.DefaultAnchorEvery). Ignored for plain tracers.
@@ -115,11 +113,12 @@ type Scenario struct {
 	// updated outside every RNG consumption path, so attaching a registry
 	// cannot change seeded results. nil disables with near-zero overhead.
 	Metrics *metrics.Registry
-	// FullMeasure forces the legacy full-recompute measurement path (one
-	// scratch BFS per metric per step) instead of the incremental Meter.
-	// The two paths are bit-identical at every step — this knob exists for
-	// performance comparison and differential testing, not correctness.
-	FullMeasure bool
+
+	// fullMeasure forces the full-recompute measurement path (one scratch
+	// BFS per metric per step) instead of the incremental Meter. The two
+	// paths are bit-identical at every step; the in-package differential
+	// tests set it to compare them.
+	fullMeasure bool
 }
 
 // StrandedPolicy selects the fate of agents standing on a node when a
@@ -596,8 +595,8 @@ func newRunMetrics(r *metrics.Registry) runMetrics {
 }
 
 // syncCounts publishes the per-step growth of the agents' overhead
-// counters and the tables' eviction count. Runs in the sequential section
-// after deposits, so it observes a settled step.
+// counters and the tables' eviction count. Runs after deposits, so it
+// observes a settled step.
 func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 	if !m.enabled {
 		return
@@ -692,9 +691,6 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	default:
 		return Result{}, fmt.Errorf("routing: unsupported policy %v", sc.Kind)
 	}
-	if sc.ShardWorkers > 0 {
-		w.SetShardWorkers(sc.ShardWorkers)
-	}
 	if sc.Faults != nil {
 		w.SetFaults(sc.Faults)
 	}
@@ -713,16 +709,15 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	if sc.Stigmergy {
 		board = stigmergy.NewBoard(w.N(), sc.StigPerNode, sc.StigWindow)
 	}
-	engine := sim.NewEngine(sc.Workers)
 	next := st.next
 	grouper := st.grouper
 	scratch := &st.scratch
 	nbrs := &st.nbrs
 	// Measurement engine: incremental by default (bit-identical to the
-	// scratch path, pinned by the differential tests), full recompute on
-	// request. The meter enables write tracking on the run's tables.
+	// scratch path, pinned by the differential tests), full recompute for
+	// those tests. The meter enables write tracking on the run's tables.
 	var meter *Meter
-	if !sc.FullMeasure {
+	if !sc.fullMeasure {
 		meter = &st.meter
 		meter.Reset(w, tables)
 	}
@@ -758,29 +753,18 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		m.steps.Inc()
 		rec.BeforeStep(step)
 		// Fault reaction: events fired inside the previous w.Step() advance
-		// the epoch; react before agents decide, in the sequential section,
-		// so the response is deterministic at any worker setting.
+		// the epoch; react before agents decide.
 		if sc.Faults != nil {
 			if ep := w.FaultEpoch(); ep != lastEpoch {
 				lastEpoch = ep
 				alive = reactToFaults(w, sc, step, tables, alive, faultRng, &res, &m)
 			}
 		}
-		// Phase 1: decide (+ mark). Per-node groups keep stigmergic
-		// board access race-free and deterministic.
+		// Phase 1: decide (+ mark), in agent order (board is nil without
+		// stigmergy).
 		sp := m.decide.Start()
-		if sc.Stigmergy {
-			groups := grouper.All(alive)
-			engine.ForEach(len(groups), func(g int) {
-				for _, a := range groups[g] {
-					next[a.ID] = a.Decide(board, step, w.Neighbors(a.At))
-				}
-			})
-		} else {
-			engine.ForEach(len(alive), func(i int) {
-				a := alive[i]
-				next[a.ID] = a.Decide(nil, step, w.Neighbors(a.At))
-			})
+		for _, a := range alive {
+			next[a.ID] = a.Decide(board, step, w.Neighbors(a.At))
 		}
 		sp.Stop()
 		// Phase 2: meetings at the pre-move node.
@@ -799,9 +783,9 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 					}
 				}
 			}
-			engine.ForEach(len(groups), func(g int) {
-				core.ExchangeRoutes(groups[g])
-			})
+			for _, g := range groups {
+				core.ExchangeRoutes(g)
+			}
 		}
 		sp.Stop()
 		if sc.Tracer != nil {
@@ -816,15 +800,14 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		}
 		// Phase 3: move and record; Phase 4: deposit at the new node.
 		sp = m.move.Start()
-		engine.ForEach(len(alive), func(i int) {
-			a := alive[i]
+		for _, a := range alive {
 			a.MoveTo(next[a.ID], w.IsGateway(next[a.ID]))
 			a.RecordHere(step)
-		})
+		}
 		sp.Stop()
-		// Deposits touch shared tables: keep them sequential in agent
-		// order. Table updates are freshest-wins, so order only breaks
-		// exact ties; fixing the order makes runs reproducible.
+		// Deposits touch shared tables, in agent order. Table updates are
+		// freshest-wins, so order only breaks exact ties; fixing the order
+		// makes runs reproducible.
 		sp = m.deposit.Start()
 		for _, a := range alive {
 			node := a.At

@@ -212,6 +212,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestEngineEquivalence(t *testing.T) {
+	// The deprecated Workers field is still set by callers; a run must be
+	// bit-identical whatever it holds.
 	for _, base := range []Scenario{
 		{Agents: 20, Kind: core.PolicyOldestNode, Communicate: true, Steps: 80},
 		{Agents: 20, Kind: core.PolicyRandom, Stigmergy: true, Steps: 80},
@@ -232,11 +234,11 @@ func TestEngineEquivalence(t *testing.T) {
 		a, b := run(1), run(8)
 		for i := range a.Connectivity {
 			if a.Connectivity[i] != b.Connectivity[i] {
-				t.Fatalf("engines diverged at step %d", i)
+				t.Fatalf("runs diverged at step %d", i)
 			}
 		}
 		if a.Overhead != b.Overhead {
-			t.Fatal("overhead diverged across engines")
+			t.Fatal("overhead diverged across Workers settings")
 		}
 	}
 }

@@ -1,107 +1,11 @@
 // Package sim provides the simulation machinery shared by both scenarios:
-// a time-step run loop, a deterministic parallel executor that maps agents
-// onto goroutines, and a small discrete-event queue used by the packet-
-// level validation harness.
-//
-// Determinism contract: the parallel executor only runs *independent* units
-// concurrently (per-agent learning, per-node meeting groups), so a
-// simulation produces bit-identical results whether workers is 1 or
-// runtime.NumCPU() — a property the engine equivalence tests pin down.
+// a time-step run loop and a small discrete-event queue used by the
+// packet-level validation harness. A run steps its agents sequentially;
+// concurrency lives one level up, in internal/parallel, which runs whole
+// independent runs side by side.
 package sim
 
-import (
-	"container/heap"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/parallel"
-)
-
-// Engine executes batches of independent work items, sequentially or on a
-// bounded worker pool.
-type Engine struct {
-	workers int
-}
-
-// NewEngine returns an engine running fn calls on the given number of
-// workers. workers <= 1 yields a purely sequential engine; workers == 0 is
-// normalised to 1. Use NewParallelEngine for a CPU-sized pool.
-func NewEngine(workers int) *Engine {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Engine{workers: workers}
-}
-
-// NewParallelEngine returns an engine sized to the machine.
-func NewParallelEngine() *Engine {
-	return NewEngine(runtime.NumCPU())
-}
-
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
-
-// Parallel reports whether the engine uses more than one goroutine.
-func (e *Engine) Parallel() bool { return e.workers > 1 }
-
-// ForEach invokes fn(i) for every i in [0, n). Calls MUST be mutually
-// independent when the engine is parallel; the engine blocks until all
-// complete. Order of execution is unspecified in parallel mode, so any
-// dependence on ordering is a bug in the caller.
-//
-// Extra goroutines beyond the caller are claimed from the shared
-// parallel budget per call, so an engine nested under a saturated
-// run-level pool degrades gracefully to a sequential sweep — the outer
-// replication parallelism takes priority (see internal/parallel).
-func (e *Engine) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	extra := 0
-	if workers > 1 {
-		extra = parallel.TryAcquire(workers - 1)
-	}
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Lock-free work stealing: each worker claims the next index with one
-	// atomic add, so dispatch costs a single contended RMW instead of a
-	// mutex round trip (see BenchmarkForEachDispatch for the difference).
-	// The caller participates as a worker so exactly extra goroutines are
-	// spawned for the extra budget tokens held.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(extra)
-	for w := 0; w < extra; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		fn(i)
-	}
-	wg.Wait()
-	parallel.Release(extra)
-}
+import "container/heap"
 
 // StepFunc advances a simulation one step and reports whether the run is
 // finished.

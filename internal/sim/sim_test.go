@@ -1,56 +1,6 @@
 package sim
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-func TestNewEngineNormalises(t *testing.T) {
-	if NewEngine(0).Workers() != 1 || NewEngine(-3).Workers() != 1 {
-		t.Fatal("workers not normalised to 1")
-	}
-	if NewEngine(4).Workers() != 4 {
-		t.Fatal("workers not kept")
-	}
-	if NewEngine(1).Parallel() || !NewEngine(2).Parallel() {
-		t.Fatal("Parallel flag wrong")
-	}
-	if NewParallelEngine().Workers() < 1 {
-		t.Fatal("parallel engine has no workers")
-	}
-}
-
-func TestForEachCoversAll(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		e := NewEngine(workers)
-		const n = 1000
-		var hits [n]int32
-		e.ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForEachEmpty(t *testing.T) {
-	called := false
-	NewEngine(4).ForEach(0, func(int) { called = true })
-	NewEngine(4).ForEach(-5, func(int) { called = true })
-	if called {
-		t.Fatal("fn called for empty range")
-	}
-}
-
-func TestForEachMoreWorkersThanItems(t *testing.T) {
-	e := NewEngine(16)
-	var count int32
-	e.ForEach(3, func(int) { atomic.AddInt32(&count, 1) })
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
+import "testing"
 
 func TestRunCompletes(t *testing.T) {
 	steps, done := Run(100, func(step int) bool { return step == 41 })
@@ -159,23 +109,5 @@ func TestEventQueuePastClamped(t *testing.T) {
 	}
 	if q.Now() != 10 {
 		t.Fatalf("Now moved backwards: %d", q.Now())
-	}
-}
-
-func BenchmarkForEachSequential(b *testing.B) {
-	e := NewEngine(1)
-	var sink atomic.Int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ForEach(100, func(j int) { sink.Add(int64(j)) })
-	}
-}
-
-func BenchmarkForEachParallel(b *testing.B) {
-	e := NewParallelEngine()
-	var sink atomic.Int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ForEach(100, func(j int) { sink.Add(int64(j)) })
 	}
 }

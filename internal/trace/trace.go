@@ -1,8 +1,8 @@
 // Package trace records structured simulation events — agent moves,
 // meetings, route deposits, per-step measurements — so runs can be
 // inspected, replayed into analysis pipelines, or diffed across code
-// changes. Scenario harnesses emit events only from their sequential
-// sections, so a trace taken with Workers=1 is byte-for-byte reproducible.
+// changes. Scenario harnesses step agents in a fixed order and batch
+// runners trace sequentially, so a trace is byte-for-byte reproducible.
 package trace
 
 import (
@@ -37,9 +37,8 @@ type Event struct {
 	Extra string  `json:"extra,omitempty"`
 }
 
-// Tracer receives events. Implementations must be safe for concurrent use
-// if the caller runs parallel phases; the harnesses only emit from
-// sequential sections.
+// Tracer receives events. The harnesses emit from one goroutine: batch
+// runners with a Tracer attached run sequentially.
 type Tracer interface {
 	Emit(Event)
 }

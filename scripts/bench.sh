@@ -6,21 +6,15 @@
 # per-benchmark ns/op, allocs/op, and parallel-over-sequential speedup.
 # It then runs the per-step topology maintenance benchmarks (full rebuild
 # vs incremental engine) and emits results/bench_incremental.txt plus
-# results/BENCH_incremental.json with incremental-over-rebuild speedups;
-# that JSON is also copied to the repo root as BENCH_incremental.json.
-# Finally it runs the n=100000 spatial-sharding tier (rebuild vs
-# incremental vs sharded at S=1,2,4,8) and emits results/bench_shard.txt
-# plus results/BENCH_shard.json (root copy BENCH_shard.json) with
-# sharded-over-incremental speedups and the host CPU count, since shard
-# scaling is budget-limited: on a single-core host every shard phase
-# degrades to sequential and the honest speedup is ~1x. The trajectory
-# tier (results/BENCH_trajectory.json, root copy BENCH_trajectory.json)
-# compares live incremental stepping against recorded-trajectory replay
-# at n=500/8000/100000 plus an end-to-end cached-vs-live sweep timing,
-# with a >=2x replay floor at n=8000. The connectivity tier
-# (results/BENCH_connectivity.json, root copy BENCH_connectivity.json)
-# compares the full-scratch measurement phase against the incremental
-# meter at n=500/8000/100000, with >=3x and 0 allocs/op floors at n=8000.
+# results/BENCH_incremental.json with incremental-over-rebuild speedups.
+# The trajectory tier (results/BENCH_trajectory.json) compares live
+# incremental stepping against recorded-trajectory replay at
+# n=500/8000/100000 plus an end-to-end cached-vs-live sweep timing, with a
+# >=2x replay floor at n=8000. The connectivity tier
+# (results/BENCH_connectivity.json) compares the full-scratch measurement
+# phase against the incremental meter at n=500/8000/100000, with >=3x and
+# 0 allocs/op floors at n=8000. The trace tier (results/BENCH_trace.json)
+# enforces a >=5x size floor for the binary log over JSONL.
 # Usage: scripts/bench.sh [benchtime]   (default 5x; `scripts/bench.sh 1x`
 # is the CI smoke run, which skips the sweep timing). The world-step
 # benchmarks default to 600 fixed iterations for stable per-step numbers;
@@ -121,69 +115,7 @@ END {
   }
   printf "]\n"
 }' "$iraw" > "$ijson"
-# Mirror the JSON at the repo root for dashboard pickup — but only on a
-# real run into results/, so CI smokes (BENCH_OUT=tempdir, 1 iteration)
-# never clobber the committed numbers.
-if [ "$out" = "results" ]; then
-  cp "$ijson" BENCH_incremental.json
-  echo "wrote $ijson (copied to ./BENCH_incremental.json)"
-else
-  echo "wrote $ijson"
-fi
-
-# --- spatial sharding: n=100000, rebuild vs incremental vs sharded S=1..8 ---
-# The sharded modes step the incremental engine as S concurrent vertical
-# bands with deterministic halo exchange (bit-identical topologies at any
-# S, pinned by internal/network's equivalence/fuzz/race tests). Shard
-# workers draw from the shared parallel budget, so the measured scaling is
-# bounded by the host's cores; the emitted JSON records that count.
-shard_benchtime="${SHARD_BENCHTIME:-150x}"
-if [ "$benchtime" = "1x" ]; then
-  shard_benchtime="1x"
-fi
-sraw="$out/bench_shard.txt"
-sjson="$out/BENCH_shard.json"
-
-{
-  echo "# Per-step topology maintenance at n=100000 — spatial sharding tier"
-  echo "# host: $(nproc) CPU(s), $(go version | cut -d' ' -f3-)"
-  echo "# benchtime: $shard_benchtime"
-  echo "#"
-  echo "# mode=sharded/S=k partitions the grid into k vertical bands stepped"
-  echo "# concurrently (budget permitting); cross-band edges merge through"
-  echo "# per-shard halo buffers in fixed order, so every mode below yields"
-  echo "# the same topology bit for bit. speedup_vs_incremental is measured"
-  echo "# against this run's mode=incremental baseline; with fewer cores than"
-  echo "# shards the surplus bands run inline and the ratio approaches 1x."
-  go test -run '^$' -benchtime "$shard_benchtime" -benchmem \
-    -bench 'BenchmarkWorldStep/n=100000/' .
-} | tee "$sraw"
-
-awk -v cpus="$(nproc)" '
-/^BenchmarkWorldStep/ {
-  name = $1
-  sub(/-[0-9]+$/, "", name)
-  if (!(name in ns)) order[n++] = name
-  ns[name] = $3
-  allocs[name] = $7
-  if (name ~ /mode=incremental$/) base_ns = $3
-}
-END {
-  printf "[\n"
-  for (i = 0; i < n; i++) {
-    nm = order[i]
-    sp = (base_ns + 0 > 0 && ns[nm] + 0 > 0) ? base_ns / ns[nm] : 1.0
-    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"speedup_vs_incremental\": %.3f, \"cpus\": %d}%s\n", \
-      nm, ns[nm], allocs[nm], sp, cpus, (i < n - 1 ? "," : "")
-  }
-  printf "]\n"
-}' "$sraw" > "$sjson"
-if [ "$out" = "results" ]; then
-  cp "$sjson" BENCH_shard.json
-  echo "wrote $sjson (copied to ./BENCH_shard.json)"
-else
-  echo "wrote $sjson"
-fi
+echo "wrote $ijson"
 
 # --- durable event logs: encode/decode throughput + Fig8 trace density ---
 # BenchmarkTraceEncode/Decode serialise a routing-shaped stream (events +
@@ -236,12 +168,7 @@ END {
     jb, bb, jb / bb
   printf "]\n"
 }' "$traw" > "$tjson"
-if [ "$out" = "results" ]; then
-  cp "$tjson" BENCH_trace.json
-  echo "wrote $tjson (copied to ./BENCH_trace.json)"
-else
-  echo "wrote $tjson"
-fi
+echo "wrote $tjson"
 
 ratio_ok=$(awk -v jb="$jsonl_bytes" -v bb="$binary_bytes" 'BEGIN { print (jb >= 5 * bb) ? 1 : 0 }')
 if [ "$ratio_ok" != 1 ]; then
@@ -313,12 +240,7 @@ END {
     lms, cms, sp
   printf "]\n"
 }' "$yraw" > "$yjson"
-if [ "$out" = "results" ]; then
-  cp "$yjson" BENCH_trajectory.json
-  echo "wrote $yjson (copied to ./BENCH_trajectory.json)"
-else
-  echo "wrote $yjson"
-fi
+echo "wrote $yjson"
 
 if [ "$traj_benchtime" != "1x" ]; then
   floor_ok=$(awk '
@@ -375,12 +297,7 @@ END {
   }
   printf "]\n"
 }' "$craw" > "$cjson"
-if [ "$out" = "results" ]; then
-  cp "$cjson" BENCH_connectivity.json
-  echo "wrote $cjson (copied to ./BENCH_connectivity.json)"
-else
-  echo "wrote $cjson"
-fi
+echo "wrote $cjson"
 
 if [ "$conn_benchtime" != "1x" ]; then
   conn_ok=$(awk '

@@ -38,8 +38,8 @@ echo "== incremental-vs-rebuild topology equivalence gate (GOMAXPROCS=2 and NumC
 # correctness cornerstone (bit-identical graphs under mobility, decay, and
 # mode toggles), so it gets an explicit named gate that fails loudly on
 # its own. TopoDeltasReplayTopology checks the per-step delta stream
-# against the graph on the sequential and the sharded engine, so the gate
-# also runs at a forced GOMAXPROCS=2 next to the host default.
+# against the graph. The gate runs at a forced GOMAXPROCS=2 next to the
+# host default.
 GOMAXPROCS=2 go test -race -count=1 \
   -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
   ./internal/network
@@ -47,22 +47,12 @@ go test -race -count=1 \
   -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
   ./internal/network
 
-echo "== sharded-stepping determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
-# Spatially sharded stepping must stay bit-identical to the sequential
-# incremental path at every shard count and any worker budget. Run the
-# equivalence/determinism/snapshot tests under the race detector twice: at
-# a forced GOMAXPROCS=2 (a many-core host exercises the starved-budget
-# schedule, a 1-core host a parallel one) and at the host default.
-GOMAXPROCS=2 go test -race -count=1 -run 'Sharded|SnapshotShardLayout' ./internal/network
-go test -race -count=1 -run 'Sharded|SnapshotShardLayout' ./internal/network
-
 echo "== fault-injection gate (churn/partition equivalence + snapshot round-trip, -race)"
 # The fault engine must leave every stepping path bit-identical: the
 # engine-level equivalence test drives every fault preset through the
-# incremental, full-rebuild, and sharded engines against a brute-force
-# referee, and the harness-level test pins aggregates across
-# runworkers x shardworkers in {1,2,4} (covering the 1 and 4 shard
-# settings). The snapshot tests gate the versioned faulted round-trip.
+# incremental and full-rebuild engines against a brute-force referee, and
+# the harness-level test pins aggregates across runworkers in {1,2,4}.
+# The snapshot tests gate the versioned faulted round-trip.
 GOMAXPROCS=2 go test -race -count=1 \
   -run 'FaultedEnginesMatch|FaultedSnapshotRoundTrip|SnapshotVersionRejected' \
   ./internal/network
@@ -128,24 +118,30 @@ echo "== visit-memory equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # ordinary test here; go test -fuzz FuzzVisitsOps goes deeper), the
 # allocation budgets, and every pinned result, including the
 # super-conscientious pin whose unbounded merges exercise it most. Its
-# four-worker twin merges concurrently and shares the merge-lineage token
-# counter across goroutines, so the gate also runs at a forced
-# GOMAXPROCS=2.
+# four-worker twin runs the pinned runs side by side on a run pool, so
+# they share the merge-lineage token counter across goroutines; the gate
+# also runs at a forced GOMAXPROCS=2.
 GOMAXPROCS=2 go test -race -count=1 -run 'Visits|MergeAll|FuzzVisitsOps|Pinned' \
   ./internal/knowledge ./internal/core .
 go test -race -count=1 -run 'Visits|MergeAll|FuzzVisitsOps|Pinned' \
   ./internal/knowledge ./internal/core .
 
-echo "== cached-sweep byte-identity gate (worldcache on/off, pointworkers 1 and 4)"
+echo "== cached-sweep byte-identity gate (worldcache on/off, pointworkers 1 and 4, runworkers 1 and default)"
 # The whole point of the trajectory cache is that nobody can tell it is on:
 # for both scenarios, clean and faulted, the cached sweep's CSV must be
 # byte-identical to the live-stepping sweep's at any point parallelism.
+# The live sweep runs at -runworkers 1 and at the default (one run worker
+# per CPU), which must agree byte for byte too.
 sweepdir=$(mktemp -d)
 go build -o "$sweepdir" ./cmd/sweep
 for sc in routing mapping; do
   for preset in "" churn; do
     "$sweepdir/sweep" -scenario "$sc" -param agents -values 5,10 -runs 2 \
-      ${preset:+-faults "$preset"} -worldcache=0 > "$sweepdir/live.csv"
+      ${preset:+-faults "$preset"} -worldcache=0 -runworkers 1 > "$sweepdir/live.csv"
+    "$sweepdir/sweep" -scenario "$sc" -param agents -values 5,10 -runs 2 \
+      ${preset:+-faults "$preset"} -worldcache=0 > "$sweepdir/live-default.csv"
+    diff "$sweepdir/live.csv" "$sweepdir/live-default.csv" \
+      || { echo "FAIL: sweep ($sc faults='$preset') at default -runworkers differs from -runworkers 1" >&2; exit 1; }
     for pw in 1 4; do
       "$sweepdir/sweep" -scenario "$sc" -param agents -values 5,10 -runs 2 \
         ${preset:+-faults "$preset"} -worldcache=1 -pointworkers "$pw" > "$sweepdir/cached.csv"
@@ -166,8 +162,6 @@ test -s "$benchout/BENCH_parallel.json"
 grep -q '"speedup_vs_sequential"' "$benchout/BENCH_parallel.json"
 test -s "$benchout/BENCH_incremental.json"
 grep -q '"speedup_vs_rebuild"' "$benchout/BENCH_incremental.json"
-test -s "$benchout/BENCH_shard.json"
-grep -q '"speedup_vs_incremental"' "$benchout/BENCH_shard.json"
 test -s "$benchout/BENCH_trace.json"
 grep -q '"jsonl_over_binary"' "$benchout/BENCH_trace.json"
 test -s "$benchout/BENCH_trajectory.json"
