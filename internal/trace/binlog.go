@@ -204,18 +204,11 @@ func xorLane(lane *[]laneState, u int, bits uint64) uint64 {
 	return out
 }
 
-// LogWriter streams events, world deltas, and snapshot anchors into the
-// compact binary format. It implements Tracer and WorldSink. Like the JSONL
-// Writer it is error-latched: the first write error turns every subsequent
-// Emit into a no-op and is reported by Close. Construct with NewLogWriter
-// (any io.Writer) or CreateLog (file plus sidecar index).
-type LogWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	off int64
-	err error
-
-	typ      byte // block type being accumulated (blockEvents)
+// recordEncoder turns events and world deltas into the raw payload of an
+// events block. It holds the block-local string table and step context,
+// plus the world-delta predictor chains, which span blocks and reset only
+// at snapshot anchors.
+type recordEncoder struct {
 	raw      []byte
 	count    int
 	first    int
@@ -224,22 +217,231 @@ type LogWriter struct {
 	strings  map[string]int
 
 	xs xorState
+}
 
+// beginRecord opens (or continues) an events block and encodes the step
+// delta shared by every record type.
+func (enc *recordEncoder) beginRecord(tag byte, step int) {
+	if enc.count == 0 {
+		enc.first = step
+		enc.prevStep = step
+	}
+	enc.raw = append(enc.raw, tag)
+	enc.raw = appendZigzag(enc.raw, int64(step-enc.prevStep))
+	enc.prevStep = step
+	if step > enc.last || enc.count == 0 {
+		enc.last = step
+	}
+	if step < enc.first {
+		enc.first = step
+	}
+	enc.count++
+}
+
+// event appends one event record.
+func (enc *recordEncoder) event(e Event) {
+	enc.beginRecord(recEvent, e.Step)
+	code := kindToCode[e.Kind]
+	enc.raw = append(enc.raw, code)
+	if code == 0 {
+		enc.intern(string(e.Kind))
+	}
+	var mask byte
+	if e.Agent != 0 {
+		mask |= maskAgent
+	}
+	if e.Node != 0 {
+		mask |= maskNode
+	}
+	if e.To != 0 {
+		mask |= maskTo
+	}
+	if e.Value != 0 {
+		mask |= maskValue
+	}
+	if e.Extra != "" {
+		mask |= maskExtra
+	}
+	enc.raw = append(enc.raw, mask)
+	if mask&maskAgent != 0 {
+		enc.raw = appendZigzag(enc.raw, int64(e.Agent))
+	}
+	if mask&maskNode != 0 {
+		enc.raw = appendZigzag(enc.raw, int64(e.Node))
+	}
+	if mask&maskTo != 0 {
+		enc.raw = appendZigzag(enc.raw, int64(e.To))
+	}
+	if mask&maskValue != 0 {
+		enc.raw = binary.LittleEndian.AppendUint64(enc.raw, math.Float64bits(e.Value))
+	}
+	if mask&maskExtra != 0 {
+		enc.intern(e.Extra)
+	}
+}
+
+// intern appends the block-local string id for s, defining it inline (id
+// followed by length + bytes) on first use within the block.
+func (enc *recordEncoder) intern(s string) {
+	id, ok := enc.strings[s]
+	if !ok {
+		id = len(enc.strings)
+		enc.strings[s] = id
+		enc.raw = binary.AppendUvarint(enc.raw, uint64(id))
+		enc.raw = binary.AppendUvarint(enc.raw, uint64(len(s)))
+		enc.raw = append(enc.raw, s...)
+		return
+	}
+	enc.raw = binary.AppendUvarint(enc.raw, uint64(id))
+}
+
+// delta appends one world-delta record.
+func (enc *recordEncoder) delta(d WorldDelta) {
+	enc.beginRecord(recDelta, d.Step)
+	enc.raw = appendIDs(enc.raw, d.Nodes)
+	for i, u := range d.Nodes {
+		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.x, int(u), math.Float64bits(d.X[i])))
+	}
+	for i, u := range d.Nodes {
+		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.y, int(u), math.Float64bits(d.Y[i])))
+	}
+	enc.raw = appendIDs(enc.raw, d.RangeNodes)
+	for i, u := range d.RangeNodes {
+		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.r, int(u), math.Float64bits(d.Ranges[i])))
+	}
+	if d.FaultChanged {
+		enc.raw = append(enc.raw, 1)
+		enc.raw = appendIDs(enc.raw, d.Dead)
+		enc.raw = appendIDs(enc.raw, d.DownGateways)
+		if d.Partition {
+			enc.raw = append(enc.raw, 1)
+			enc.raw = binary.LittleEndian.AppendUint64(enc.raw, math.Float64bits(d.PartitionX))
+		} else {
+			enc.raw = append(enc.raw, 0)
+		}
+	} else {
+		enc.raw = append(enc.raw, 0)
+	}
+}
+
+// full reports whether the block being filled has reached the seal size.
+func (enc *recordEncoder) full() bool { return len(enc.raw) >= flushRawLen }
+
+// nextBlock starts a new events block in the empty buffer buf.
+func (enc *recordEncoder) nextBlock(buf []byte) {
+	enc.raw = buf[:0]
+	enc.count = 0
+	clear(enc.strings)
+}
+
+// maxInFlight bounds the sealed blocks a LogWriter compresses at once. On
+// the Fig 8 workload deflating a block costs ~1.4x the simulation that
+// fills it, so two compressors keep pace with one producer.
+const maxInFlight = 2
+
+// LogWriter streams events, world deltas, and snapshot anchors into the
+// compact binary format. It implements Tracer and WorldSink. Like the JSONL
+// Writer it is error-latched: the first write error turns every subsequent
+// Emit into a no-op and is reported by Close. Construct with NewLogWriter
+// (any io.Writer) or CreateLog (file plus sidecar index).
+//
+// Block compression is pipelined: a sealed block deflates on its own
+// goroutine while the next one fills, with at most maxInFlight blocks in
+// flight. Blocks commit (frame, write, index) in seal order on the
+// caller's goroutine, so the bytes equal a one-block-at-a-time encoder's.
+// EmitAnchor, Flush, Close and Index drain the pipeline before returning.
+// A write error therefore latches when its block commits: at the next
+// barrier, or once maxInFlight more blocks have sealed.
+type LogWriter struct {
+	mu  sync.Mutex
+	w   io.Writer
+	off int64
+	err error
+
+	enc    recordEncoder
 	index  []BlockInfo
 	events int
 
-	gz    *gzip.Writer
-	gzBuf bytes.Buffer
+	// inflight is a ring of sealed blocks: pending of them, oldest at head.
+	inflight [maxInFlight]sealedBlock
+	head     int
+	pending  int
 
 	mEvents metrics.Counter
 	mBytes  metrics.Counter
 	mBlocks metrics.Counter
 }
 
-// NewLogWriter writes the file preamble for hdr and returns the writer.
-// hdr.Version is stamped to LogVersion and hdr.ConfigHash is derived from
-// hdr.Config when unset.
-func NewLogWriter(w io.Writer, hdr Header) (*LogWriter, error) {
+// sealedBlock is one block between seal and commit. The writer sets typ
+// through z before the compression goroutine starts; that goroutine fills
+// z.buf and err, then signals done. buf never leaves the writer.
+type sealedBlock struct {
+	typ                byte
+	first, last, count int
+	raw                []byte // the payload: buf for events, the caller's snapshot for anchors
+	buf                []byte // the raw buffer this slot lends an events block until commit
+	z                  *deflater
+	err                error
+	done               chan struct{} // one send per compression
+}
+
+func (b *sealedBlock) compress() {
+	b.z.buf.Reset()
+	b.z.zw.Reset(&b.z.buf)
+	_, err := b.z.zw.Write(b.raw)
+	if err == nil {
+		err = b.z.zw.Close()
+	}
+	b.err = err
+	b.done <- struct{}{}
+}
+
+// deflater is one gzip compression state plus the buffer it compresses
+// into. A fresh level-6 compressor allocates ~800 KB, so deflaters are
+// reused across blocks and writers through a package-level free list.
+// (A sync.Pool would not do: every GC cycle empties it, and a logged run
+// allocates enough to trigger several.) Reset keeps the level, so a
+// reused deflater's output is byte-identical to a fresh one's.
+type deflater struct {
+	zw  *gzip.Writer
+	buf bytes.Buffer
+}
+
+// maxFreeDeflaters caps the free list at two writers' worth of in-flight
+// blocks, so a burst of concurrent writers does not pin their compressors.
+const maxFreeDeflaters = 2 * maxInFlight
+
+var deflaters struct {
+	mu   sync.Mutex
+	free []*deflater
+}
+
+func getDeflater() *deflater {
+	deflaters.mu.Lock()
+	if n := len(deflaters.free); n > 0 {
+		z := deflaters.free[n-1]
+		deflaters.free = deflaters.free[:n-1]
+		deflaters.mu.Unlock()
+		return z
+	}
+	deflaters.mu.Unlock()
+	z := new(deflater)
+	// The error reports only an invalid level.
+	z.zw, _ = gzip.NewWriterLevel(&z.buf, gzip.DefaultCompression)
+	return z
+}
+
+func putDeflater(z *deflater) {
+	deflaters.mu.Lock()
+	if len(deflaters.free) < maxFreeDeflaters {
+		deflaters.free = append(deflaters.free, z)
+	}
+	deflaters.mu.Unlock()
+}
+
+// logPreamble encodes the file preamble for hdr, stamping hdr.Version to
+// LogVersion and deriving hdr.ConfigHash from hdr.Config when unset.
+func logPreamble(hdr Header) ([]byte, error) {
 	hdr.Version = LogVersion
 	if hdr.ConfigHash == 0 && len(hdr.Config) > 0 {
 		hdr.ConfigHash = ConfigHashOf(hdr.Config)
@@ -248,12 +450,25 @@ func NewLogWriter(w io.Writer, hdr Header) (*LogWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: encoding log header: %w", err)
 	}
-	lw := &LogWriter{w: w, strings: make(map[string]int)}
 	var pre []byte
 	pre = append(pre, logMagic[:]...)
 	pre = binary.AppendUvarint(pre, LogVersion)
 	pre = binary.AppendUvarint(pre, uint64(len(hb)))
-	pre = append(pre, hb...)
+	return append(pre, hb...), nil
+}
+
+// NewLogWriter writes the file preamble for hdr and returns the writer.
+// hdr.Version is stamped to LogVersion and hdr.ConfigHash is derived from
+// hdr.Config when unset.
+func NewLogWriter(w io.Writer, hdr Header) (*LogWriter, error) {
+	pre, err := logPreamble(hdr)
+	if err != nil {
+		return nil, err
+	}
+	lw := &LogWriter{w: w, enc: recordEncoder{strings: make(map[string]int)}}
+	for i := range lw.inflight {
+		lw.inflight[i].done = make(chan struct{}, 1)
+	}
 	if err := lw.write(pre); err != nil {
 		return nil, err
 	}
@@ -286,26 +501,6 @@ func (lw *LogWriter) write(b []byte) error {
 	return err
 }
 
-// beginRecord opens (or continues) an events block and encodes the step
-// delta shared by every record type.
-func (lw *LogWriter) beginRecord(tag byte, step int) {
-	if lw.count == 0 {
-		lw.typ = blockEvents
-		lw.first = step
-		lw.prevStep = step
-	}
-	lw.raw = append(lw.raw, tag)
-	lw.raw = appendZigzag(lw.raw, int64(step-lw.prevStep))
-	lw.prevStep = step
-	if step > lw.last || lw.count == 0 {
-		lw.last = step
-	}
-	if step < lw.first {
-		lw.first = step
-	}
-	lw.count++
-}
-
 // Emit encodes the event. Implements Tracer; errors latch the writer and
 // surface at Close.
 func (lw *LogWriter) Emit(e Event) {
@@ -314,62 +509,12 @@ func (lw *LogWriter) Emit(e Event) {
 	if lw.err != nil {
 		return
 	}
-	lw.beginRecord(recEvent, e.Step)
-	code := kindToCode[e.Kind]
-	lw.raw = append(lw.raw, code)
-	if code == 0 {
-		lw.intern(string(e.Kind))
-	}
-	var mask byte
-	if e.Agent != 0 {
-		mask |= maskAgent
-	}
-	if e.Node != 0 {
-		mask |= maskNode
-	}
-	if e.To != 0 {
-		mask |= maskTo
-	}
-	if e.Value != 0 {
-		mask |= maskValue
-	}
-	if e.Extra != "" {
-		mask |= maskExtra
-	}
-	lw.raw = append(lw.raw, mask)
-	if mask&maskAgent != 0 {
-		lw.raw = appendZigzag(lw.raw, int64(e.Agent))
-	}
-	if mask&maskNode != 0 {
-		lw.raw = appendZigzag(lw.raw, int64(e.Node))
-	}
-	if mask&maskTo != 0 {
-		lw.raw = appendZigzag(lw.raw, int64(e.To))
-	}
-	if mask&maskValue != 0 {
-		lw.raw = binary.LittleEndian.AppendUint64(lw.raw, math.Float64bits(e.Value))
-	}
-	if mask&maskExtra != 0 {
-		lw.intern(e.Extra)
-	}
+	lw.enc.event(e)
 	lw.events++
 	lw.mEvents.Inc()
-	lw.maybeFlushLocked()
-}
-
-// intern appends the block-local string id for s, defining it inline (id
-// followed by length + bytes) on first use within the block.
-func (lw *LogWriter) intern(s string) {
-	id, ok := lw.strings[s]
-	if !ok {
-		id = len(lw.strings)
-		lw.strings[s] = id
-		lw.raw = binary.AppendUvarint(lw.raw, uint64(id))
-		lw.raw = binary.AppendUvarint(lw.raw, uint64(len(s)))
-		lw.raw = append(lw.raw, s...)
-		return
+	if lw.enc.full() {
+		lw.sealLocked()
 	}
-	lw.raw = binary.AppendUvarint(lw.raw, uint64(id))
 }
 
 // EmitWorld encodes one step's world delta. Implements WorldSink.
@@ -379,47 +524,26 @@ func (lw *LogWriter) EmitWorld(d WorldDelta) {
 	if lw.err != nil {
 		return
 	}
-	lw.beginRecord(recDelta, d.Step)
-	lw.raw = appendIDs(lw.raw, d.Nodes)
-	for i, u := range d.Nodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.x, int(u), math.Float64bits(d.X[i])))
+	lw.enc.delta(d)
+	if lw.enc.full() {
+		lw.sealLocked()
 	}
-	for i, u := range d.Nodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.y, int(u), math.Float64bits(d.Y[i])))
-	}
-	lw.raw = appendIDs(lw.raw, d.RangeNodes)
-	for i, u := range d.RangeNodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.r, int(u), math.Float64bits(d.Ranges[i])))
-	}
-	if d.FaultChanged {
-		lw.raw = append(lw.raw, 1)
-		lw.raw = appendIDs(lw.raw, d.Dead)
-		lw.raw = appendIDs(lw.raw, d.DownGateways)
-		if d.Partition {
-			lw.raw = append(lw.raw, 1)
-			lw.raw = binary.LittleEndian.AppendUint64(lw.raw, math.Float64bits(d.PartitionX))
-		} else {
-			lw.raw = append(lw.raw, 0)
-		}
-	} else {
-		lw.raw = append(lw.raw, 0)
-	}
-	lw.maybeFlushLocked()
 }
 
-// EmitAnchor seals the current block and writes a snapshot anchor block.
-// Anchors reset the world-delta XOR chain, so a reader can decode the delta
-// tail starting from any anchor without earlier context. Implements
-// WorldSink.
+// EmitAnchor seals the current block and writes a snapshot anchor block
+// before returning. Anchors reset the world-delta XOR chain, so a reader
+// can decode the delta tail starting from any anchor without earlier
+// context. Implements WorldSink.
 func (lw *LogWriter) EmitAnchor(step int, snapshot []byte) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	if lw.err != nil {
 		return
 	}
-	lw.flushLocked()
-	lw.xs.reset()
-	lw.writeBlockLocked(blockAnchor, step, step, 1, snapshot)
+	lw.sealLocked()
+	lw.enc.xs.reset()
+	lw.startLocked(blockAnchor, step, step, 1, snapshot)
+	lw.drainLocked() // snapshot is the caller's: done with it on return
 }
 
 // Count returns the number of events written (world deltas and anchors are
@@ -434,52 +558,70 @@ func (lw *LogWriter) Count() int {
 func (lw *LogWriter) Index() []BlockInfo {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
+	lw.drainLocked()
 	return append([]BlockInfo(nil), lw.index...)
 }
 
-func (lw *LogWriter) maybeFlushLocked() {
-	if len(lw.raw) >= flushRawLen {
-		lw.flushLocked()
-	}
-}
-
-func (lw *LogWriter) flushLocked() {
-	if lw.count == 0 {
+// sealLocked hands the events block being filled to the pipeline and
+// starts the next one in the buffer the block's slot frees.
+func (lw *LogWriter) sealLocked() {
+	enc := &lw.enc
+	if enc.count == 0 {
 		return
 	}
-	lw.writeBlockLocked(lw.typ, lw.first, lw.last, lw.count, lw.raw)
-	lw.raw = lw.raw[:0]
-	lw.count = 0
-	clear(lw.strings)
+	raw := enc.raw
+	b := lw.startLocked(blockEvents, enc.first, enc.last, enc.count, raw)
+	enc.nextBlock(b.buf)
+	b.buf = raw
 }
 
-func (lw *LogWriter) writeBlockLocked(typ byte, first, last, count int, raw []byte) {
+// startLocked starts compressing one sealed block, first committing the
+// oldest block in flight when the pipeline is full.
+func (lw *LogWriter) startLocked(typ byte, first, last, count int, raw []byte) *sealedBlock {
+	if lw.pending == maxInFlight {
+		lw.commitLocked()
+	}
+	b := &lw.inflight[(lw.head+lw.pending)%maxInFlight]
+	lw.pending++
+	b.typ, b.first, b.last, b.count, b.raw = typ, first, last, count, raw
+	b.z = getDeflater()
+	go b.compress()
+	return b
+}
+
+// commitLocked waits for the oldest block in flight and writes it: frame
+// header, CRC, payload, index entry and counters, latching the first
+// error. Once an error is latched, later blocks are dropped unwritten.
+// Waiting under the mutex cannot deadlock: compression never takes it.
+func (lw *LogWriter) commitLocked() {
+	b := &lw.inflight[lw.head]
+	<-b.done
+	lw.head = (lw.head + 1) % maxInFlight
+	lw.pending--
+	if b.err != nil && lw.err == nil {
+		lw.err = b.err
+	}
+	if lw.err == nil {
+		lw.writeBlockLocked(b.typ, b.first, b.last, b.count, len(b.raw), b.z.buf.Bytes())
+	}
+	putDeflater(b.z)
+	b.z, b.raw = nil, nil
+}
+
+func (lw *LogWriter) drainLocked() {
+	for lw.pending > 0 {
+		lw.commitLocked()
+	}
+}
+
+func (lw *LogWriter) writeBlockLocked(typ byte, first, last, count, rawLen int, comp []byte) {
 	off := lw.off
-	lw.gzBuf.Reset()
-	if lw.gz == nil {
-		lw.gz, _ = gzip.NewWriterLevel(&lw.gzBuf, gzip.DefaultCompression)
-	} else {
-		lw.gz.Reset(&lw.gzBuf)
-	}
-	if _, err := lw.gz.Write(raw); err != nil {
-		if lw.err == nil {
-			lw.err = err
-		}
-		return
-	}
-	if err := lw.gz.Close(); err != nil {
-		if lw.err == nil {
-			lw.err = err
-		}
-		return
-	}
-	comp := lw.gzBuf.Bytes()
 	var hdr []byte
 	hdr = append(hdr, blockMagic, typ)
 	hdr = binary.AppendUvarint(hdr, uint64(first))
 	hdr = binary.AppendUvarint(hdr, uint64(last))
 	hdr = binary.AppendUvarint(hdr, uint64(count))
-	hdr = binary.AppendUvarint(hdr, uint64(len(raw)))
+	hdr = binary.AppendUvarint(hdr, uint64(rawLen))
 	hdr = binary.AppendUvarint(hdr, uint64(len(comp)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(comp))
 	if err := lw.write(hdr); err != nil {
@@ -492,11 +634,12 @@ func (lw *LogWriter) writeBlockLocked(typ byte, first, last, count int, raw []by
 	lw.mBlocks.Inc()
 }
 
-// Flush seals and writes the current partial block.
+// Flush seals the current partial block and writes every sealed block.
 func (lw *LogWriter) Flush() error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
-	lw.flushLocked()
+	lw.sealLocked()
+	lw.drainLocked()
 	return lw.err
 }
 

@@ -103,14 +103,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			di := 0
-			for _, e := range events {
-				for di < len(deltas) && deltas[di].Step <= e.Step {
-					lw.EmitWorld(deltas[di])
-					di++
-				}
-				lw.Emit(e)
-			}
+			emitStream(lw, events, deltas, 0)
 			if err := lw.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -152,14 +145,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		di := 0
-		for _, e := range events {
-			for di < len(deltas) && deltas[di].Step <= e.Step {
-				lw.EmitWorld(deltas[di])
-				di++
-			}
-			lw.Emit(e)
-		}
+		emitStream(lw, events, deltas, 0)
 		if err := lw.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -52,9 +53,9 @@ type LogReader struct {
 	blocks    []BlockInfo
 	indexed   bool
 
-	gz      *gzip.Reader
-	comp    []byte
-	raw     []byte
+	// slots hold block k, being decoded, and block k+1, being checked
+	// and inflated on a helper goroutine (see scanBlocks).
+	slots   [2]inflateSlot
 	strings []string
 	xs      xorState
 	delta   WorldDelta
@@ -92,7 +93,11 @@ func NewLogReader(r io.ReadSeeker) (*LogReader, error) {
 	if err := json.Unmarshal(hb, &hdr); err != nil {
 		return nil, fmt.Errorf("trace: decoding log header: %w", ErrCorrupt)
 	}
-	return &LogReader{r: r, hdr: hdr, headerEnd: cr.n}, nil
+	lr := &LogReader{r: r, hdr: hdr, headerEnd: cr.n}
+	for i := range lr.slots {
+		lr.slots[i].done = make(chan struct{}, 1)
+	}
+	return lr, nil
 }
 
 // OpenLog opens a binary log file, loading its sidecar index
@@ -249,49 +254,85 @@ func readFrame(r io.Reader) (*blockFrame, int64, error) {
 	}, cr.n, nil
 }
 
-// readBlockAt seeks to a block and returns its frame plus decompressed,
-// CRC-verified payload (aliasing reader scratch; valid until the next
-// readBlockAt call).
-func (lr *LogReader) readBlockAt(off int64) (*blockFrame, []byte, error) {
+// inflateSlot is one block in the reader's read-ahead. The caller's
+// goroutine reads its frame and compressed bytes (the io.ReadSeeker is
+// never shared); a helper goroutine then checks the CRC and inflates the
+// payload, and signals done.
+type inflateSlot struct {
+	fr      blockFrame
+	comp    []byte
+	raw     []byte
+	zr      gzip.Reader
+	err     error
+	running bool
+	done    chan struct{} // one send per inflate
+}
+
+// fetch reads the framed block at off into s and starts inflating it. A
+// read error is kept in s.err, to surface when the scan reaches the block.
+func (lr *LogReader) fetch(off int64, s *inflateSlot) {
+	s.err = lr.readFramed(off, s)
+	if s.err == nil {
+		s.running = true
+		go s.inflate()
+	}
+}
+
+func (lr *LogReader) readFramed(off int64, s *inflateSlot) error {
 	if _, err := lr.r.Seek(off, io.SeekStart); err != nil {
-		return nil, nil, err
+		return err
 	}
 	fr, _, err := readFrame(lr.r)
 	if err == io.EOF {
-		return nil, nil, fmt.Errorf("trace: block offset %d beyond log end: %w", off, ErrCorrupt)
+		return fmt.Errorf("trace: block offset %d beyond log end: %w", off, ErrCorrupt)
 	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if cap(lr.comp) < fr.compLen {
-		lr.comp = make([]byte, fr.compLen)
+	s.fr = *fr
+	if cap(s.comp) < fr.compLen {
+		s.comp = make([]byte, fr.compLen)
 	}
-	comp := lr.comp[:fr.compLen]
-	if _, err := io.ReadFull(lr.r, comp); err != nil {
-		return nil, nil, fmt.Errorf("trace: truncated block payload: %w", ErrCorrupt)
+	s.comp = s.comp[:fr.compLen]
+	if _, err := io.ReadFull(lr.r, s.comp); err != nil {
+		return fmt.Errorf("trace: truncated block payload: %w", ErrCorrupt)
 	}
-	if got := crc32.ChecksumIEEE(comp); got != fr.crc {
-		return nil, nil, fmt.Errorf("trace: block CRC mismatch (got %08x want %08x): %w", got, fr.crc, ErrCorrupt)
+	return nil
+}
+
+func (s *inflateSlot) inflate() {
+	s.err = s.decompress()
+	s.done <- struct{}{}
+}
+
+// decompress verifies the CRC and inflates the payload into s.raw.
+func (s *inflateSlot) decompress() error {
+	if got := crc32.ChecksumIEEE(s.comp); got != s.fr.crc {
+		return fmt.Errorf("trace: block CRC mismatch (got %08x want %08x): %w", got, s.fr.crc, ErrCorrupt)
 	}
-	if lr.gz == nil {
-		lr.gz = new(gzip.Reader)
+	if err := s.zr.Reset(bytes.NewReader(s.comp)); err != nil {
+		return fmt.Errorf("trace: block gzip header: %w", ErrCorrupt)
 	}
-	if err := lr.gz.Reset(bytes.NewReader(comp)); err != nil {
-		return nil, nil, fmt.Errorf("trace: block gzip header: %w", ErrCorrupt)
+	if cap(s.raw) < s.fr.rawLen {
+		s.raw = make([]byte, s.fr.rawLen)
 	}
-	if cap(lr.raw) < fr.rawLen {
-		lr.raw = make([]byte, fr.rawLen)
-	}
-	raw := lr.raw[:fr.rawLen]
-	if _, err := io.ReadFull(lr.gz, raw); err != nil {
-		return nil, nil, fmt.Errorf("trace: block decompression: %w", ErrCorrupt)
+	s.raw = s.raw[:s.fr.rawLen]
+	if _, err := io.ReadFull(&s.zr, s.raw); err != nil {
+		return fmt.Errorf("trace: block decompression: %w", ErrCorrupt)
 	}
 	var one [1]byte
-	if n, _ := lr.gz.Read(one[:]); n != 0 {
-		return nil, nil, fmt.Errorf("trace: block longer than declared raw length: %w", ErrCorrupt)
+	if n, _ := s.zr.Read(one[:]); n != 0 {
+		return fmt.Errorf("trace: block longer than declared raw length: %w", ErrCorrupt)
 	}
-	lr.mBlocks.Inc()
-	return fr, raw, nil
+	return nil
+}
+
+// wait returns once no helper goroutine is inflating into s.
+func (s *inflateSlot) wait() {
+	if s.running {
+		<-s.done
+		s.running = false
+	}
 }
 
 // Scan decodes every record in the log in order, invoking fn for each.
@@ -337,32 +378,45 @@ func (lr *LogReader) ScanFrom(from int, fn func(Record) error) error {
 	return lr.scanBlocks(blocks[from:], fn)
 }
 
+// scanBlocks decodes blocks in order, inflating block k+1 on a helper
+// goroutine while block k's records are decoded. Errors surface in block
+// order, and the helper is awaited before scanBlocks returns.
 func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error {
 	lr.xs.reset()
-	for _, b := range blocks {
-		fr, raw, err := lr.readBlockAt(b.Off)
+	if len(blocks) == 0 {
+		return nil
+	}
+	cur, next := &lr.slots[0], &lr.slots[1]
+	lr.fetch(blocks[0].Off, cur)
+	for k := range blocks {
+		cur.wait()
+		if cur.err == nil && k+1 < len(blocks) {
+			lr.fetch(blocks[k+1].Off, next)
+		}
+		err := cur.err
+		if err == nil {
+			lr.mBlocks.Inc()
+			err = lr.decodeBlock(&cur.fr, cur.raw, fn)
+		}
 		if err != nil {
+			next.wait()
+			if errors.Is(err, ErrStop) {
+				return nil
+			}
 			return err
 		}
-		switch fr.typ {
-		case blockAnchor:
-			lr.xs.reset()
-			if err := fn(Record{Kind: RecordAnchor, Step: fr.first, Anchor: raw}); err != nil {
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
-				return err
-			}
-		case blockEvents:
-			if err := lr.decodeEvents(fr, raw, fn); err != nil {
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
-				return err
-			}
-		}
+		cur, next = next, cur
 	}
 	return nil
+}
+
+// decodeBlock yields the records of one inflated block.
+func (lr *LogReader) decodeBlock(fr *blockFrame, raw []byte, fn func(Record) error) error {
+	if fr.typ == blockAnchor {
+		lr.xs.reset()
+		return fn(Record{Kind: RecordAnchor, Step: fr.first, Anchor: raw})
+	}
+	return lr.decodeEvents(fr, raw, fn)
 }
 
 // decodeEvents walks one events block's payload, yielding records.
@@ -498,6 +552,16 @@ func unxorLane(lane *[]laneState, u int, wire uint64) uint64 {
 	return v
 }
 
+// checkLaneIDs rejects an ascending node ID list whose predictor lane (one
+// laneState per node up to the largest ID) would outgrow the reader's
+// maxBlockLen allocation cap.
+func checkLaneIDs(ids []int32) error {
+	if n := len(ids); n > 0 && (int64(ids[n-1])+1)*int64(unsafe.Sizeof(laneState{})) > maxBlockLen {
+		return fmt.Errorf("trace: world delta names node %d, beyond any plausible world: %w", ids[n-1], ErrCorrupt)
+	}
+	return nil
+}
+
 func (lr *LogReader) decodeDelta(cur *byteCursor, step int) (WorldDelta, error) {
 	d := &lr.delta
 	*d = WorldDelta{
@@ -512,6 +576,9 @@ func (lr *LogReader) decodeDelta(cur *byteCursor, step int) (WorldDelta, error) 
 	}
 	var err error
 	if d.Nodes, err = cur.ids(d.Nodes); err != nil {
+		return *d, err
+	}
+	if err := checkLaneIDs(d.Nodes); err != nil {
 		return *d, err
 	}
 	for _, u := range d.Nodes {
@@ -529,6 +596,9 @@ func (lr *LogReader) decodeDelta(cur *byteCursor, step int) (WorldDelta, error) 
 		d.Y = append(d.Y, math.Float64frombits(unxorLane(&lr.xs.y, int(u), wire)))
 	}
 	if d.RangeNodes, err = cur.ids(d.RangeNodes); err != nil {
+		return *d, err
+	}
+	if err := checkLaneIDs(d.RangeNodes); err != nil {
 		return *d, err
 	}
 	for _, u := range d.RangeNodes {

@@ -2,11 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -246,6 +252,14 @@ func TestBinlogCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("huge-node-id", func(t *testing.T) {
+		// A CRC-valid delta naming node 2147483000 must be refused before
+		// the predictor lanes grow to it.
+		if err := scan(hugeNodeLog(t)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("huge node id: got %v, want ErrCorrupt", err)
+		}
+	})
+
 	t.Run("bad-magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[0] = 'X'
@@ -319,6 +333,233 @@ func TestLogWriterFailFast(t *testing.T) {
 	}
 	if err := lw.Close(); err == nil {
 		t.Fatal("Close returned nil after a latched write error")
+	}
+}
+
+// errSinkFull is the error failAfterWrites returns.
+var errSinkFull = errors.New("sink full")
+
+// failAfterWrites keeps its first ok Write calls and fails every later one.
+// The preamble is one write and every block two (frame header, payload).
+type failAfterWrites struct {
+	ok, calls int
+	buf       bytes.Buffer
+}
+
+func (f *failAfterWrites) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > f.ok {
+		return 0, errSinkFull
+	}
+	return f.buf.Write(p)
+}
+
+// waitGoroutines fails unless the goroutine count falls back to base. A
+// codec goroutine signals its block done just before it exits, so the
+// count may lag the barrier that waited for it by a moment.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLogWriterPipelineFailure: a sink that fails on the second events
+// block, with no anchor to force a barrier. The error latches when that
+// block commits, mid-stream; from then on Count freezes and nothing more
+// reaches the sink, Close reports the error, the index lists only the
+// block the sink took, and no codec goroutine outlives Close.
+func TestLogWriterPipelineFailure(t *testing.T) {
+	events, deltas := benchStream(benchSteps, benchAgents)
+	ref := newRefLogWriter(t, Header{})
+	emitStream(ref, events, deltas, 0)
+	want := ref.bytes()
+	if len(ref.index) < 2*maxInFlight+2 {
+		t.Fatalf("stream has %d blocks, too few to fill the pipeline", len(ref.index))
+	}
+
+	base := runtime.NumGoroutine()
+	fw := &failAfterWrites{ok: 3}
+	lw, err := NewLogWriter(fw, Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	latched := -1
+	di := 0
+	for _, e := range events {
+		for di < len(deltas) && deltas[di].Step <= e.Step {
+			lw.EmitWorld(deltas[di])
+			di++
+		}
+		lw.Emit(e)
+		if latched < 0 && fw.calls > fw.ok {
+			latched = lw.Count()
+		}
+	}
+	if latched < 0 {
+		t.Fatal("the failing block never committed before Close")
+	}
+	if got := lw.Count(); got != latched {
+		t.Fatalf("Count moved after the error latched: %d -> %d", latched, got)
+	}
+	if err := lw.Close(); !errors.Is(err, errSinkFull) {
+		t.Fatalf("Close = %v, want the sink error", err)
+	}
+	if fw.calls != fw.ok+1 {
+		t.Fatalf("sink saw %d writes, want %d: nothing may follow the failed one", fw.calls, fw.ok+1)
+	}
+	if got := lw.Index(); !reflect.DeepEqual(got, ref.index[:1]) {
+		t.Fatalf("index = %+v, want only the first block %+v", got, ref.index[:1])
+	}
+	if !bytes.Equal(fw.buf.Bytes(), want[:ref.index[1].Off]) {
+		t.Fatalf("sink holds %d bytes, want the preamble and first block (%d bytes)", fw.buf.Len(), ref.index[1].Off)
+	}
+	waitGoroutines(t, base)
+}
+
+// scanRecords scans data from the start, formatting each record (the
+// decoder reuses its buffers), until the scan ends or fn stops it.
+func scanRecords(lr *LogReader, stopAfter int) ([]string, error) {
+	var recs []string
+	err := lr.Scan(func(r Record) error {
+		recs = append(recs, fmt.Sprintf("%+v", r))
+		if len(recs) == stopAfter {
+			return ErrStop
+		}
+		return nil
+	})
+	return recs, err
+}
+
+// TestLogReaderCorruptBlockInOrder: with block k's payload corrupted, the
+// read-ahead must still deliver every record of blocks 0..k-1, in order,
+// before it reports ErrCorrupt.
+func TestLogReaderCorruptBlockInOrder(t *testing.T) {
+	events, deltas := benchStream(benchSteps, benchAgents)
+	data := writeLog(t, Header{}, func(lw *LogWriter) { emitStream(lw, events, deltas, 0) })
+	lr, err := NewLogReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := scanRecords(lr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := lr.Blocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 3, len(blocks) - 1} {
+		mut := append([]byte(nil), data...)
+		end := int64(len(mut))
+		if k+1 < len(blocks) {
+			end = blocks[k+1].Off
+		}
+		mut[end-1] ^= 0xFF // last payload byte of block k: CRC mismatch
+		lr, err := NewLogReader(bytes.NewReader(mut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := scanRecords(lr, -1)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("block %d corrupted: Scan = %v, want ErrCorrupt", k, err)
+		}
+		before := 0
+		for _, b := range blocks[:k] {
+			before += b.Count
+		}
+		if !slices.Equal(got, clean[:before]) {
+			t.Fatalf("block %d corrupted: delivered %d records, want the %d of the blocks before it", k, len(got), before)
+		}
+	}
+}
+
+// TestLogReaderStopAwaitsHelper: ErrStop inside the first block returns
+// with no read-ahead goroutine left running, and the reader then rescans
+// from block 0 to the same records as a fresh reader.
+func TestLogReaderStopAwaitsHelper(t *testing.T) {
+	events, deltas := benchStream(benchSteps, benchAgents)
+	data := writeLog(t, Header{}, func(lw *LogWriter) { emitStream(lw, events, deltas, 7) })
+	fresh, err := NewLogReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scanRecords(fresh, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := runtime.NumGoroutine()
+	lr, err := NewLogReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := lr.Blocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, err := scanRecords(lr, 5)
+	if err != nil || len(stopped) != 5 || blocks[0].Count <= 5 {
+		t.Fatalf("stop inside block 0 (%d records): got %d records, err %v", blocks[0].Count, len(stopped), err)
+	}
+	for i := range lr.slots {
+		if lr.slots[i].running {
+			t.Fatalf("Scan returned with read-ahead slot %d not awaited", i)
+		}
+	}
+	waitGoroutines(t, base)
+	var got []string
+	if err := lr.ScanFrom(0, func(r Record) error {
+		got = append(got, fmt.Sprintf("%+v", r))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rescan after ErrStop gave %d records, want the fresh reader's %d", len(got), len(want))
+	}
+}
+
+// TestLogWriterReusesDeflateState: deflate state comes from the package
+// free list, so once warm a whole writer lifecycle on the bench stream
+// allocates less than building one fresh level-6 compressor does.
+func TestLogWriterReusesDeflateState(t *testing.T) {
+	events, deltas := benchStream(benchSteps, benchAgents)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	compressor := allocated(func() {
+		zw, err := gzip.NewWriterLevel(io.Discard, gzip.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw.Write([]byte{0}) // the compressor is built on first write
+		zw.Close()
+	})
+	lifecycle := func() {
+		lw, err := NewLogWriter(&countWriter{}, Header{BaseSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitStream(lw, events, deltas, 0)
+		if err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lifecycle()
+	lifecycle()
+	for i := 0; i < 20; i++ {
+		if got := allocated(lifecycle); got >= compressor {
+			t.Fatalf("lifecycle %d allocated %d B, want less than one fresh compressor (%d B)", i, got, compressor)
+		}
 	}
 }
 

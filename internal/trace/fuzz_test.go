@@ -77,6 +77,7 @@ func FuzzLogReader(f *testing.F) {
 	ver := append([]byte(nil), valid...)
 	ver[8] = LogVersion + 1 // unknown future version
 	f.Add(ver)
+	f.Add(hugeNodeLog(f)) // CRC-valid delta naming node 2147483000
 	f.Add([]byte("AMESHLOG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -152,6 +152,7 @@ awk -v jb="$jsonl_bytes" -v bb="$binary_bytes" '
   for (i = 4; i < NF; i++) {
     if ($(i + 1) == "MB/s") mbs[name] = $i
     if ($(i + 1) == "bytes/event") bpe[name] = $i
+    if ($(i + 1) == "B/op") bop[name] = $i
     if ($(i + 1) == "allocs/op") allocs[name] = $i
   }
 }
@@ -159,8 +160,8 @@ END {
   printf "[\n"
   for (i = 0; i < n; i++) {
     nm = order[i]
-    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"mb_per_s\": %s, \"allocs_per_op\": %s", \
-      nm, ns[nm], mbs[nm], allocs[nm]
+    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
+      nm, ns[nm], mbs[nm], bop[nm], allocs[nm]
     if (nm in bpe) printf ", \"bytes_per_event\": %s", bpe[nm]
     printf "},\n"
   }

@@ -79,12 +79,19 @@ go build -o "$replaydir" ./cmd/routing ./cmd/replay
 "$replaydir/replay" -log "$replaydir/churn.alog" -step 77 -verify | grep '^verify step=77 ok' >/dev/null
 rm -rf "$replaydir"
 
-echo "== corrupt-log gate (framing fuzz seeds + corruption table, -race)"
+echo "== corrupt-log gate (framing fuzz seeds + corruption table + codec pipeline, GOMAXPROCS=1, 2 and NumCPU, -race)"
 # Truncated, bit-flipped, version-bumped, and garbage logs must produce
 # clean errors — never panics or runaway allocations. The fuzz targets run
 # their seed corpus as ordinary tests here; scheduled fuzzing can go
 # deeper with: go test -fuzz FuzzLogReader ./internal/trace
-go test -race -count=1 -run 'TestBinlogCorruption|FuzzLogReader|FuzzRead|LogWriterFailFast|WriterFailFast' \
+# The block codec compresses and inflates on helper goroutines, so the
+# gate also pins the pipelined writer byte for byte to its synchronous
+# reference, its failure and early-stop paths, and its reuse of deflate
+# state. It runs at GOMAXPROCS=1 too: the pipeline must not need a second P.
+corrupt_gate='TestBinlogCorruption|FuzzLogReader|FuzzRead|LogWriterFailFast|WriterFailFast|LogWriterMatchesSyncReference|LogWriterPipelineFailure|LogReaderCorruptBlockInOrder|LogReaderStopAwaitsHelper|LogWriterReusesDeflateState'
+GOMAXPROCS=1 go test -race -count=1 -run "$corrupt_gate" ./internal/trace
+GOMAXPROCS=2 go test -race -count=1 -run "$corrupt_gate" ./internal/trace
+go test -race -count=1 -run "$corrupt_gate" \
   ./internal/trace
 
 echo "== replay determinism tests (pinned run + faulted round-trips)"
