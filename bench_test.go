@@ -286,9 +286,18 @@ func BenchmarkParallelVsSequentialMapping(b *testing.B) {
 // random-waypoint model — local hops with pause times, so at any step a
 // fraction of the fleet is mid-leg and the rest is dwelling — half are
 // stationary, and half of the stationary nodes carry decaying batteries.
-// That is the mix the incremental topology engine classifies into
-// moved-node box scans, dwell-time expiry checks, and decay cursors.
+// That mix exercises every part of the incremental topology engine: hot
+// movers' list walks, certificates of slow and dwelling movers, list
+// rebuilds, and the static decay cursors.
 func benchStepWorld(b *testing.B, n int) *network.World {
+	b.Helper()
+	return benchStepWorldWith(b, n, false)
+}
+
+// benchStepWorldWith is benchStepWorld, optionally with node 0 replaced by
+// an arena-wide waypoint mover at 10x the fleet's speed that never dwells:
+// the one fast node that forced a global Verlet list to rebuild every step.
+func benchStepWorldWith(b *testing.B, n int, fastNode bool) *network.World {
 	b.Helper()
 	s := rng.New(uint64(n))
 	side := 150 * math.Sqrt(float64(n)/250) // constant node density as n grows
@@ -306,6 +315,9 @@ func benchStepWorld(b *testing.B, n int) *network.World {
 		if i%2 == 0 {
 			pause := 40 + int(s.Intn(81)) // dwell 40-120 steps between hops
 			movers[i] = mobility.NewLocalWaypoint(arena, 30, 0.5, 3, pause, s.Child(uint64(i)))
+			if fastNode && i == 0 {
+				movers[i] = mobility.NewWaypoint(arena, 5, 30, 0, s.Child(uint64(i)))
+			}
 		} else {
 			movers[i] = mobility.Static{}
 		}
@@ -330,10 +342,11 @@ func benchStepWorld(b *testing.B, n int) *network.World {
 // fuzz tests in internal/network), so the ratios are pure maintenance
 // cost. The routing250 tier steps the paper's own Fig 8 world instead
 // (RoutingNetwork: an always-moving random-velocity half on decaying
-// batteries), where every mover scans every step.
+// batteries); the n=500/fastnode tier is the n=500 world with one node at
+// 10x the fleet's speed.
 func BenchmarkWorldStep(b *testing.B) {
-	benchWorldStep := func(b *testing.B, n int, rebuild bool) {
-		w := benchStepWorld(b, n)
+	benchWorldStep := func(b *testing.B, n int, fastNode, rebuild bool) {
+		w := benchStepWorldWith(b, n, fastNode)
 		w.SetFullRebuild(rebuild)
 		// Warm scratch storage and let the waypoint fleet settle into
 		// its steady-state moving/dwelling mix before timing.
@@ -404,9 +417,14 @@ func BenchmarkWorldStep(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		for _, mode := range []string{"rebuild", "incremental"} {
 			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				benchWorldStep(b, n, mode == "rebuild")
+				benchWorldStep(b, n, false, mode == "rebuild")
 			})
 		}
+	}
+	for _, mode := range []string{"rebuild", "incremental"} {
+		b.Run("n=500/fastnode/mode="+mode, func(b *testing.B) {
+			benchWorldStep(b, 500, true, mode == "rebuild")
+		})
 	}
 	for _, mode := range []string{"rebuild", "incremental"} {
 		b.Run("routing250/mode="+mode, func(b *testing.B) {
@@ -421,7 +439,7 @@ func BenchmarkWorldStep(b *testing.B) {
 	const big = 100000
 	for _, mode := range []string{"rebuild", "incremental"} {
 		b.Run(fmt.Sprintf("n=%d/mode=%s", big, mode), func(b *testing.B) {
-			benchWorldStep(b, big, mode == "rebuild")
+			benchWorldStep(b, big, false, mode == "rebuild")
 		})
 	}
 	// 256 recorded steps keeps the n=100000 recording's memory bounded

@@ -149,9 +149,9 @@ func (g *Grid) Update(id int32, p Point) {
 // BoxCellRange returns the inclusive cell-coordinate rectangle covering
 // the axis-aligned box [lo, hi], clamped to the arena. Together with Cols
 // and CellBucket it lets hot loops iterate raw cell buckets without
-// copying candidates into an intermediate slice — the candidate query of
-// the incremental topology engine, where one box covers a mover's old and
-// new interaction discs. Flat cell indices are cy*Cols()+cx.
+// copying candidates into an intermediate slice — the candidate-list scan
+// of the incremental topology engine, where one box covers a mover's list
+// margin. Flat cell indices are cy*Cols()+cx.
 func (g *Grid) BoxCellRange(lo, hi Point) (minCX, maxCX, minCY, maxCY int) {
 	minCX = int((lo.X - g.arena.MinX) / g.cell)
 	maxCX = int((hi.X - g.arena.MinX) / g.cell)

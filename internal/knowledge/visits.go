@@ -19,12 +19,14 @@ import (
 //
 // The memory is a per-node lookup table: step[u] holds the last visit
 // step of node u plus one (0 = not remembered), and nodes lists the
-// remembered nodes in no particular order. Last and Record are one array
-// access; only eviction scans, over the at most Capacity listed nodes.
-// Every observable order — eviction of the minimum step with ties to the
-// lowest node ID, freshest-first merge order — comes from explicit
-// comparison, never from storage order. Node IDs must be non-negative and
-// steps lie in [0, math.MaxInt32-1).
+// remembered nodes. Last is one array access. A bounded memory keeps
+// nodes in ascending (step, node) order, so its eviction victim — the
+// minimum step, ties to the lowest node ID — is always the front: a fresh
+// visit appends (the common case), eviction drops the front, and a
+// refreshed node moves by binary search. An unbounded memory never evicts
+// and keeps nodes in insertion order. Merge order — freshest first — comes
+// from explicit comparison, never from storage order. Node IDs must be
+// non-negative and steps lie in [0, math.MaxInt32-1).
 //
 // A memory also carries a merge lineage: a token (0 = none) shared by the
 // members a MergeAll left identical, and a dirty list of the nodes it has
@@ -93,17 +95,55 @@ func (v *Visits) Record(u NodeID, step int) {
 func (v *Visits) put(u NodeID, s int32) bool {
 	v.cover(u)
 	prev := v.step[u]
-	if prev == 0 {
-		if v.capacity > 0 && len(v.nodes) >= v.capacity {
+	if prev != 0 && s <= prev {
+		return false
+	}
+	switch {
+	case v.capacity == 0:
+		if prev == 0 {
+			v.nodes = append(v.nodes, u)
+		}
+	case prev == 0:
+		if len(v.nodes) >= v.capacity {
 			v.evictOldest()
 		}
-		v.nodes = append(v.nodes, u)
-	} else if s <= prev {
-		return false
+		v.insertOrdered(u, s)
+	default:
+		i := v.search(u, prev)
+		v.nodes = slices.Delete(v.nodes, i, i+1)
+		v.insertOrdered(u, s)
 	}
 	v.step[u] = s
 	v.markDirty(u)
 	return true
+}
+
+// search returns the position of (s, u) in a bounded memory's ascending
+// (step, node) order.
+func (v *Visits) search(u NodeID, s int32) int {
+	i, _ := slices.BinarySearchFunc(v.nodes, u, func(w, u NodeID) int {
+		if c := cmp.Compare(v.step[w], s); c != 0 {
+			return c
+		}
+		return cmp.Compare(w, u)
+	})
+	return i
+}
+
+// insertOrdered places u, about to hold encoded step s, at its position
+// in a bounded memory's order: an append when s is the newest step.
+func (v *Visits) insertOrdered(u NodeID, s int32) {
+	if n := len(v.nodes); n == 0 || ascending(v.step[v.nodes[n-1]], v.nodes[n-1], s, u) {
+		v.nodes = append(v.nodes, u)
+		return
+	}
+	v.nodes = slices.Insert(v.nodes, v.search(u, s), u)
+}
+
+// ascending reports whether (s1, u1) precedes (s2, u2) in a bounded
+// memory's (step, node) order.
+func ascending(s1 int32, u1 NodeID, s2 int32, u2 NodeID) bool {
+	return s1 < s2 || (s1 == s2 && u1 < u2)
 }
 
 // markDirty notes a write or eviction of u for the merge lineage. A dirty
@@ -143,20 +183,11 @@ func (v *Visits) Last(u NodeID) (step int, ok bool) {
 	return 0, false
 }
 
-// evictOldest removes the entry with the smallest step, breaking ties by
-// smallest node ID, with one scan of the remembered-node list.
+// evictOldest removes a bounded memory's entry with the smallest step,
+// breaking ties by smallest node ID: the front of its order.
 func (v *Visits) evictOldest() {
-	vi := 0
 	victim := v.nodes[0]
-	victimStep := v.step[victim]
-	for i, u := range v.nodes[1:] {
-		if s := v.step[u]; s < victimStep || (s == victimStep && u < victim) {
-			vi, victim, victimStep = i+1, u, s
-		}
-	}
-	last := len(v.nodes) - 1
-	v.nodes[vi] = v.nodes[last]
-	v.nodes = v.nodes[:last]
+	v.nodes = slices.Delete(v.nodes, 0, 1)
 	v.step[victim] = 0
 	v.markDirty(victim)
 }
@@ -282,10 +313,21 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 			m.step[u] = 0
 		}
 		m.nodes = m.nodes[:0]
-		for _, e := range kept {
+		for j := len(kept) - 1; j >= 0; j-- {
+			e := kept[j]
 			m.cover(e.node)
 			m.step[e.node] = e.step
 			m.nodes = append(m.nodes, e.node)
+		}
+		// The reversed freshest-first prefix ascends by step but descends
+		// by node within a step: reverse each equal-step run.
+		for j := 0; j < len(m.nodes); {
+			k := j + 1
+			for k < len(m.nodes) && m.step[m.nodes[k]] == m.step[m.nodes[j]] {
+				k++
+			}
+			slices.Reverse(m.nodes[j:k])
+			j = k
 		}
 	}
 	if identical {

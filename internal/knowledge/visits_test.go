@@ -1,7 +1,9 @@
 package knowledge
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -164,4 +166,82 @@ func TestVisitsDirtyListBounded(t *testing.T) {
 		}
 		t.Logf("capacity %d: longest dirty list %d", capacity, most)
 	}
+}
+
+// boundedOrderOK reports whether a bounded memory lists its nodes in
+// ascending (step, node) order, the order its front-eviction relies on.
+func boundedOrderOK(v *Visits) bool {
+	return v.capacity == 0 || slices.IsSortedFunc(v.nodes, func(a, b NodeID) int {
+		if c := cmp.Compare(v.step[a], v.step[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// TestVisitsBoundedOrder checks the ascending (step, node) order of
+// bounded memories after every kind of write: Record (fresh, refreshed
+// and stale visits, with and without eviction), MergeFrom, and MergeAll
+// both when a member's capacity truncates the union and when it keeps it
+// whole. Each kind must occur, or the test is vacuous.
+func TestVisitsBoundedOrder(t *testing.T) {
+	const n = 40
+	s := rng.New(5)
+	caps := []int{1, 3, 8, 32, 0}
+	ms := make([]*Visits, len(caps))
+	for i, c := range caps {
+		ms[i] = NewVisits(c)
+	}
+	var scratch MergeScratch
+	seen := map[string]int{}
+	check := func(op int, what string) {
+		t.Helper()
+		seen[what]++
+		for i, m := range ms {
+			if !boundedOrderOK(m) {
+				t.Fatalf("op %d (%s): memory %d (capacity %d) out of order: %v",
+					op, what, i, m.capacity, m.nodes)
+			}
+		}
+	}
+	step := 0
+	for op := 0; op < 4000; op++ {
+		step += s.Intn(2)
+		switch k := s.Intn(10); {
+		case k < 6:
+			m := ms[s.Intn(len(ms))]
+			// Look back up to three steps so refreshes, stale records
+			// and equal-step ties all occur.
+			m.Record(NodeID(s.Intn(n)), max(0, step-s.Intn(4)))
+			check(op, "Record")
+		case k < 8:
+			ms[s.Intn(len(ms))].MergeFrom(ms[s.Intn(len(ms))])
+			check(op, "MergeFrom")
+		default:
+			group := []*Visits{ms[s.Intn(len(ms))], ms[s.Intn(len(ms))], ms[s.Intn(len(ms))]}
+			group = slices.Compact(group)
+			size := scratch.gather(group, false)
+			truncated := slices.ContainsFunc(group, func(m *Visits) bool {
+				return m.capacity > 0 && m.capacity < size
+			})
+			boundedWhole := slices.ContainsFunc(group, func(m *Visits) bool {
+				return m.capacity >= size
+			})
+			scratch.MergeAll(group)
+			switch {
+			case truncated:
+				check(op, "MergeAll truncated")
+			case boundedWhole:
+				check(op, "MergeAll whole")
+			default:
+				check(op, "MergeAll unbounded")
+			}
+		}
+	}
+	for _, what := range []string{"Record", "MergeFrom", "MergeAll truncated", "MergeAll whole"} {
+		if seen[what] == 0 {
+			t.Errorf("no %s operation ran", what)
+		}
+	}
+	t.Logf("operations: %v", seen)
 }

@@ -31,11 +31,11 @@ import (
 // while a partition is active on a dynamic world — is executed through the
 // mask-aware full-rebuild path, and the incremental engine's caches are
 // marked stale so its first post-fault step resynchronises from the world
-// (range cache, decay cursors, in-source lists). Between fault steps the
-// incremental invariants hold unchanged: dead nodes are frozen, invisible
-// to candidate scans, and link-free, so the incremental engine remains
-// bit-identical to the full rebuild at every step, which the fault
-// equivalence and fuzz tests pin.
+// (node records, candidate lists, certificates, decay cursors). Between
+// fault steps the incremental invariants hold unchanged: dead nodes are
+// frozen, invisible to candidate scans, and link-free, so the incremental
+// engine remains bit-identical to the full rebuild at every step, which
+// the fault equivalence and fuzz tests pin.
 type faultState struct {
 	sched      *faults.Schedule
 	dead       []bool

@@ -22,6 +22,13 @@ func FuzzIncrementalTopology(f *testing.F) {
 	f.Add(uint64(42), []byte{255, 0, 255, 0, 128, 64, 200})
 	f.Add(uint64(9), []byte{7, 7, 7, 7})
 	f.Add(uint64(77), []byte{9, 13, 5, 240, 6, 12, 1, 19, 161}) // long-range tape
+	// Certificate seeds: fast decaying waypoint movers whose legs change
+	// speed and whose radios degrade; deaths and respawns around a
+	// partition window; and near-static decaying pairs whose certificates
+	// run long.
+	f.Add(uint64(2026), []byte{7, 6, 22, 38, 70, 134, 198, 2, 23, 12})
+	f.Add(uint64(31), []byte{3, 10, 14, 9, 26, 42, 13, 40, 60, 44})
+	f.Add(uint64(5), []byte{0, 4, 4, 5, 68, 132, 4, 196, 70, 44})
 	f.Fuzz(func(t *testing.T, seed uint64, tape []byte) {
 		if len(tape) < 2 {
 			t.Skip()
@@ -118,13 +125,6 @@ func FuzzTableUpdate(f *testing.F) {
 			}
 		}
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fuzzFaultSchedule scripts a deterministic fault tape from the same body

@@ -310,8 +310,9 @@ func (w *World) stepFullRebuild() {
 	sp.Stop()
 	if w.incr != nil {
 		// Positions and topology changed behind the incremental engine's
-		// back; its in-source lists must be rebuilt before the next
-		// incremental step (decay cursors tolerate staleness on their own).
+		// back; its records, candidate lists and certificates must be
+		// rebuilt before the next incremental step (decay cursors tolerate
+		// staleness on their own).
 		w.incr.stale = true
 	}
 	if w.m.linksAdded.Enabled() {

@@ -86,11 +86,14 @@ ijson="$out/BENCH_incremental.json"
   echo "#"
   echo "# mode=rebuild recomputes every link from the spatial grid each step"
   echo "# (the pre-incremental behaviour); mode=incremental repairs the"
-  echo "# previous step's graph in place, touching only moved nodes and"
-  echo "# decay-expired links. Equivalence and fuzz tests in internal/network"
+  echo "# previous step's graph in place, rechecking only the pairs whose"
+  echo "# kinetic certificates expire and the lists of movers that strayed"
+  echo "# past their skin. Equivalence and fuzz tests in internal/network"
   echo "# pin the two modes bit-identical, so the ratio is pure maintenance"
-  echo "# cost. Acceptance floor: >=3x at n=8000. The routing250 tier steps"
-  echo "# the paper's Fig 8 world (RoutingNetwork), where every mover moves."
+  echo "# cost. Acceptance floors at n=8000: >=3x over rebuild AND 0 allocs/op"
+  echo "# (enforced below, skipped on the 1x smoke). The routing250 tier steps"
+  echo "# the paper's Fig 8 world (RoutingNetwork), where every mover moves;"
+  echo "# n=500/fastnode adds one node at 10x the fleet's speed."
   go test -run '^$' -benchtime "$world_benchtime" -benchmem \
     -bench 'BenchmarkWorldStep/(n=(500|2000|8000)|routing250)/' .
 } | tee "$iraw"
@@ -116,6 +119,17 @@ END {
   printf "]\n"
 }' "$iraw" > "$ijson"
 echo "wrote $ijson"
+
+if [ "$world_benchtime" != "1x" ]; then
+  incr_ok=$(awk '
+    /^BenchmarkWorldStep\/n=8000\/mode=rebuild/ { full = $3 }
+    /^BenchmarkWorldStep\/n=8000\/mode=incremental/ { inc = $3; ia = $7 }
+    END { print (inc + 0 > 0 && full >= 3 * inc && ia + 0 == 0) ? 1 : 0 }' "$iraw")
+  if [ "$incr_ok" != 1 ]; then
+    echo "FAIL: incremental topology at n=8000 missed its floor (need >=3x over rebuild AND 0 allocs/op)" >&2
+    exit 1
+  fi
+fi
 
 # --- durable event logs: encode/decode throughput + Fig8 trace density ---
 # BenchmarkTraceEncode/Decode serialise a routing-shaped stream (events +

@@ -38,13 +38,16 @@ echo "== incremental-vs-rebuild topology equivalence gate (GOMAXPROCS=2 and NumC
 # correctness cornerstone (bit-identical graphs under mobility, decay, and
 # mode toggles), so it gets an explicit named gate that fails loudly on
 # its own. TopoDeltasReplayTopology checks the per-step delta stream
-# against the graph. The gate runs at a forced GOMAXPROCS=2 next to the
+# against the graph; KineticCertificatesAdversarial and the
+# FuzzIncrementalTopology seed corpus drive the pair certificates through
+# worlds built to break them (fast nodes, threshold pairs, bound
+# violations, faults). The gate runs at a forced GOMAXPROCS=2 next to the
 # host default.
 GOMAXPROCS=2 go test -race -count=1 \
-  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
   ./internal/network
 go test -race -count=1 \
-  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology' \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
   ./internal/network
 
 echo "== fault-injection gate (churn/partition equivalence + snapshot round-trip, -race)"
