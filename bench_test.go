@@ -368,7 +368,7 @@ func BenchmarkWorldStep(b *testing.B) {
 		for i := 0; i < 150; i++ {
 			w.Step()
 		}
-		traj, err := network.RecordTrajectory(w, record, 0)
+		traj, err := network.RecordTrajectory(w, record)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package agentmesh_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -299,6 +300,118 @@ func TestReplayMatchesPinnedRun(t *testing.T) {
 		weightedSum(sum.MeasuresByName["connectivity"]), 27373.436974789918)
 	pinF64(t, "weightedSum(log end-to-end)",
 		weightedSum(sum.MeasuresByName["end-to-end"]), 7898.5840336134479)
+	pinLogBytes(t, "pinned routing", buf.Bytes(), 226407, 0xf3ba569c893b4bd7)
+}
+
+// pinLogBytes pins a recorded binary log's exact bytes by length and
+// FNV-64a hash, so any change to the log codec that moves a byte fails
+// here, at test size.
+func pinLogBytes(t *testing.T, name string, log []byte, wantLen int, wantHash uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write(log)
+	if got := h.Sum64(); len(log) != wantLen || got != wantHash {
+		t.Errorf("%s log: %d bytes, FNV-64a %#016x; pinned %d bytes, %#016x",
+			name, len(log), got, wantLen, wantHash)
+	}
+}
+
+// recordVerifiedLog records one run into an in-memory binary log whose
+// header carries meta, checks the log in lockstep against a fresh
+// simulation of meta, and returns the log's bytes and the number of
+// records VerifyLog checked. run drives the harness on the recorded world
+// with the log as its tracer and meta's fault schedule, if any.
+func recordVerifiedLog(t *testing.T, meta replay.RunMeta,
+	run func(w *agentmesh.World, lw *trace.LogWriter, sched *agentmesh.FaultSchedule) error) ([]byte, int) {
+	t.Helper()
+	w, err := meta.FreshWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sched *agentmesh.FaultSchedule
+	if meta.FaultPreset != "" {
+		if sched, err = agentmesh.FaultPreset(meta.FaultPreset, w.N(), w.Gateways(), meta.Steps, meta.WorldSeed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hdr, err := replay.NewLogHeader(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	lw, err := trace.NewLogWriter(&buf, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(w, lw, sched); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lr, err := trace.NewLogReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := replay.VerifyLog(lr, meta)
+	if err != nil {
+		t.Fatalf("VerifyLog: %v", err)
+	}
+	return buf.Bytes(), checked
+}
+
+// TestReplayChurnLogPinned pins the bytes of a churn-faulted routing log:
+// its world deltas carry fault transitions (dead sets, respawned
+// positions) next to the moving half's position and range lanes.
+func TestReplayChurnLogPinned(t *testing.T) {
+	meta := replay.RunMeta{
+		Scenario:    "routing",
+		Spec:        netgen.Routing250(),
+		WorldSeed:   1,
+		Seed:        7,
+		Steps:       300,
+		FaultPreset: "churn",
+		AnchorEvery: 50,
+	}
+	log, _ := recordVerifiedLog(t, meta, func(w *agentmesh.World, lw *trace.LogWriter, sched *agentmesh.FaultSchedule) error {
+		_, err := agentmesh.RunRouting(w, agentmesh.RoutingScenario{
+			Agents: 100, Kind: agentmesh.PolicyOldestNode, Communicate: true, Steps: meta.Steps,
+			Faults: sched, Tracer: lw, AnchorEvery: meta.AnchorEvery,
+		}, meta.Seed)
+		return err
+	})
+	pinLogBytes(t, "churn routing", log, 227790, 0xa8c6d38dfa264525)
+}
+
+// TestReplayStaticMappingLogPinned pins the bytes of a mapping log on the
+// static canonical mapping world under churn: world deltas appear only at
+// fault epochs (node deaths and respawns), and every other step records
+// nothing.
+func TestReplayStaticMappingLogPinned(t *testing.T) {
+	meta := replay.RunMeta{
+		Scenario:    "mapping",
+		Spec:        netgen.Mapping300(),
+		WorldSeed:   1,
+		Seed:        7,
+		Steps:       400,
+		FaultPreset: "churn",
+		AnchorEvery: 100,
+	}
+	log, checked := recordVerifiedLog(t, meta, func(w *agentmesh.World, lw *trace.LogWriter, sched *agentmesh.FaultSchedule) error {
+		if w.Dynamic() {
+			t.Fatal("the mapping world is dynamic; the log would not cover static steps")
+		}
+		_, err := agentmesh.RunMapping(w, agentmesh.MappingScenario{
+			Agents: 15, Kind: agentmesh.PolicyConscientious, Cooperate: true, MaxSteps: meta.Steps,
+			Faults: sched, Tracer: lw, AnchorEvery: meta.AnchorEvery,
+		}, meta.Seed)
+		return err
+	})
+	// One check per anchor (steps 0, 100, 200, 300) plus one per delta.
+	if deltas := checked - 4; deltas <= 0 || deltas >= meta.Steps/4 {
+		t.Fatalf("log holds %d world deltas over %d static steps, want a few fault epochs", deltas, meta.Steps)
+	}
+	pinLogBytes(t, "static mapping", log, 58974, 0x23c4076207ac6d5f)
 }
 
 // TestRoutingChurnResultPinned pins a fully faulted run — the "blackout"

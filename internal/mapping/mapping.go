@@ -548,7 +548,7 @@ func RunManyCached(build func() (*network.World, error), sc Scenario, runs int, 
 		return RunMany(func(int) (*network.World, error) { return build() }, sc, runs, baseSeed)
 	}
 	d := sc.withDefaults()
-	src := network.NewTrajectorySource(d.MaxSteps, d.AnchorEvery, d.Faults, build)
+	src := network.NewTrajectorySource(d.MaxSteps, 0, d.Faults, build)
 	return RunMany(src.WorldFor, sc, runs, baseSeed)
 }
 

@@ -54,7 +54,8 @@ func buildAllocWorld(tb testing.TB, n int) *World {
 // connectivity must be allocation-free in the steady state. The small
 // subtest is the original all-mobile battery world; the large ones run the
 // benchmark MANET mix at sizes where buffer growth used to leak through
-// (grid buckets, in-source decay lists, CSR row growth).
+// (grid buckets, in-source decay lists, CSR row growth), and the replay
+// arm steps a recorded trajectory of the n=2000 world.
 func TestWorldStepZeroAllocs(t *testing.T) {
 	t.Run("n=40", func(t *testing.T) {
 		s := rng.New(33)
@@ -88,6 +89,19 @@ func TestWorldStepZeroAllocs(t *testing.T) {
 			measureStepAllocs(t, buildAllocWorld(t, n))
 		})
 	}
+	// Replay worlds step from a recorded tape: their decode cursor and
+	// predictor lanes must reach steady state the same way.
+	t.Run("n=2000-replay", func(t *testing.T) {
+		traj, err := RecordTrajectory(buildAllocWorld(t, 2000), 520)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := traj.World()
+		if err != nil {
+			t.Fatal(err)
+		}
+		measureStepAllocs(t, w)
+	})
 }
 
 // measureStepAllocs warms w into steady state and fails if stepping plus

@@ -63,7 +63,7 @@ func TestConnTrackerReplay(t *testing.T) {
 			if sched != nil {
 				rec.SetFaults(sched)
 			}
-			traj, err := RecordTrajectory(rec, steps, 30)
+			traj, err := RecordTrajectory(rec, steps)
 			if err != nil {
 				t.Fatal(err)
 			}

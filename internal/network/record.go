@@ -32,15 +32,9 @@ const DefaultAnchorEvery = 100
 // deltas in (A, S] on top of the nearest anchor A <= S reconstructs the
 // world exactly as the harness observed it at step S.
 type StepRecorder struct {
-	w     *World
+	df    worldDiffer
 	sink  trace.WorldSink
 	every int
-
-	prevX, prevY []float64
-	prevRange    []float64
-	prevEpoch    int
-
-	d trace.WorldDelta // scratch, reused between emissions
 }
 
 // NewStepRecorder starts recording w into sink, anchoring every `every`
@@ -54,27 +48,7 @@ func NewStepRecorder(w *World, sink trace.WorldSink, every int) *StepRecorder {
 	if every <= 0 {
 		every = DefaultAnchorEvery
 	}
-	n := w.N()
-	r := &StepRecorder{
-		w:         w,
-		sink:      sink,
-		every:     every,
-		prevX:     make([]float64, n),
-		prevY:     make([]float64, n),
-		prevRange: make([]float64, n),
-		prevEpoch: w.FaultEpoch(),
-	}
-	r.capture()
-	return r
-}
-
-// capture refreshes the delta baseline from the world's current state.
-func (r *StepRecorder) capture() {
-	for u := 0; u < r.w.N(); u++ {
-		p := r.w.pos[u]
-		r.prevX[u], r.prevY[u] = p.X, p.Y
-		r.prevRange[u] = r.w.radios[u].Range()
-	}
+	return &StepRecorder{df: newWorldDiffer(w), sink: sink, every: every}
 }
 
 // BeforeStep anchors a full snapshot of the current world state when step
@@ -84,7 +58,7 @@ func (r *StepRecorder) BeforeStep(step int) {
 	if r == nil || step%r.every != 0 {
 		return
 	}
-	b, err := json.Marshal(r.w.Snapshot())
+	b, err := json.Marshal(r.df.w.Snapshot())
 	if err != nil {
 		// Snapshot marshalling cannot fail for in-range world state; skip
 		// the anchor rather than aborting the run if it somehow does.
@@ -97,38 +71,79 @@ func (r *StepRecorder) BeforeStep(step int) {
 // world's new state, labeled with the world's own step counter. Call
 // immediately after each World.Step.
 func (r *StepRecorder) AfterWorldStep() {
-	if r == nil {
-		return
+	if r != nil && r.df.diff() {
+		r.sink.EmitWorld(r.df.d)
 	}
-	w := r.w
-	d := &r.d
-	d.Step = w.StepCount()
-	d.Nodes = d.Nodes[:0]
-	d.X = d.X[:0]
-	d.Y = d.Y[:0]
-	d.RangeNodes = d.RangeNodes[:0]
-	d.Ranges = d.Ranges[:0]
+}
+
+// worldDiffer turns a world's evolution into trace.WorldDeltas, the one
+// form in which both the StepRecorder (binary logs) and the
+// TrajectoryRecorder (replay tapes) record world change.
+type worldDiffer struct {
+	w            *World
+	prevX, prevY []float64
+	prevRange    []float64
+	prevEpoch    int
+
+	d trace.WorldDelta // the latest diff; its slices are reused
+}
+
+// newWorldDiffer takes w's current state as the baseline.
+func newWorldDiffer(w *World) worldDiffer {
+	n := w.N()
+	df := worldDiffer{
+		w:         w,
+		prevX:     make([]float64, n),
+		prevY:     make([]float64, n),
+		prevRange: make([]float64, n),
+		prevEpoch: w.FaultEpoch(),
+	}
+	for u := 0; u < n; u++ {
+		p := w.pos[u]
+		df.prevX[u], df.prevY[u] = p.X, p.Y
+		df.prevRange[u] = w.radios[u].Range()
+	}
+	return df
+}
+
+// diff fills d with the change since the baseline — moved positions,
+// changed radio ranges and, when the fault epoch advanced, the complete
+// new fault state — labels it with the world's step count, advances the
+// baseline, and reports whether anything changed. A static world changes
+// only at fault epochs, so between them diff skips the O(n) scan.
+func (df *worldDiffer) diff() bool {
+	w := df.w
+	d := &df.d
+	*d = trace.WorldDelta{
+		Step:         w.StepCount(),
+		Nodes:        d.Nodes[:0],
+		X:            d.X[:0],
+		Y:            d.Y[:0],
+		RangeNodes:   d.RangeNodes[:0],
+		Ranges:       d.Ranges[:0],
+		Dead:         d.Dead[:0],
+		DownGateways: d.DownGateways[:0],
+	}
+	ep := w.FaultEpoch()
+	if !w.dynamic && ep == df.prevEpoch {
+		return false
+	}
 	for u := 0; u < w.N(); u++ {
 		p := w.pos[u]
-		if p.X != r.prevX[u] || p.Y != r.prevY[u] {
+		if p.X != df.prevX[u] || p.Y != df.prevY[u] {
 			d.Nodes = append(d.Nodes, int32(u))
 			d.X = append(d.X, p.X)
 			d.Y = append(d.Y, p.Y)
-			r.prevX[u], r.prevY[u] = p.X, p.Y
+			df.prevX[u], df.prevY[u] = p.X, p.Y
 		}
-		if rg := w.radios[u].Range(); rg != r.prevRange[u] {
+		if rg := w.radios[u].Range(); rg != df.prevRange[u] {
 			d.RangeNodes = append(d.RangeNodes, int32(u))
 			d.Ranges = append(d.Ranges, rg)
-			r.prevRange[u] = rg
+			df.prevRange[u] = rg
 		}
 	}
-	d.FaultChanged = false
-	d.Dead = d.Dead[:0]
-	d.DownGateways = d.DownGateways[:0]
-	d.Partition = false
-	d.PartitionX = 0
-	if ep := w.FaultEpoch(); ep != r.prevEpoch {
-		r.prevEpoch = ep
+	if ep != df.prevEpoch {
+		df.prevEpoch = ep
 		d.FaultChanged = true
 		if f := w.flt; f != nil {
 			for u := 0; u < w.N(); u++ {
@@ -140,13 +155,9 @@ func (r *StepRecorder) AfterWorldStep() {
 				}
 			}
 			if f.partActive {
-				d.Partition = true
-				d.PartitionX = f.partX
+				d.Partition, d.PartitionX = true, f.partX
 			}
 		}
 	}
-	if len(d.Nodes) == 0 && len(d.RangeNodes) == 0 && !d.FaultChanged {
-		return // static step: nothing to record
-	}
-	r.sink.EmitWorld(*d)
+	return len(d.Nodes) > 0 || len(d.RangeNodes) > 0 || d.FaultChanged
 }

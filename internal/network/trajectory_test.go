@@ -3,7 +3,6 @@ package network
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -49,8 +48,7 @@ func sameWorldState(t *testing.T, step int, live, rep *World) {
 // TestTrajectoryReplayMatchesLive is the tentpole equivalence gate: under
 // every fault preset, the scripted all-kinds schedule, and a clean dynamic
 // run, a replayed trajectory must match live stepping bit for bit at every
-// step — and every stored anchor must equal the replay world's snapshot at
-// that step.
+// step.
 func TestTrajectoryReplayMatchesLive(t *testing.T) {
 	const n, steps = 120, 120
 	gateways := []NodeID{0, 40, 80}
@@ -62,7 +60,7 @@ func TestTrajectoryReplayMatchesLive(t *testing.T) {
 			if sched != nil {
 				recWorld.SetFaults(sched)
 			}
-			traj, err := RecordTrajectory(recWorld, steps, 30)
+			traj, err := RecordTrajectory(recWorld, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,22 +81,10 @@ func TestTrajectoryReplayMatchesLive(t *testing.T) {
 			if rep.Dynamic() != live.Dynamic() {
 				t.Fatalf("replay world dynamic=%v, live=%v", rep.Dynamic(), live.Dynamic())
 			}
-			anchors := traj.Anchors()
 			for step := 1; step <= steps; step++ {
 				live.Step()
 				rep.Step()
 				sameWorldState(t, step, live, rep)
-				for _, a := range anchors {
-					if a.Step == step {
-						got, err := json.Marshal(rep.Snapshot())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, a.Snap) {
-							t.Fatalf("step %d: replay snapshot differs from stored anchor", step)
-						}
-					}
-				}
 			}
 			if rem := rep.TrajectoryRemaining(); rem != 0 {
 				t.Fatalf("TrajectoryRemaining = %d after full replay, want 0", rem)
@@ -122,7 +108,7 @@ func TestTrajectoryReplayCounters(t *testing.T) {
 	}
 	recWorld := buildFaultWorld(t, n, gateways, 7)
 	recWorld.SetFaults(sched)
-	traj, err := RecordTrajectory(recWorld, steps, 0)
+	traj, err := RecordTrajectory(recWorld, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +172,7 @@ func TestTrajectoryStaticWorld(t *testing.T) {
 	})
 	recWorld := staticWorld()
 	recWorld.SetFaults(sched)
-	traj, err := RecordTrajectory(recWorld, steps, 50)
+	traj, err := RecordTrajectory(recWorld, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +199,7 @@ func TestTrajectoryStaticWorld(t *testing.T) {
 // TestTrajectoryExhaustionPanics pins the horizon contract.
 func TestTrajectoryExhaustionPanics(t *testing.T) {
 	w := buildFaultWorld(t, 30, []NodeID{0}, 5)
-	traj, err := RecordTrajectory(w, 10, 0)
+	traj, err := RecordTrajectory(w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,88 +218,35 @@ func TestTrajectoryExhaustionPanics(t *testing.T) {
 	rep.Step()
 }
 
-// TestTrajectoryMarshalRoundTrip serialises a faulted trajectory, decodes
-// it, and demands the decoded copy replay bit-identically to the original.
-func TestTrajectoryMarshalRoundTrip(t *testing.T) {
-	const n, steps = 80, 100
-	gateways := []NodeID{0, 30}
-	sched, err := faults.Preset("blackout", n, gateways, steps, 17)
+// TestTrajectoryCompact pins the tape's size on two fixed dynamic worlds
+// against what the format measured before it adopted trace.DeltaCodec, so
+// a change that trades the predictor lanes for plain values (~6x larger)
+// fails here. The bounds are those earlier sizes.
+func TestTrajectoryCompact(t *testing.T) {
+	gateways := []NodeID{0, 40, 80}
+	churn, err := faults.Preset("churn", 120, gateways, 300, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := buildFaultWorld(t, n, gateways, 13)
-	w.SetFaults(sched)
-	traj, err := RecordTrajectory(w, steps, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := traj.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalTrajectory(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Steps() != traj.Steps() || back.N() != traj.N() ||
-		back.Records() != traj.Records() || back.Dynamic() != traj.Dynamic() {
-		t.Fatalf("framing changed in round trip: %+v vs %+v", back, traj)
-	}
-	w1, err := traj.World()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := back.World()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 1; step <= steps; step++ {
-		w1.Step()
-		w2.Step()
-		if diff, ok := sameTopology(w1.Topology(), w2.Topology()); !ok {
-			t.Fatalf("step %d: decoded replay diverges: %s", step, diff)
+	for _, tc := range []struct {
+		name  string
+		world func() *World
+		max   int
+	}{
+		{"alloc-n=500", func() *World { return buildAllocWorld(t, 500) }, 228695},
+		{"fault-n=120/churn", func() *World {
+			w := buildFaultWorld(t, 120, gateways, 3)
+			w.SetFaults(churn)
+			return w
+		}, 134222},
+	} {
+		traj, err := RecordTrajectory(tc.world(), 300)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(w1.Snapshot(), w2.Snapshot()) {
-			t.Fatalf("step %d: decoded replay snapshot diverges", step)
-		}
-	}
-}
-
-// TestTrajectoryCorruptionRejected walks a table of corruptions — the
-// serialised form must fail with a clean ErrTrajectoryCorrupt error, never
-// a panic.
-func TestTrajectoryCorruptionRejected(t *testing.T) {
-	w := buildFaultWorld(t, 40, []NodeID{0}, 21)
-	sched, err := faults.Preset("churn", 40, []NodeID{0}, 60, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetFaults(sched)
-	traj, err := RecordTrajectory(w, 60, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid, err := traj.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":     {},
-		"short":     valid[:8],
-		"truncated": valid[:len(valid)/2],
-		"bad-magic": append([]byte("NOTMAGIC"), valid[8:]...),
-	}
-	flip := append([]byte(nil), valid...)
-	flip[len(flip)/2] ^= 0x40
-	cases["bit-flip-mid"] = flip
-	flipAnchor := append([]byte(nil), valid...)
-	flipAnchor[len(trajMagic)+20] ^= 0x01
-	cases["bit-flip-header"] = flipAnchor
-	for name, data := range cases {
-		if _, err := UnmarshalTrajectory(data); err == nil {
-			t.Errorf("%s: corruption accepted", name)
-		} else if !errors.Is(err, ErrTrajectoryCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrTrajectoryCorrupt", name, err)
+		t.Logf("%s: %d bytes over %d records", tc.name, len(traj.data), traj.Records())
+		if len(traj.data) > tc.max {
+			t.Errorf("%s: trajectory holds %d bytes, more than the %d-byte bound", tc.name, len(traj.data), tc.max)
 		}
 	}
 }
@@ -355,52 +288,6 @@ func TestTrajectorySourceRecordsOnce(t *testing.T) {
 			t.Fatalf("worker %d replayed a different world", i)
 		}
 	}
-}
-
-// FuzzTrajectoryDecode fuzzes the serialised form: any input must either
-// fail cleanly or decode into a trajectory whose full replay neither panics
-// nor breaks world invariants.
-func FuzzTrajectoryDecode(f *testing.F) {
-	w := buildFaultWorld(f, 40, []NodeID{0, 20}, 31)
-	sched, err := faults.Preset("blackout", 40, []NodeID{0, 20}, 60, 77)
-	if err != nil {
-		f.Fatal(err)
-	}
-	w.SetFaults(sched)
-	traj, err := RecordTrajectory(w, 60, 15)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := traj.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])
-	f.Add(valid[:len(valid)/3])
-	flip := append([]byte(nil), valid...)
-	flip[len(flip)/4] ^= 0x10
-	f.Add(flip)
-	f.Add([]byte(trajMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		traj, err := UnmarshalTrajectory(data)
-		if err != nil {
-			if !errors.Is(err, ErrTrajectoryCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrTrajectoryCorrupt", err)
-			}
-			return
-		}
-		w, err := traj.World()
-		if err != nil {
-			return // snapshot-level rejection is a clean outcome too
-		}
-		for i := 0; i < traj.Steps(); i++ {
-			w.Step()
-		}
-		if m := w.Topology().M(); m < 0 {
-			t.Fatalf("negative edge count %d after replay", m)
-		}
-	})
 }
 
 // collectSink records anchors and deltas for the StepRecorder tests.

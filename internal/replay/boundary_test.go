@@ -1,11 +1,15 @@
 package replay_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/netgen"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 // TestReconstructAtAnchorBoundaries pins the off-by-one behaviour of
@@ -92,5 +96,53 @@ func TestReconstructAtBeforeFirstAnchor(t *testing.T) {
 	lr, _ := openLog(t, data)
 	if _, err := replay.ReconstructAt(lr, -1); err == nil {
 		t.Fatal("ReconstructAt(-1) returned a snapshot from a log whose first anchor is step 0")
+	}
+}
+
+// TestDeltaOutsideWorldRejected feeds replay a CRC-valid log whose one
+// world delta names nodes the 300-node static mapping world does not have.
+// Verification and reconstruction must both fail with trace.ErrCorrupt
+// rather than skip the stray IDs and report the world intact.
+func TestDeltaOutsideWorldRejected(t *testing.T) {
+	meta := replay.RunMeta{Scenario: "mapping", Spec: netgen.Mapping300(), WorldSeed: 1, Seed: 1, Steps: 10, AnchorEvery: 100}
+	w, err := meta.FreshWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, err := json.Marshal(w.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(w.N())
+	for name, d := range map[string]trace.WorldDelta{
+		"moved":        {Nodes: []int32{n, n + 5}, X: []float64{1, 2}, Y: []float64{3, 4}},
+		"range":        {RangeNodes: []int32{n}, Ranges: []float64{5}},
+		"dead":         {FaultChanged: true, Dead: []int32{2, n}},
+		"down-gateway": {FaultChanged: true, DownGateways: []int32{n + 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			hdr, err := replay.NewLogHeader(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			lw, err := trace.NewLogWriter(&buf, hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lw.EmitAnchor(0, anchor)
+			d.Step = 1
+			lw.EmitWorld(d)
+			if err := lw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			lr, gotMeta := openLog(t, buf.Bytes())
+			if checked, err := replay.VerifyLog(lr, gotMeta); !errors.Is(err, trace.ErrCorrupt) {
+				t.Errorf("VerifyLog: checked=%d, err=%v; want an ErrCorrupt error", checked, err)
+			}
+			if _, err := replay.ReconstructAt(lr, 1); !errors.Is(err, trace.ErrCorrupt) {
+				t.Errorf("ReconstructAt: err=%v; want an ErrCorrupt error", err)
+			}
+		})
 	}
 }

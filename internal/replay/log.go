@@ -107,7 +107,7 @@ func ReconstructAt(lr *trace.LogReader, step int) (network.Snapshot, error) {
 				return trace.ErrStop
 			}
 			if found {
-				applyDelta(&snap, r.Delta)
+				return applyDelta(&snap, r.Delta)
 			}
 		}
 		return nil
@@ -123,21 +123,35 @@ func ReconstructAt(lr *trace.LogReader, step int) (network.Snapshot, error) {
 
 // applyDelta folds one recorded world delta into a snapshot: changed
 // positions and radio ranges, plus — on fault transitions — the complete
-// replacement fault state.
-func applyDelta(s *network.Snapshot, d trace.WorldDelta) {
-	for i, u := range d.Nodes {
-		if int(u) < len(s.Positions) {
-			s.Positions[u].X = d.X[i]
-			s.Positions[u].Y = d.Y[i]
+// replacement fault state. A delta naming a node the snapshot does not
+// hold is corrupt.
+func applyDelta(s *network.Snapshot, d trace.WorldDelta) error {
+	for _, c := range [...]struct {
+		what string
+		ids  []int32
+		n    int
+	}{
+		{"moved node", d.Nodes, len(s.Positions)},
+		{"range node", d.RangeNodes, len(s.Ranges)},
+		{"dead node", d.Dead, len(s.Positions)},
+		{"down gateway", d.DownGateways, len(s.Positions)},
+	} {
+		for _, u := range c.ids {
+			if u < 0 || int(u) >= c.n {
+				return fmt.Errorf("replay: delta at step %d names %s %d outside the %d-node world: %w",
+					d.Step, c.what, u, c.n, trace.ErrCorrupt)
+			}
 		}
+	}
+	for i, u := range d.Nodes {
+		s.Positions[u].X = d.X[i]
+		s.Positions[u].Y = d.Y[i]
 	}
 	for i, u := range d.RangeNodes {
-		if int(u) < len(s.Ranges) {
-			s.Ranges[u] = d.Ranges[i]
-		}
+		s.Ranges[u] = d.Ranges[i]
 	}
 	if !d.FaultChanged {
-		return
+		return nil
 	}
 	s.Dead = s.Dead[:0]
 	for _, u := range d.Dead {
@@ -159,6 +173,7 @@ func applyDelta(s *network.Snapshot, d trace.WorldDelta) {
 	} else {
 		s.PartitionX = nil
 	}
+	return nil
 }
 
 // VerifyAt reconstructs the world at step from the log and compares it
@@ -223,7 +238,9 @@ func VerifyLog(lr *trace.LogReader, meta RunMeta) (int, error) {
 			if !haveCur {
 				return nil // deltas before the first anchor are unverifiable
 			}
-			applyDelta(&cur, r.Delta)
+			if err := applyDelta(&cur, r.Delta); err != nil {
+				return err
+			}
 			if err := snapEqual(cur, live.Snapshot()); err != nil {
 				return fmt.Errorf("replay: reconstruction diverges at step %d: %w", r.Delta.Step, err)
 			}

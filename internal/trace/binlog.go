@@ -23,11 +23,12 @@
 //
 // Event records use varint-delta steps, a one-byte kind code, a field
 // presence mask, and per-block string interning for Extra labels, so blocks
-// are self-contained and decodable from any offset. World-delta records
-// carry changed positions and radio ranges as XOR-against-previous float64
-// bits (columnar, so the shared high bytes compress well); the XOR chain
-// resets at every snapshot anchor, which keeps anchor-rooted tails
-// self-contained — exactly the access path offline replay uses.
+// are self-contained and decodable from any offset. A world-delta record
+// is its step followed by a DeltaCodec body: changed positions and radio
+// ranges as residuals against per-node linear predictors (columnar, so
+// the shared high bytes compress well). The predictor chain resets at
+// every snapshot anchor, which keeps anchor-rooted tails self-contained —
+// exactly the access path offline replay uses.
 package trace
 
 import (
@@ -130,80 +131,6 @@ const (
 	maskExtra
 )
 
-// laneState is one node's predictor context in a world-delta float lane:
-// the bit patterns of its last two values and how many the chain has seen.
-type laneState struct {
-	v1, v2 uint64 // most recent, second most recent
-	seen   uint8  // saturates at 2
-}
-
-// xorState holds the per-node float predictors for the position and range
-// streams. Samples are XORed against a linear extrapolation from the two
-// previous values (2*v1 - v2): mobility is piecewise constant-velocity and
-// battery drain is linear, so the prediction is exact up to FP rounding
-// and the residual has only a handful of low bits set — which the uvarint
-// wire encoding then stores in 1-3 bytes instead of 8. The chain resets at
-// every snapshot anchor, so a reader starting at any anchor reconstructs
-// the same values the writer saw.
-type xorState struct {
-	x, y, r []laneState
-}
-
-func (s *xorState) reset() {
-	for i := range s.x {
-		s.x[i] = laneState{}
-	}
-	for i := range s.y {
-		s.y[i] = laneState{}
-	}
-	for i := range s.r {
-		s.r[i] = laneState{}
-	}
-}
-
-func grow(s []laneState, n int) []laneState {
-	if n <= len(s) {
-		return s
-	}
-	return append(s, make([]laneState, n-len(s))...)
-}
-
-// predictLane returns the predicted bit pattern for node u's next value:
-// 0 (absolute encoding) before any sample, the previous value after one,
-// and the linear extrapolation 2*v1 - v2 from then on. Both 2*v1 and the
-// subtraction are single correctly-rounded IEEE ops, so encoder and
-// decoder compute bit-identical predictions on any platform.
-func predictLane(lane *[]laneState, u int) uint64 {
-	*lane = grow(*lane, u+1)
-	st := (*lane)[u]
-	switch st.seen {
-	case 0:
-		return 0
-	case 1:
-		return st.v1
-	default:
-		return math.Float64bits(2*math.Float64frombits(st.v1) - math.Float64frombits(st.v2))
-	}
-}
-
-// pushLane records bits as node u's newest value. The lane is already
-// grown by the predictLane call that precedes every push.
-func pushLane(lane []laneState, u int, bits uint64) {
-	st := &lane[u]
-	st.v2, st.v1 = st.v1, bits
-	if st.seen < 2 {
-		st.seen++
-	}
-}
-
-// xorLane runs one encode step of the predictor chain: the wire residual
-// for bits at node u. unxorLane is its decode mirror.
-func xorLane(lane *[]laneState, u int, bits uint64) uint64 {
-	out := bits ^ predictLane(lane, u)
-	pushLane(*lane, u, bits)
-	return out
-}
-
 // recordEncoder turns events and world deltas into the raw payload of an
 // events block. It holds the block-local string table and step context,
 // plus the world-delta predictor chains, which span blocks and reset only
@@ -216,7 +143,7 @@ type recordEncoder struct {
 	prevStep int
 	strings  map[string]int
 
-	xs xorState
+	codec DeltaCodec
 }
 
 // beginRecord opens (or continues) an events block and encodes the step
@@ -298,30 +225,7 @@ func (enc *recordEncoder) intern(s string) {
 // delta appends one world-delta record.
 func (enc *recordEncoder) delta(d WorldDelta) {
 	enc.beginRecord(recDelta, d.Step)
-	enc.raw = appendIDs(enc.raw, d.Nodes)
-	for i, u := range d.Nodes {
-		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.x, int(u), math.Float64bits(d.X[i])))
-	}
-	for i, u := range d.Nodes {
-		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.y, int(u), math.Float64bits(d.Y[i])))
-	}
-	enc.raw = appendIDs(enc.raw, d.RangeNodes)
-	for i, u := range d.RangeNodes {
-		enc.raw = binary.AppendUvarint(enc.raw, xorLane(&enc.xs.r, int(u), math.Float64bits(d.Ranges[i])))
-	}
-	if d.FaultChanged {
-		enc.raw = append(enc.raw, 1)
-		enc.raw = appendIDs(enc.raw, d.Dead)
-		enc.raw = appendIDs(enc.raw, d.DownGateways)
-		if d.Partition {
-			enc.raw = append(enc.raw, 1)
-			enc.raw = binary.LittleEndian.AppendUint64(enc.raw, math.Float64bits(d.PartitionX))
-		} else {
-			enc.raw = append(enc.raw, 0)
-		}
-	} else {
-		enc.raw = append(enc.raw, 0)
-	}
+	enc.raw = enc.codec.Append(enc.raw, d)
 }
 
 // full reports whether the block being filled has reached the seal size.
@@ -541,7 +445,7 @@ func (lw *LogWriter) EmitAnchor(step int, snapshot []byte) {
 		return
 	}
 	lw.sealLocked()
-	lw.enc.xs.reset()
+	lw.enc.codec.Reset()
 	lw.startLocked(blockAnchor, step, step, 1, snapshot)
 	lw.drainLocked() // snapshot is the caller's: done with it on return
 }
@@ -699,18 +603,6 @@ func (l *FileLog) Close() error {
 
 func appendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
-}
-
-// appendIDs encodes an ascending id list as a count plus first-value-then-
-// gap deltas.
-func appendIDs(b []byte, ids []int32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	prev := int32(0)
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id-prev))
-		prev = id
-	}
-	return b
 }
 
 // byteCursor walks a decoded raw payload.

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -57,7 +56,7 @@ type LogReader struct {
 	// and inflated on a helper goroutine (see scanBlocks).
 	slots   [2]inflateSlot
 	strings []string
-	xs      xorState
+	codec   DeltaCodec
 	delta   WorldDelta
 
 	mBlocks metrics.Counter
@@ -382,7 +381,7 @@ func (lr *LogReader) ScanFrom(from int, fn func(Record) error) error {
 // goroutine while block k's records are decoded. Errors surface in block
 // order, and the helper is awaited before scanBlocks returns.
 func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error {
-	lr.xs.reset()
+	lr.codec.Reset()
 	if len(blocks) == 0 {
 		return nil
 	}
@@ -413,7 +412,7 @@ func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error
 // decodeBlock yields the records of one inflated block.
 func (lr *LogReader) decodeBlock(fr *blockFrame, raw []byte, fn func(Record) error) error {
 	if fr.typ == blockAnchor {
-		lr.xs.reset()
+		lr.codec.Reset()
 		return fn(Record{Kind: RecordAnchor, Step: fr.first, Anchor: raw})
 	}
 	return lr.decodeEvents(fr, raw, fn)
@@ -445,11 +444,13 @@ func (lr *LogReader) decodeEvents(fr *blockFrame, raw []byte, fn func(Record) er
 				return err
 			}
 		case recDelta:
-			d, err := lr.decodeDelta(cur, step)
+			n, err := lr.codec.Decode(cur.b[cur.pos:], &lr.delta)
 			if err != nil {
 				return err
 			}
-			if err := fn(Record{Kind: RecordDelta, Delta: d}); err != nil {
+			cur.pos += n
+			lr.delta.Step = step
+			if err := fn(Record{Kind: RecordDelta, Delta: lr.delta}); err != nil {
 				return err
 			}
 		default:
@@ -542,98 +543,4 @@ func (lr *LogReader) readString(cur *byteCursor) (string, error) {
 	s := string(b)
 	lr.strings = append(lr.strings, s)
 	return s, nil
-}
-
-// unxorLane reverses xorLane: the wire residual XOR the decoder's own
-// prediction yields the value, which then extends the chain.
-func unxorLane(lane *[]laneState, u int, wire uint64) uint64 {
-	v := wire ^ predictLane(lane, u)
-	pushLane(*lane, u, v)
-	return v
-}
-
-// checkLaneIDs rejects an ascending node ID list whose predictor lane (one
-// laneState per node up to the largest ID) would outgrow the reader's
-// maxBlockLen allocation cap.
-func checkLaneIDs(ids []int32) error {
-	if n := len(ids); n > 0 && (int64(ids[n-1])+1)*int64(unsafe.Sizeof(laneState{})) > maxBlockLen {
-		return fmt.Errorf("trace: world delta names node %d, beyond any plausible world: %w", ids[n-1], ErrCorrupt)
-	}
-	return nil
-}
-
-func (lr *LogReader) decodeDelta(cur *byteCursor, step int) (WorldDelta, error) {
-	d := &lr.delta
-	*d = WorldDelta{
-		Step:         step,
-		Nodes:        d.Nodes[:0],
-		X:            d.X[:0],
-		Y:            d.Y[:0],
-		RangeNodes:   d.RangeNodes[:0],
-		Ranges:       d.Ranges[:0],
-		Dead:         d.Dead[:0],
-		DownGateways: d.DownGateways[:0],
-	}
-	var err error
-	if d.Nodes, err = cur.ids(d.Nodes); err != nil {
-		return *d, err
-	}
-	if err := checkLaneIDs(d.Nodes); err != nil {
-		return *d, err
-	}
-	for _, u := range d.Nodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.X = append(d.X, math.Float64frombits(unxorLane(&lr.xs.x, int(u), wire)))
-	}
-	for _, u := range d.Nodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.Y = append(d.Y, math.Float64frombits(unxorLane(&lr.xs.y, int(u), wire)))
-	}
-	if d.RangeNodes, err = cur.ids(d.RangeNodes); err != nil {
-		return *d, err
-	}
-	if err := checkLaneIDs(d.RangeNodes); err != nil {
-		return *d, err
-	}
-	for _, u := range d.RangeNodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.Ranges = append(d.Ranges, math.Float64frombits(unxorLane(&lr.xs.r, int(u), wire)))
-	}
-	fc, err := cur.byte()
-	if err != nil {
-		return *d, err
-	}
-	if fc == 1 {
-		d.FaultChanged = true
-		if d.Dead, err = cur.ids(d.Dead); err != nil {
-			return *d, err
-		}
-		if d.DownGateways, err = cur.ids(d.DownGateways); err != nil {
-			return *d, err
-		}
-		p, err := cur.byte()
-		if err != nil {
-			return *d, err
-		}
-		if p == 1 {
-			d.Partition = true
-			bits, err := cur.u64()
-			if err != nil {
-				return *d, err
-			}
-			d.PartitionX = math.Float64frombits(bits)
-		}
-	} else if fc != 0 {
-		return *d, fmt.Errorf("trace: bad fault-changed flag %d: %w", fc, ErrCorrupt)
-	}
-	return *d, nil
 }

@@ -52,7 +52,7 @@ func (rw *refLogWriter) EmitWorld(d WorldDelta) {
 
 func (rw *refLogWriter) EmitAnchor(step int, snapshot []byte) {
 	rw.flush()
-	rw.enc.xs.reset()
+	rw.enc.codec.Reset()
 	rw.writeBlock(blockAnchor, step, step, 1, snapshot)
 }
 

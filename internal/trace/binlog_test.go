@@ -179,6 +179,50 @@ func TestBinlogWorldStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaCodecRoundTrip drives the world-delta codec directly, as the
+// trajectory tape does: bodies concatenated with other bytes between them
+// decode back to the same deltas, each reporting exactly the bytes it
+// consumed, and a presized codec writes the same bytes as a growing one.
+func TestDeltaCodecRoundTrip(t *testing.T) {
+	deltas := []WorldDelta{
+		{Nodes: []int32{0, 2}, X: []float64{1, 2}, Y: []float64{3, 4}, RangeNodes: []int32{2}, Ranges: []float64{9.5}},
+		{Nodes: []int32{2}, X: []float64{2.25}, Y: []float64{4.5},
+			FaultChanged: true, Dead: []int32{5, 7}, DownGateways: []int32{1}, Partition: true, PartitionX: 42.5},
+		{Nodes: []int32{2}, X: []float64{2.5}, Y: []float64{4.75}, FaultChanged: true},
+		{},
+	}
+	var grown, presized []byte
+	enc, pre := &DeltaCodec{}, NewDeltaCodec(8)
+	for _, d := range deltas {
+		grown = append(enc.Append(grown, d), 0xEE)
+		presized = append(pre.Append(presized, d), 0xEE)
+	}
+	if !bytes.Equal(grown, presized) {
+		t.Fatal("a presized codec encodes different bytes")
+	}
+	dec := NewDeltaCodec(0)
+	var got WorldDelta
+	pos := 0
+	for i, want := range deltas {
+		got.Step = i
+		n, err := dec.Decode(grown[pos:], &got)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		want.Step = i
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("delta %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		if pos += n; grown[pos] != 0xEE {
+			t.Fatalf("delta %d: Decode consumed %d bytes, not its whole body", i, n)
+		}
+		pos++
+	}
+	if _, err := dec.Decode(grown[:3], &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated body: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestBinlogSeekRequiresAnchor(t *testing.T) {
 	data := writeLog(t, Header{}, func(lw *LogWriter) {
 		lw.Emit(Event{Step: 0, Kind: KindMove})

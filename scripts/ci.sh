@@ -97,15 +97,20 @@ GOMAXPROCS=2 go test -race -count=1 -run "$corrupt_gate" ./internal/trace
 go test -race -count=1 -run "$corrupt_gate" \
   ./internal/trace
 
-echo "== replay determinism tests (pinned run + faulted round-trips)"
-go test -count=1 -run 'TestReplayMatchesPinnedRun' .
-go test -count=1 -run 'TestLogRoundTrip' ./internal/replay
+echo "== replay determinism tests (pinned runs + log byte pins + faulted round-trips)"
+# The pinned logs (a dynamic routing run, a churn-faulted one, and a static
+# mapping world under churn) are pinned by length and FNV-64a hash, so a
+# codec change that moves any log byte fails here at test size. Replay must
+# also reject a delta naming nodes outside the recorded world.
+go test -count=1 -run 'TestReplayMatchesPinnedRun|TestReplayChurnLogPinned|TestReplayStaticMappingLogPinned' .
+go test -count=1 -run 'TestLogRoundTrip|TestDeltaOutsideWorldRejected' ./internal/replay
 
-echo "== trajectory replay gate (cached-stepping equivalence + decode fuzz seeds, -race)"
+echo "== trajectory replay gate (cached-stepping equivalence + tape size, -race)"
 # The record-once/replay-many engine must stay bit-identical to live
-# stepping at every worker setting, and its binary decoder must reject
-# corrupt trajectories cleanly (FuzzTrajectoryDecode runs its seed corpus
-# as an ordinary test here; go test -fuzz FuzzTrajectoryDecode goes deeper).
+# stepping at every worker setting, and its tape must stay as compact as
+# the predictor lanes make it (TestTrajectoryCompact). The tape encodes
+# world change with the binary log's trace.DeltaCodec, whose decoder the
+# corrupt-log gate fuzzes (FuzzLogReader).
 go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt' \
   ./internal/network ./internal/mapping ./internal/routing ./internal/replay
 
