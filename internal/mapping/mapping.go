@@ -54,10 +54,6 @@ type Scenario struct {
 	Epsilon float64
 	// VisitCapacity bounds agent visit memory (0 = unbounded).
 	VisitCapacity int
-	// StigPerNode and StigWindow size the footprint board (defaults 3
-	// marks/node, never expiring).
-	StigPerNode int
-	StigWindow  int
 	// MaxSteps bounds the run (default 50000).
 	MaxSteps int
 	// Workers is not read by any code.
@@ -102,6 +98,13 @@ type Scenario struct {
 	Metrics *metrics.Registry
 }
 
+// stigPerNode and stigWindow size the footprint board: three marks per
+// node, never expiring (displacement is the only forgetting).
+const (
+	stigPerNode = 3
+	stigWindow  = 0
+)
+
 func (sc Scenario) withDefaults() Scenario {
 	if len(sc.Team) > 0 {
 		sc.Agents = 0
@@ -114,9 +117,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Kind == 0 {
 		sc.Kind = core.PolicyConscientious
-	}
-	if sc.StigPerNode <= 0 {
-		sc.StigPerNode = 3
 	}
 	if sc.MaxSteps <= 0 {
 		sc.MaxSteps = 50000
@@ -263,7 +263,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	}
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), sc.StigPerNode, sc.StigWindow)
+		board = stigmergy.NewBoard(w.N(), stigPerNode, stigWindow)
 	}
 	st.reset(w.N(), len(agents))
 	next := st.next

@@ -450,7 +450,7 @@ func (w *World) ConnectivityToGateways() float64 {
 	reach := w.topo.CanReachSetScratch(gws, &w.reach)
 	nonGateway, connected := 0, 0
 	for u := 0; u < w.N(); u++ {
-		if w.isGateway[u] || (f != nil && f.dead[u]) {
+		if !w.NeedsGateway(NodeID(u)) {
 			continue
 		}
 		nonGateway++
@@ -462,4 +462,12 @@ func (w *World) ConnectivityToGateways() float64 {
 		return 1
 	}
 	return float64(connected) / float64(nonGateway)
+}
+
+// NeedsGateway reports whether u counts in ConnectivityToGateways'
+// denominator: alive and not a configured gateway. A gateway out of
+// service stays excluded — it is never a route target for anyone else and
+// never counts itself. Changes only when a fault epoch advances.
+func (w *World) NeedsGateway(u NodeID) bool {
+	return !w.isGateway[u] && w.Alive(u)
 }

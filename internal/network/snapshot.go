@@ -46,32 +46,45 @@ type Snapshot struct {
 
 // Snapshot captures the world's current geometry and fault state.
 func (w *World) Snapshot() Snapshot {
-	ranges := make([]float64, w.N())
-	for i := range ranges {
-		ranges[i] = w.radios[i].Range()
+	var s Snapshot
+	w.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto captures the world into dst, reusing dst's slices — the
+// allocation-free form of Snapshot for callers that compare the world
+// against a reconstruction every step. dst must not share storage with a
+// snapshot the caller still reads.
+func (w *World) SnapshotInto(dst *Snapshot) {
+	n := w.N()
+	dst.Version = SnapshotVersion
+	dst.Arena = w.arena
+	dst.Positions = append(dst.Positions[:0], w.pos...)
+	if dst.Ranges == nil || cap(dst.Ranges) < n {
+		dst.Ranges = make([]float64, n) // non-nil even at n=0: JSON "[]"
 	}
-	s := Snapshot{
-		Version:   SnapshotVersion,
-		Arena:     w.arena,
-		Positions: w.Positions(),
-		Ranges:    ranges,
-		Gateways:  append([]NodeID(nil), w.gateways...),
+	dst.Ranges = dst.Ranges[:n]
+	for i := range dst.Ranges {
+		dst.Ranges[i] = w.radios[i].Range()
 	}
+	dst.Gateways = append(dst.Gateways[:0], w.gateways...)
+	dst.Dead = dst.Dead[:0]
+	dst.DownGateways = dst.DownGateways[:0]
+	dst.PartitionX = nil
 	if f := w.flt; f != nil {
-		for u := 0; u < w.N(); u++ {
+		for u := 0; u < n; u++ {
 			if f.dead[u] {
-				s.Dead = append(s.Dead, NodeID(u))
+				dst.Dead = append(dst.Dead, NodeID(u))
 			}
 			if f.gwDown[u] {
-				s.DownGateways = append(s.DownGateways, NodeID(u))
+				dst.DownGateways = append(dst.DownGateways, NodeID(u))
 			}
 		}
 		if f.partActive {
 			x := f.partX
-			s.PartitionX = &x
+			dst.PartitionX = &x
 		}
 	}
-	return s
 }
 
 // World builds a static world from the snapshot, re-applying any captured

@@ -214,14 +214,17 @@ func VerifyLog(lr *trace.LogReader, meta RunMeta) (int, error) {
 			stepped++
 		}
 	}
-	var cur network.Snapshot
+	// cur is the reconstruction; liveSnap is one reused capture of the live
+	// world, so a check costs no fresh snapshot per record.
+	var cur, liveSnap network.Snapshot
 	haveCur := false
 	checked := 0
 	err = lr.Scan(func(r trace.Record) error {
 		switch r.Kind {
 		case trace.RecordAnchor:
 			advance(r.Step)
-			liveBytes, err := json.Marshal(live.Snapshot())
+			live.SnapshotInto(&liveSnap)
+			liveBytes, err := json.Marshal(&liveSnap)
 			if err != nil {
 				return err
 			}
@@ -241,7 +244,8 @@ func VerifyLog(lr *trace.LogReader, meta RunMeta) (int, error) {
 			if err := applyDelta(&cur, r.Delta); err != nil {
 				return err
 			}
-			if err := snapEqual(cur, live.Snapshot()); err != nil {
+			live.SnapshotInto(&liveSnap)
+			if err := snapEqual(cur, liveSnap); err != nil {
 				return fmt.Errorf("replay: reconstruction diverges at step %d: %w", r.Delta.Step, err)
 			}
 			checked++

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -23,9 +24,15 @@ func testSpec() netgen.Spec {
 	return spec
 }
 
-// recordRun executes one sequential routing run recorded into an in-memory
-// binary log, returning the log bytes, its meta, and the live result.
+// recordRun executes one sequential 20-agent routing run recorded into an
+// in-memory binary log, returning the log bytes and the live result.
 func recordRun(t *testing.T, meta replay.RunMeta) ([]byte, routing.Result) {
+	t.Helper()
+	return recordRunAgents(t, meta, 20)
+}
+
+// recordRunAgents is recordRun with the agent population given.
+func recordRunAgents(t *testing.T, meta replay.RunMeta, agents int) ([]byte, routing.Result) {
 	t.Helper()
 	w, err := meta.FreshWorld()
 	if err != nil {
@@ -41,7 +48,7 @@ func recordRun(t *testing.T, meta replay.RunMeta) ([]byte, routing.Result) {
 		t.Fatal(err)
 	}
 	sc := routing.Scenario{
-		Agents:      20,
+		Agents:      agents,
 		Steps:       meta.Steps,
 		Tracer:      lw,
 		AnchorEvery: meta.AnchorEvery,
@@ -256,5 +263,39 @@ func TestSummaryBuilderMatchesSummarize(t *testing.T) {
 		if stream.DepositsPerStep[i] != batch.DepositsPerStep[i] {
 			t.Fatalf("deposits[%d] differ", i)
 		}
+	}
+}
+
+// TestVerifyLogAllocsFlat pins VerifyLog's per-record cost: the lockstep
+// check compares the reconstruction against one reused capture of the live
+// world, so doubling a Fig 8 log (RoutingNetwork(1), 200 agents) from 300
+// to 600 steps must add well under one snapshot's worth of allocation per
+// extra checked record. A fresh snapshot per record costs ~6 KB here.
+func TestVerifyLogAllocsFlat(t *testing.T) {
+	verify := func(steps int) (checked int, alloc uint64) {
+		meta := replay.RunMeta{
+			Scenario: "routing", Spec: netgen.Routing250(), WorldSeed: 1,
+			Seed: 5, Steps: steps,
+		}
+		data, _ := recordRunAgents(t, meta, 200)
+		lr, meta := openLog(t, data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		checked, err := replay.VerifyLog(lr, meta)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("VerifyLog(%d steps): %v", steps, err)
+		}
+		return checked, after.TotalAlloc - before.TotalAlloc
+	}
+	c300, a300 := verify(300)
+	c600, a600 := verify(600)
+	if c600 <= c300 {
+		t.Fatalf("600-step log checked %d records, 300-step %d", c600, c300)
+	}
+	perRecord := float64(int64(a600)-int64(a300)) / float64(c600-c300)
+	t.Logf("VerifyLog: %d records %d B, %d records %d B: %.0f B per extra record", c300, a300, c600, a600, perRecord)
+	if perRecord >= 2048 {
+		t.Fatalf("VerifyLog allocates %.0f B per extra checked record, want < 2048", perRecord)
 	}
 }

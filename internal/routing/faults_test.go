@@ -167,7 +167,7 @@ func TestRecoveryAndStalenessPopulated(t *testing.T) {
 		// shrinks the denominator), so the floor may sit above the
 		// baseline for instantly-recovered events — but a censored event
 		// by definition never climbed back within tolerance.
-		if !ev.Recovered && ev.Floor >= ev.Baseline-sc.RecoveryTol {
+		if !ev.Recovered && ev.Floor >= ev.Baseline-recoveryTol {
 			t.Errorf("event %d: censored but floor %v within tolerance of baseline %v",
 				i, ev.Floor, ev.Baseline)
 		}

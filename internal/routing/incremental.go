@@ -14,9 +14,10 @@ import (
 // write tracking (Tables.Update/DropIf mark dirty nodes). End-to-end
 // reachability lives in a graph.DynReach witness forest over the
 // "route graph" — the directed edges (u → entry.NextHop) whose links are
-// currently up — and the ideal bound in a network.ConnTracker over the raw
-// topology. Local connectivity and staleness reduce to counters patched on
-// the same events.
+// currently up — and the ideal bound in a second forest over the raw
+// topology. Both forests ride the same topology deltas, in one pass, under
+// one sync decision. Local connectivity and staleness reduce to counters
+// patched on the same events.
 //
 // Steps whose changes cannot be enumerated — topology rebuilt wholesale
 // (fault events, anchor restores, partition-active stepping), fault
@@ -53,9 +54,14 @@ type Meter struct {
 	ts *Tables
 
 	deltas *network.TopoDeltas
-	ideal  *network.ConnTracker
 	dr     graph.DynReach // end-to-end reach over the route graph
 	orc    graph.ReachOracle
+	ideal  graph.DynReach // ideal reach over the raw topology
+	idOrc  graph.ReachOracle
+	// topoRev[v] lists v's topology in-neighbours: the graph's own reverse
+	// CSR is invalidated wholesale on any mutation, so the ideal forest
+	// keeps this mirror, repaired from the same delta stream.
+	topoRev [][]NodeID
 
 	// Route-graph mirrors, consistent with the tables as of the last
 	// drain: hops[u] lists u's entry next hops (entry order), revEnt[v]
@@ -96,11 +102,6 @@ func (m *Meter) Reset(w *network.World, ts *Tables) {
 	m.w = w
 	m.ts = ts
 	m.deltas = w.WatchTopology()
-	if m.ideal == nil {
-		m.ideal = network.NewConnTracker(w)
-	} else {
-		m.ideal.Reset(w)
-	}
 	ts.setTracking(true)
 	m.synced = false
 	m.resyncs = 0
@@ -142,6 +143,18 @@ func (m *Meter) Reset(w *network.World, ts *Tables) {
 				return !m.w.IsGateway(u) && m.w.Alive(u)
 			},
 		}
+		m.idOrc = graph.ReachOracle{
+			LiveOut: func(u NodeID, dst []NodeID) []NodeID {
+				return m.w.Topology().Out(u)
+			},
+			LiveIn: func(v NodeID, dst []NodeID) []NodeID {
+				return m.topoRev[v]
+			},
+			HasLive: func(u, v NodeID) bool {
+				return m.w.Topology().HasEdgeSorted(u, v)
+			},
+			Countable: func(u NodeID) bool { return m.w.NeedsGateway(u) },
+		}
 	}
 }
 
@@ -171,9 +184,18 @@ func (m *Meter) Measure(step int) Measurement {
 		}
 		m.drainWrites()
 		m.dr.Flush()
+		m.ideal.Flush()
 	}
 	var out Measurement
-	out.Ideal = m.ideal.Connectivity()
+	// The ideal bound's degenerate cases, in ConnectivityToGateways' order.
+	switch {
+	case len(w.Gateways()) == 0, w.AliveCount() == 0:
+		out.Ideal = 0
+	case m.ideal.CountableTotal() == 0:
+		out.Ideal = 1
+	default:
+		out.Ideal = float64(m.ideal.Count()) / float64(m.ideal.CountableTotal())
+	}
 	if m.eligible == 0 {
 		out.Local, out.EndToEnd = 1, 1
 	} else {
@@ -205,6 +227,10 @@ func (m *Meter) resync() {
 		m.localOK = make([]bool, n)
 		m.elig = make([]bool, n)
 	}
+	if cap(m.topoRev) < n {
+		m.topoRev = make([][]NodeID, n)
+	}
+	m.topoRev = m.topoRev[:n]
 	m.hops = m.hops[:n]
 	m.revEnt = m.revEnt[:n]
 	m.fresh = m.fresh[:n]
@@ -212,10 +238,14 @@ func (m *Meter) resync() {
 	m.elig = m.elig[:n]
 	for v := range m.revEnt {
 		m.revEnt[v] = m.revEnt[v][:0]
+		m.topoRev[v] = m.topoRev[v][:0]
 	}
 	m.eligible, m.localCnt, m.withEntry, m.sumFresh = 0, 0, 0, 0
 	for u := 0; u < n; u++ {
 		id := NodeID(u)
+		for _, v := range topo.Out(id) {
+			m.topoRev[v] = appendSlack(m.topoRev[v], id)
+		}
 		hu := m.hops[u][:0]
 		fresh := -1
 		lok := false
@@ -247,17 +277,22 @@ func (m *Meter) resync() {
 	}
 	m.dr.Reset(n, m.orc)
 	m.dr.Recompute(w.Gateways())
+	m.ideal.Reset(n, m.idOrc)
+	m.ideal.Recompute(w.Gateways())
 }
 
-// applyTopoDeltas feeds one step's edge churn into the route-graph reach
-// forest and the local counter. Only endpoints that hold an entry through
-// the churned edge can be affected. The hops mirror may lag this step's
-// still-undrained table writes; any discrepancy is covered because those
-// nodes are on the dirty list drainWrites processes next (over-reports
-// here are harmless, under-reports impossible).
+// applyTopoDeltas feeds one step's edge churn into both reach forests and
+// the local counter. Every churned edge repairs the topology mirror and
+// queues its tail in the ideal forest; in the route graph only endpoints
+// that hold an entry through the edge can be affected. The hops mirror may
+// lag this step's still-undrained table writes; any discrepancy is covered
+// because those nodes are on the dirty list drainWrites processes next
+// (over-reports here are harmless, under-reports impossible).
 func (m *Meter) applyTopoDeltas(d *network.TopoDeltas) {
 	for i := range d.RemU {
 		u, v := d.RemU[i], d.RemV[i]
+		m.topoRev[v] = removeOne(m.topoRev[v], u)
+		m.ideal.Invalidate(u)
 		if m.hasHop(u, v) {
 			m.dr.Invalidate(u)
 			m.refreshLocal(u)
@@ -265,6 +300,8 @@ func (m *Meter) applyTopoDeltas(d *network.TopoDeltas) {
 	}
 	for i := range d.AddU {
 		u, v := d.AddU[i], d.AddV[i]
+		m.topoRev[v] = appendSlack(m.topoRev[v], u)
+		m.ideal.Candidate(u)
 		if m.hasHop(u, v) {
 			m.dr.Candidate(u)
 			m.refreshLocal(u)
@@ -289,7 +326,7 @@ func (m *Meter) refreshNode(u NodeID) {
 	ts := m.ts
 	// Retire the old mirror: drop one revEnt occurrence per old hop.
 	for _, h := range m.hops[u] {
-		m.revRemove(u, h)
+		m.revEnt[h] = removeOne(m.revEnt[h], u)
 	}
 	hu := m.hops[u][:0]
 	fresh := -1
@@ -356,10 +393,11 @@ func (m *Meter) hasHop(u, v NodeID) bool {
 	return false
 }
 
-// appendSlack appends with headroom (rows grow to 2·len+8): revEnt rows
-// track per-node entry in-degrees whose high-water marks drift for
-// hundreds of steps; slack keeps the drift inside existing capacity so
-// steady-state measures stay allocation-free.
+// appendSlack appends with headroom (rows grow to 2·len+8): mirror rows
+// track per-node in-degrees (entry or topology) whose high-water marks
+// drift upward for hundreds of steps as movers wander through dense
+// regions; slack keeps the drift inside existing capacity so steady-state
+// measures stay allocation-free.
 func appendSlack(row []NodeID, u NodeID) []NodeID {
 	if len(row) == cap(row) {
 		grown := make([]NodeID, len(row), 2*len(row)+8)
@@ -369,14 +407,15 @@ func appendSlack(row []NodeID, u NodeID) []NodeID {
 	return append(row, u)
 }
 
-// revRemove drops one occurrence of u from revEnt[v].
-func (m *Meter) revRemove(u, v NodeID) {
-	row := m.revEnt[v]
+// removeOne drops one occurrence of u from a mirror row (order is not
+// kept). A row that never held u — a spurious stream entry — comes back
+// untouched, matching the graph's own no-op.
+func removeOne(row []NodeID, u NodeID) []NodeID {
 	for i, x := range row {
 		if x == u {
 			row[i] = row[len(row)-1]
-			m.revEnt[v] = row[:len(row)-1]
-			return
+			return row[:len(row)-1]
 		}
 	}
+	return row
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // meterSchedules returns the fault workloads the measurement-equivalence
-// tests drive: every preset plus the clean run.
+// tests drive: every preset, a scripted schedule firing every event kind,
+// and the clean run.
 func meterSchedules(t *testing.T, steps int) map[string]*faults.Schedule {
 	t.Helper()
 	w, err := netgen.Generate(testSpec(), 11)
@@ -27,59 +28,92 @@ func meterSchedules(t *testing.T, steps int) map[string]*faults.Schedule {
 		}
 		out["preset-"+name] = s
 	}
+	gw := w.Gateways()[0]
+	out["scripted-all-kinds"] = faults.NewSchedule([]faults.Event{
+		{Step: 10, Kind: faults.NodeDown, Node: 5},
+		{Step: 10, Kind: faults.NodeDown, Node: 7},
+		{Step: 12, Kind: faults.RadioDegrade, Node: 9, Factor: 0.4},
+		{Step: 15, Kind: faults.GatewayDown, Node: gw},
+		{Step: 20, Kind: faults.PartitionStart, Factor: 0.5},
+		{Step: 25, Kind: faults.NodeUp, Node: 5, Respawn: true, RX: 0.9, RY: 0.1},
+		{Step: 30, Kind: faults.PartitionEnd},
+		{Step: 32, Kind: faults.GatewayUp, Node: gw},
+		{Step: 35, Kind: faults.RadioRestore, Node: 9},
+		{Step: 40, Kind: faults.NodeUp, Node: 7},
+	})
 	return out
 }
 
-// TestMeterMatchesFullMeasure is the tentpole acceptance gate: a run
-// measured incrementally must be bit-identical — every per-step series
-// value and every aggregate — to the same run measured by the scratch
-// path, under every fault preset and every stepping engine.
+// scratchQuad is the reference measurement: the four metrics computed from
+// scratch by the package's reference functions.
+func scratchQuad(w *network.World, ts *Tables, s *Scratch, step int) Measurement {
+	return Measurement{
+		Local:     LocalConnectivity(w, ts),
+		EndToEnd:  s.Connectivity(w, ts),
+		Ideal:     w.ConnectivityToGateways(),
+		Staleness: Staleness(w, ts, step),
+	}
+}
+
+// runChecked runs sc on w with an Observer that recomputes the scratch
+// quadruple right after every step's measurement, and fails unless the
+// run's four series match it bit for bit: a per-step referee that does not
+// depend on the Meter.
+func runChecked(t *testing.T, w *network.World, sc Scenario, seed uint64) Result {
+	t.Helper()
+	var scratch Scratch
+	var want []Measurement
+	sc.Observer = func(step int, w *network.World, ts *Tables) {
+		want = append(want, scratchQuad(w, ts, &scratch, step))
+	}
+	res, err := Run(w, sc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(res.Connectivity) {
+		t.Fatalf("observer saw %d steps, run measured %d", len(want), len(res.Connectivity))
+	}
+	for i, q := range want {
+		got := Measurement{
+			Local: res.Connectivity[i], EndToEnd: res.EndToEnd[i],
+			Ideal: res.Ideal[i], Staleness: res.Staleness[i],
+		}
+		if got != q {
+			t.Fatalf("first divergence at step %d:\nrun     %+v\nscratch %+v", i, got, q)
+		}
+	}
+	return res
+}
+
+// TestMeterMatchesFullMeasure is the measurement acceptance gate: every
+// per-step series value a run reports must be bit-identical to the
+// scratch quadruple at that step, under every fault workload and every
+// stepping engine.
 func TestMeterMatchesFullMeasure(t *testing.T) {
 	const steps = 100
 	engines := map[string]bool{"incremental": false, "rebuild": true}
 	for sname, sched := range meterSchedules(t, steps) {
 		for ename, rebuild := range engines {
 			t.Run(sname+"/"+ename, func(t *testing.T) {
+				w, err := netgen.Generate(testSpec(), 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.SetFullRebuild(rebuild)
 				sc := Scenario{
 					Agents: 25, Communicate: true, Steps: steps, MeasureFrom: 30,
 					Faults: sched,
 				}
-				run := func(full bool) Result {
-					w, err := netgen.Generate(testSpec(), 11)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w.SetFullRebuild(rebuild)
-					s := sc
-					s.fullMeasure = full
-					res, err := Run(w, s, 99)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				inc, full := run(false), run(true)
-				if !reflect.DeepEqual(inc, full) {
-					for i := range full.Connectivity {
-						if inc.Connectivity[i] != full.Connectivity[i] ||
-							inc.EndToEnd[i] != full.EndToEnd[i] ||
-							inc.Ideal[i] != full.Ideal[i] ||
-							inc.Staleness[i] != full.Staleness[i] {
-							t.Fatalf("first divergence at step %d:\nincr local=%v e2e=%v ideal=%v stale=%v\nfull local=%v e2e=%v ideal=%v stale=%v",
-								i, inc.Connectivity[i], inc.EndToEnd[i], inc.Ideal[i], inc.Staleness[i],
-								full.Connectivity[i], full.EndToEnd[i], full.Ideal[i], full.Staleness[i])
-						}
-					}
-					t.Fatal("results diverge outside the series (aggregates)")
-				}
+				runChecked(t, w, sc, 99)
 			})
 		}
 	}
 }
 
-// TestMeterRunManyGrids checks the incremental path through both batch
-// runners at every worker setting: aggregates must be bit-identical to the
-// full-measure baseline, and to each other across the grid.
+// TestMeterRunManyGrids checks the meter through both batch runners at
+// every worker setting. The baseline is independent of the Meter: each run
+// goes through Run with RunMany's seed derivation and the per-step scratch
+// referee, and the checked results reduce to the expected aggregate.
 func TestMeterRunManyGrids(t *testing.T) {
 	const steps, runs = 80, 3
 	sched := testFaultSchedule(t, steps)
@@ -87,12 +121,15 @@ func TestMeterRunManyGrids(t *testing.T) {
 		Agents: 25, Communicate: true, Steps: steps, MeasureFrom: 30,
 		Faults: sched,
 	}
-	full := base
-	full.fullMeasure = true
-	want, err := RunMany(freshWorld(11), full, runs, 99)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]Result, runs)
+	for r := range results {
+		w, err := netgen.Generate(testSpec(), 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[r] = runChecked(t, w, base, rng.DeriveSeed(99, uint64(r)))
 	}
+	want := aggregate(results)
 	for _, rw := range []int{1, 4} {
 		sc := base
 		sc.RunWorkers = rw
@@ -101,7 +138,7 @@ func TestMeterRunManyGrids(t *testing.T) {
 			t.Fatalf("runworkers=%d: %v", rw, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("runworkers=%d: incremental aggregate diverges from full-measure baseline", rw)
+			t.Errorf("runworkers=%d: aggregate diverges from the scratch-checked baseline", rw)
 		}
 	}
 	cached, err := RunManyCached(func() (*network.World, error) { return netgen.Generate(testSpec(), 11) }, base, runs, 99)
@@ -109,18 +146,111 @@ func TestMeterRunManyGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cached, want) {
-		t.Error("RunManyCached (trajectory replay) aggregate diverges from full-measure baseline")
+		t.Error("RunManyCached (trajectory replay) aggregate diverges from the scratch-checked baseline")
 	}
 }
 
-// scratchQuad is the reference measurement: the four metrics computed from
-// scratch, exactly as the full-measure path does.
-func scratchQuad(w *network.World, ts *Tables, s *Scratch, step int) Measurement {
-	return Measurement{
-		Local:     LocalConnectivity(w, ts),
-		EndToEnd:  s.Connectivity(w, ts),
-		Ideal:     w.ConnectivityToGateways(),
-		Staleness: Staleness(w, ts, step),
+// TestMeterIdealReplay runs the meter over a trajectory-replay world: the
+// recorded delta stream is exact, so the ideal bound must equal
+// ConnectivityToGateways at every step, replayed fault steps included, and
+// a repeated same-step Measure must not move it.
+func TestMeterIdealReplay(t *testing.T) {
+	const steps = 100
+	for sname, sched := range meterSchedules(t, steps) {
+		t.Run(sname, func(t *testing.T) {
+			rec, err := netgen.Generate(testSpec(), 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sched != nil {
+				rec.SetFaults(sched)
+			}
+			traj, err := network.RecordTrajectory(rec, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := traj.World()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sched != nil {
+				rep.SetFaults(sched)
+			}
+			meter := NewMeter(rep, NewTables(rep.N(), 1))
+			for step := 0; step < steps; step++ {
+				got := meter.Measure(step).Ideal
+				if want := rep.ConnectivityToGateways(); got != want {
+					t.Fatalf("step %d: meter ideal %v, scratch %v", step, got, want)
+				}
+				if again := meter.Measure(step).Ideal; again != got {
+					t.Fatalf("step %d: repeated measure changed the ideal: %v vs %v", step, again, got)
+				}
+				rep.Step()
+			}
+		})
+	}
+}
+
+// TestMeterResetRebinds reuses one meter across two worlds of different
+// sizes, as the pooled harness state does: after Reset every mirror and
+// both forests must size to the new world.
+func TestMeterResetRebinds(t *testing.T) {
+	small := testSpec()
+	small.N, small.TargetEdges, small.Gateways = 60, 420, 3
+	var meter Meter
+	for i, spec := range []netgen.Spec{testSpec(), small} {
+		w, err := netgen.Generate(spec, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, gws := w.N(), w.Gateways()
+		ts := NewTables(n, 2)
+		meter.Reset(w, ts)
+		var scratch Scratch
+		s := rng.New(uint64(i) + 3)
+		for step := 0; step < 30; step++ {
+			for k := 0; k < 8; k++ {
+				ts.Update(NodeID(s.Intn(n)), network.Entry{
+					Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
+					Hops: 1 + s.Intn(9), Updated: step,
+				})
+			}
+			if got, want := meter.Measure(step), scratchQuad(w, ts, &scratch, step); got != want {
+				t.Fatalf("world %d (n=%d) step %d: meter %+v, scratch %+v", i, n, step, got, want)
+			}
+			w.Step()
+		}
+	}
+}
+
+// TestMeterSkippedStepsResync pins the degradation path: a consumer that
+// misses steps (measures every 7th) cannot trust the one-step delta buffer
+// and must fall back to a recompute, still bit-identical.
+func TestMeterSkippedStepsResync(t *testing.T) {
+	const steps = 120
+	w, err := netgen.Generate(testSpec(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, gws := w.N(), w.Gateways()
+	ts := NewTables(n, 2)
+	meter := NewMeter(w, ts)
+	var scratch Scratch
+	s := rng.New(9)
+	for step := 0; step < steps; step++ {
+		ts.Update(NodeID(s.Intn(n)), network.Entry{
+			Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
+			Hops: 1 + s.Intn(9), Updated: step,
+		})
+		if step%7 == 0 {
+			if got, want := meter.Measure(step), scratchQuad(w, ts, &scratch, step); got != want {
+				t.Fatalf("step %d: meter %+v, scratch %+v", step, got, want)
+			}
+		}
+		w.Step()
+	}
+	if meter.Resyncs() < steps/7 {
+		t.Fatalf("Resyncs() = %d, want one per skipped-step measure (~%d)", meter.Resyncs(), steps/7)
 	}
 }
 

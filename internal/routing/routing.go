@@ -48,17 +48,10 @@ type Scenario struct {
 	// HistorySize bounds both the visit memory and the gateway trail —
 	// the paper's single "history size" knob (default 32).
 	HistorySize int
-	// TableCapacity bounds per-node routing tables. The default of 1
-	// matches the paper's "simple routing table": each node holds the
-	// single freshest route agents have offered it.
-	TableCapacity int
 	// Steps is the run length (default 300, as in the paper).
 	Steps int
 	// MeasureFrom is the start of the averaging window (default 150).
 	MeasureFrom int
-	// StigPerNode and StigWindow size the footprint board.
-	StigPerNode int
-	StigWindow  int
 	// Workers is not read by any code.
 	//
 	// Deprecated: ignored; results never depended on it.
@@ -87,10 +80,6 @@ type Scenario struct {
 	// node with a cleared trail; StrandedKill removes it for the rest of
 	// the run.
 	StrandedPolicy StrandedPolicy
-	// RecoveryTol is the reconvergence tolerance for the post-fault
-	// recovery statistics: an event recovers when connectivity climbs back
-	// to within RecoveryTol of its pre-fault baseline (default 0.02).
-	RecoveryTol float64
 	// Observer, if set, is called once per step after deposits and
 	// measurement, before the world moves — the hook the packet-level
 	// traffic harness uses to forward packets against live tables. The
@@ -113,13 +102,22 @@ type Scenario struct {
 	// updated outside every RNG consumption path, so attaching a registry
 	// cannot change seeded results. nil disables with near-zero overhead.
 	Metrics *metrics.Registry
-
-	// fullMeasure forces the full-recompute measurement path (one scratch
-	// BFS per metric per step) instead of the incremental Meter. The two
-	// paths are bit-identical at every step; the in-package differential
-	// tests set it to compare them.
-	fullMeasure bool
 }
+
+const (
+	// tableCapacity bounds per-node routing tables at the paper's "simple
+	// routing table": each node holds the single freshest route agents
+	// have offered it.
+	tableCapacity = 1
+	// stigPerNode and stigWindow size the footprint board: three marks per
+	// node, never expiring (displacement is the only forgetting).
+	stigPerNode = 3
+	stigWindow  = 0
+	// recoveryTol is the reconvergence tolerance for the post-fault
+	// recovery statistics: an event recovers when connectivity climbs back
+	// to within recoveryTol of its pre-fault baseline.
+	recoveryTol = 0.02
+)
 
 // StrandedPolicy selects the fate of agents standing on a node when a
 // fault kills it.
@@ -150,12 +148,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.MeasureFrom <= 0 || sc.MeasureFrom >= sc.Steps {
 		sc.MeasureFrom = sc.Steps / 2
-	}
-	if sc.StigPerNode <= 0 {
-		sc.StigPerNode = 3
-	}
-	if sc.RecoveryTol <= 0 {
-		sc.RecoveryTol = 0.02
 	}
 	return sc
 }
@@ -616,8 +608,8 @@ func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 }
 
 // runState carries the per-run buffers a replication worker reuses from
-// run to run: the decided-move slice, the meeting grouper, the
-// connectivity scratch, and the node tables. Pooling it keeps the
+// run to run: the decided-move slice, the meeting grouper, the node
+// tables and the measurement meter. Pooling it keeps the
 // zero-allocation property of a single run intact across a whole RunMany
 // batch, sequential or parallel — each worker drains and refills the pool
 // instead of reallocating per run. The zero value is ready; reset
@@ -625,7 +617,6 @@ func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 type runState struct {
 	next    []NodeID
 	grouper *core.Grouper
-	scratch Scratch
 	tables  Tables
 	meter   Meter
 	nbrs    core.NeighborMarks // deposit phase: the current node's out-list
@@ -654,8 +645,8 @@ func (st *runState) reset(n, agents, capacity int) {
 // reset prepares ts for a fresh run over n nodes with per-table capacity,
 // reusing table storage where possible.
 func (ts *Tables) reset(n, capacity int) {
-	// Tracking is per-run opt-in: the run's meter (if any) re-enables it
-	// after reset, sized for the new n.
+	// Tracking is per-run opt-in: the run's meter re-enables it after
+	// reset, sized for the new n.
 	ts.track = false
 	ts.dirty = ts.dirty[:0]
 	if cap(ts.tables) < n {
@@ -699,28 +690,20 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	if err != nil {
 		return Result{}, err
 	}
-	capacity := sc.TableCapacity
-	if capacity <= 0 {
-		capacity = 1
-	}
-	st.reset(w.N(), len(agents), capacity)
+	st.reset(w.N(), len(agents), tableCapacity)
 	tables := &st.tables
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), sc.StigPerNode, sc.StigWindow)
+		board = stigmergy.NewBoard(w.N(), stigPerNode, stigWindow)
 	}
 	next := st.next
 	grouper := st.grouper
-	scratch := &st.scratch
 	nbrs := &st.nbrs
-	// Measurement engine: incremental by default (bit-identical to the
-	// scratch path, pinned by the differential tests), full recompute for
-	// those tests. The meter enables write tracking on the run's tables.
-	var meter *Meter
-	if !sc.fullMeasure {
-		meter = &st.meter
-		meter.Reset(w, tables)
-	}
+	// The meter measures incrementally, bit-identical to the scratch
+	// functions (pinned by the differential tests), and enables write
+	// tracking on the run's tables.
+	meter := &st.meter
+	meter.Reset(w, tables)
 	res := Result{
 		Connectivity: make([]float64, 0, sc.Steps),
 		EndToEnd:     make([]float64, 0, sc.Steps),
@@ -831,35 +814,28 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		m.syncCounts(agents, tables)
 		// Measure, then let the world move.
 		sp = m.measure.Start()
-		if meter != nil {
-			mm := meter.Measure(step)
-			res.Connectivity = append(res.Connectivity, mm.Local)
-			res.EndToEnd = append(res.EndToEnd, mm.EndToEnd)
-			res.Ideal = append(res.Ideal, mm.Ideal)
-			res.Staleness = append(res.Staleness, mm.Staleness)
-		} else {
-			res.Connectivity = append(res.Connectivity, LocalConnectivity(w, tables))
-			res.EndToEnd = append(res.EndToEnd, scratch.Connectivity(w, tables))
-			res.Ideal = append(res.Ideal, w.ConnectivityToGateways())
-			res.Staleness = append(res.Staleness, Staleness(w, tables, step))
-		}
+		mm := meter.Measure(step)
+		res.Connectivity = append(res.Connectivity, mm.Local)
+		res.EndToEnd = append(res.EndToEnd, mm.EndToEnd)
+		res.Ideal = append(res.Ideal, mm.Ideal)
+		res.Staleness = append(res.Staleness, mm.Staleness)
 		sp.Stop()
-		m.connLocal.Set(res.Connectivity[len(res.Connectivity)-1])
-		m.connE2E.Set(res.EndToEnd[len(res.EndToEnd)-1])
-		m.connIdeal.Set(res.Ideal[len(res.Ideal)-1])
-		m.staleness.Set(res.Staleness[len(res.Staleness)-1])
+		m.connLocal.Set(mm.Local)
+		m.connE2E.Set(mm.EndToEnd)
+		m.connIdeal.Set(mm.Ideal)
+		m.staleness.Set(mm.Staleness)
 		if sc.Tracer != nil {
 			sc.Tracer.Emit(trace.Event{
 				Step: step, Kind: trace.KindMeasure,
-				Value: res.Connectivity[len(res.Connectivity)-1], Extra: "connectivity",
+				Value: mm.Local, Extra: "connectivity",
 			})
 			sc.Tracer.Emit(trace.Event{
 				Step: step, Kind: trace.KindMeasure,
-				Value: res.EndToEnd[len(res.EndToEnd)-1], Extra: "end-to-end",
+				Value: mm.EndToEnd, Extra: "end-to-end",
 			})
 			sc.Tracer.Emit(trace.Event{
 				Step: step, Kind: trace.KindMeasure,
-				Value: res.Ideal[len(res.Ideal)-1], Extra: "ideal",
+				Value: mm.Ideal, Extra: "ideal",
 			})
 		}
 		if sc.Observer != nil {
@@ -870,9 +846,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		return false
 	})
 
-	if meter != nil {
-		m.measResyncs.Add(uint64(meter.Resyncs()))
-	}
+	m.measResyncs.Add(uint64(meter.Resyncs()))
 	res.Mean = stats.WindowMean(res.Connectivity, sc.MeasureFrom, sc.Steps)
 	res.Std = stats.WindowStd(res.Connectivity, sc.MeasureFrom, sc.Steps)
 	res.MeanEndToEnd = stats.WindowMean(res.EndToEnd, sc.MeasureFrom, sc.Steps)
@@ -886,8 +860,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		for i, s := range fsteps {
 			shifted[i] = s + 1
 		}
-		res.Recovery = stats.Recovery(res.Connectivity, shifted, sc.RecoveryTol)
-		res.RecoveryEndToEnd = stats.Recovery(res.EndToEnd, shifted, sc.RecoveryTol)
+		res.Recovery = stats.Recovery(res.Connectivity, shifted, recoveryTol)
+		res.RecoveryEndToEnd = stats.Recovery(res.EndToEnd, shifted, recoveryTol)
 	}
 	for _, a := range agents {
 		res.Overhead.Add(a.Overhead)
@@ -1064,7 +1038,7 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	results := make([]Result, runs)
 	// Static worlds tempt callers into returning one shared *World from
 	// worldFor; Run still mutates it (step counter, metrics hook,
-	// connectivity scratch), so that is a data race under run-level
+	// topology delta watch), so that is a data race under run-level
 	// parallelism. Catch it loudly rather than corrupting results.
 	var guard worldGuard
 	err := pool.Run(runs, func(r int) error {
@@ -1087,14 +1061,19 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	if err != nil {
 		return Aggregate{}, err
 	}
+	return aggregate(results), nil
+}
+
+// aggregate reduces per-run results, in run order, to a batch summary.
+func aggregate(results []Result) Aggregate {
+	runs := len(results)
 	agg := Aggregate{Runs: runs}
 	series := make([][]float64, 0, runs)
 	ideal := make([][]float64, 0, runs)
 	stds := make([]float64, 0, runs)
 	e2e := make([]float64, 0, runs)
 	var stal, reconv, floors, reconvE2E, floorsE2E []float64
-	for r := 0; r < runs; r++ {
-		res := results[r]
+	for _, res := range results {
 		if !math.IsNaN(res.Mean) {
 			agg.Means = append(agg.Means, res.Mean)
 		}
@@ -1134,7 +1113,7 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	agg.Floor = stats.Summarize(floors)
 	agg.ReconvE2E = stats.Summarize(reconvE2E)
 	agg.FloorE2E = stats.Summarize(floorsE2E)
-	return agg, nil
+	return agg
 }
 
 // RunManyCached is RunMany over a record-once, replay-many world source.

@@ -117,14 +117,16 @@ go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt
 echo "== incremental-measurement equivalence gate (-race)"
 # The churn-proportional measurement meter must report bit-identical
 # numbers to the full scratch recompute at every step — across fault
-# presets, stepping engines, worker grids, arbitrary table mutations, and
-# skipped measures. These run in the full -race suite above too, but they
-# pin the default measurement path of every routing run, so they get an
-# explicit named gate that fails loudly on its own.
+# presets, stepping engines, trajectory replay, worker grids, arbitrary
+# table mutations, skipped measures, and a reset onto a differently sized
+# world. These run in the full -race suite above too, but the meter is the
+# only measurement path of every routing run (its ideal-connectivity
+# forest included), so they get an explicit named gate that fails loudly
+# on its own. DynReach is the witness-forest engine under both forests.
 go test -race -count=1 \
-  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence' \
+  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental' \
   ./internal/routing
-go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
+go test -race -count=1 -run 'DynReach' ./internal/graph
 
 echo "== visit-memory equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The dense node-indexed visit memory must stay observably identical to
