@@ -126,7 +126,7 @@ echo "== incremental-measurement equivalence gate (-race)"
 go test -race -count=1 \
   -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental' \
   ./internal/routing
-go test -race -count=1 -run 'DynReach' ./internal/graph
+go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
 echo "== visit-memory equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The dense node-indexed visit memory must stay observably identical to
