@@ -45,7 +45,6 @@ func main() {
 		faultPreset = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
 		runWorkers  = flag.Int("runworkers", runtime.NumCPU(), "concurrent independent runs (aggregates are identical at any value)")
 		curve       = flag.Bool("curve", false, "print the averaged knowledge curve as TSV")
-		traceFile   = flag.String("trace", "", "write a JSONL event trace of ONE run to this file")
 		binlogFile  = flag.String("binlog", "", "write a binary event+world log of ONE run to this file (replayable with cmd/replay)")
 		anchorEvery = flag.Int("anchorevery", network.DefaultAnchorEvery, "snapshot anchor cadence in the binary log")
 		metricsFile = flag.String("metrics", "", "dump a metrics snapshot to this file (Prometheus text; .json for JSON)")
@@ -79,14 +78,11 @@ func main() {
 		MaxSteps:      *maxSteps,
 		RunWorkers:    *runWorkers,
 	}
+	// Cap the fault-preset horizon well below the step budget: mapping runs
+	// finish in hundreds of steps, so a schedule spread over the whole
+	// budget would fire almost every event after the map is complete.
+	horizon := min(*maxSteps, 2000)
 	if *faultPreset != "" {
-		// Cap the preset horizon well below the step budget: mapping runs
-		// finish in hundreds of steps, so a schedule spread over the whole
-		// budget would fire almost every event after the map is complete.
-		horizon := *maxSteps
-		if horizon > 2000 {
-			horizon = 2000
-		}
 		sched, err := faults.Preset(*faultPreset, w.N(), w.Gateways(), horizon, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mapping:", err)
@@ -108,20 +104,14 @@ func main() {
 		}
 		fmt.Printf("serving metrics/expvar/pprof on http://%s\n", addr)
 	}
-	if *traceFile != "" {
-		if err := traceOneRun(*traceFile, w, sc, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "mapping:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace of one run written to %s\n", *traceFile)
-	}
 	if *binlogFile != "" {
 		meta := replay.RunMeta{
 			Scenario:    "mapping",
 			Spec:        spec,
 			WorldSeed:   *seed,
 			Seed:        *seed,
-			Steps:       *maxSteps,
+			Steps:       horizon,
+			FaultPreset: *faultPreset,
 			AnchorEvery: *anchorEvery,
 		}
 		n, err := recordOneRun(*binlogFile, meta, w, sc, *seed)
@@ -203,22 +193,6 @@ func recordOneRun(path string, meta replay.RunMeta, w *network.World, sc mapping
 		return 0, err
 	}
 	return lw.Count(), lw.Close()
-}
-
-// traceOneRun executes a single sequential run with tracing into path.
-func traceOneRun(path string, w *network.World, sc mapping.Scenario, seed uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := trace.NewWriter(f)
-	sc.Tracer = tw
-	if _, err := mapping.Run(w, sc, seed); err != nil {
-		return err
-	}
-	// Close surfaces any encode error Emit swallowed during the run.
-	return tw.Close()
 }
 
 func parsePolicy(s string) (core.PolicyKind, error) {

@@ -1,8 +1,9 @@
-// Command replay works with binary simulation logs produced by
-// `routing -binlog` / `mapping -binlog`: it reconstructs the world at any
-// step from the nearest snapshot anchor plus the logged deltas, verifies a
-// log bit-for-bit against a fresh simulation, and summarises the event
-// stream without ever materialising it.
+// Command replay is the one reader of the binary simulation logs produced
+// by `routing -binlog` / `mapping -binlog`: it reconstructs the world at
+// any step from the nearest snapshot anchor plus the logged deltas,
+// verifies a log bit-for-bit against a fresh simulation, summarises the
+// event stream without ever materialising it, and exports that stream as
+// JSON Lines.
 //
 // Examples:
 //
@@ -11,7 +12,8 @@
 //	replay -log run.alog -step 120 -snapshot    # world state at step 120, as JSON
 //	replay -log run.alog -step 120 -verify      # bit-compare step 120 vs fresh sim
 //	replay -log run.alog -verify                # full lockstep verification
-//	replay -log run.alog -summary               # measurement curves & fault steps
+//	replay -log run.alog -summary               # event mix, activity, curves & fault steps
+//	replay -log run.alog -jsonl > run.jsonl     # the event stream as JSON Lines
 //
 // Exit status: 0 on success, 1 on corruption or verification mismatch,
 // 2 on usage errors.
@@ -22,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/replay"
@@ -35,16 +38,21 @@ func main() {
 		step     = flag.Int("step", -1, "reconstruct the world at this step (0 = initial state)")
 		snapshot = flag.Bool("snapshot", false, "print the reconstructed snapshot as JSON (needs -step)")
 		verify   = flag.Bool("verify", false, "bit-compare against a fresh simulation (whole log, or just -step)")
-		summary  = flag.Bool("summary", false, "print measurement curves and fault steps from the event stream")
+		summary  = flag.Bool("summary", false, "print the event mix, agent activity, measurement curves and fault steps")
+		jsonl    = flag.Bool("jsonl", false, "write the event stream to stdout as JSON Lines, and nothing else")
 	)
 	flag.Parse()
 
 	if *logPath == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: replay -log <file.alog> [-step N [-snapshot]] [-verify] [-summary]")
+		fmt.Fprintln(os.Stderr, "usage: replay -log <file.alog> [-step N [-snapshot]] [-verify] [-summary] | -jsonl")
 		os.Exit(2)
 	}
 	if *snapshot && *step < 0 {
 		fmt.Fprintln(os.Stderr, "replay: -snapshot needs -step")
+		os.Exit(2)
+	}
+	if *jsonl && (*step >= 0 || *verify || *summary) {
+		fmt.Fprintln(os.Stderr, "replay: -jsonl owns stdout and combines with no other mode")
 		os.Exit(2)
 	}
 
@@ -53,6 +61,12 @@ func main() {
 		fail(err)
 	}
 	defer closeLog()
+	if *jsonl {
+		if _, err := replay.ExportJSONL(lr, os.Stdout); err != nil {
+			fail(err)
+		}
+		return
+	}
 	reg := metrics.NewRegistry()
 	lr.Instrument(reg)
 
@@ -108,24 +122,70 @@ func main() {
 		reg.Snapshot(nil).Counter("replay_blocks_read"))
 
 	if *summary {
-		for _, name := range sum.MeasureNames {
-			curve := sum.MeasuresByName[name]
-			if len(curve) == 0 {
-				continue
-			}
-			fmt.Printf("\n%s curve (%d points):\n%s\nfinal value: %.3f\n",
-				name, len(curve), viz.Sparkline(curve, 75), curve[len(curve)-1])
+		printSummary(sum)
+	}
+}
+
+// printSummary renders the event stream's shape: per-kind counts, the
+// meeting-size distribution, agent activity, deposits per step, every
+// measurement curve, and the fault steps with their recovery statistics.
+func printSummary(s replay.Summary) {
+	kinds := make([]string, 0, len(s.ByKind))
+	for k := range s.ByKind {
+		kinds = append(kinds, string(k))
+	}
+	sort.Strings(kinds)
+	fmt.Println()
+	for _, k := range kinds {
+		fmt.Printf("  %-8s %d\n", k, s.ByKind[trace.Kind(k)])
+	}
+
+	if sizes, counts := s.MeetingSizesSorted(); len(sizes) > 0 {
+		fmt.Println("\nmeeting sizes:")
+		labels := make([]string, len(sizes))
+		values := make([]float64, len(sizes))
+		for i, sz := range sizes {
+			labels[i] = fmt.Sprintf("%d agents", sz)
+			values[i] = float64(counts[i])
 		}
-		if len(sum.FaultSteps) > 0 {
-			fmt.Printf("\nfault steps: %v\n", sum.FaultSteps)
-			if rec, err := sum.Recovery("", 0.02); err == nil && len(rec.Events) > 0 {
-				fmt.Printf("recovery (%s): %d/%d events recovered, mean %.2f steps, floor %.4f\n",
-					sum.MeasureName, rec.Recovered, rec.Recovered+rec.Censored, rec.MeanSteps, rec.Floor)
-			}
+		fmt.Print(viz.Bars(labels, values, 40))
+	}
+
+	if agents, total, fewest, most := s.MoveStats(); agents > 0 {
+		fmt.Printf("\nagent activity: %d agents moved %d times (min %d, max %d per agent)\n",
+			agents, total, fewest, most)
+	}
+
+	if len(s.DepositsPerStep) > 0 {
+		series := make([]float64, len(s.DepositsPerStep))
+		peak := 0.0
+		for i, d := range s.DepositsPerStep {
+			series[i] = float64(d)
+			peak = max(peak, series[i])
 		}
-		if sum.FinishStep >= 0 {
-			fmt.Printf("\nrun finished at step %d\n", sum.FinishStep)
+		for i := range series {
+			series[i] /= peak
 		}
+		fmt.Printf("\ndeposits per step (peak %d):\n%s\n", int(peak), viz.Sparkline(series, 75))
+	}
+
+	for _, name := range s.MeasureNames {
+		curve := s.MeasuresByName[name]
+		if len(curve) == 0 {
+			continue
+		}
+		fmt.Printf("\n%s curve (%d points):\n%s\nfinal value: %.3f\n",
+			name, len(curve), viz.Sparkline(curve, 75), curve[len(curve)-1])
+	}
+	if len(s.FaultSteps) > 0 {
+		fmt.Printf("\nfault steps: %v\n", s.FaultSteps)
+		if rec, err := s.Recovery("", 0.02); err == nil && len(rec.Events) > 0 {
+			fmt.Printf("recovery (%s): %d/%d events recovered, mean %.2f steps, floor %.4f\n",
+				s.MeasureName, rec.Recovered, rec.Recovered+rec.Censored, rec.MeanSteps, rec.Floor)
+		}
+	}
+	if s.FinishStep >= 0 {
+		fmt.Printf("\nrun finished at step %d\n", s.FinishStep)
 	}
 }
 

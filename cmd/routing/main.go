@@ -47,7 +47,6 @@ func main() {
 		faultPreset  = flag.String("faults", "", "fault preset to inject (churn|gwfail|partition|degrade|blackout)")
 		strandedKill = flag.Bool("strandedkill", false, "remove stranded agents instead of respawning them")
 		curve        = flag.Bool("curve", false, "print averaged connectivity curve as TSV")
-		traceFile    = flag.String("trace", "", "write a JSONL event trace of ONE run to this file")
 		binlogFile   = flag.String("binlog", "", "write a binary event+world log of ONE run to this file (replayable with cmd/replay)")
 		anchorEvery  = flag.Int("anchorevery", network.DefaultAnchorEvery, "snapshot anchor cadence in the binary log")
 		metricsFile  = flag.String("metrics", "", "dump a metrics snapshot to this file (Prometheus text; .json for JSON)")
@@ -110,13 +109,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("serving metrics/expvar/pprof on http://%s\n", addr)
-	}
-	if *traceFile != "" {
-		if err := traceOneRun(*traceFile, worldFor, sc, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "routing:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace of one run written to %s\n", *traceFile)
 	}
 	if *binlogFile != "" {
 		meta := replay.RunMeta{
@@ -209,26 +201,6 @@ func recordOneRun(path string, meta replay.RunMeta, worldFor func(int) (*network
 		return 0, err
 	}
 	return lw.Count(), lw.Close()
-}
-
-// traceOneRun executes a single sequential run with tracing into path.
-func traceOneRun(path string, worldFor func(int) (*network.World, error), sc routing.Scenario, seed uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := worldFor(0)
-	if err != nil {
-		return err
-	}
-	tw := trace.NewWriter(f)
-	sc.Tracer = tw
-	if _, err := routing.Run(w, sc, seed); err != nil {
-		return err
-	}
-	// Close surfaces any encode error Emit swallowed during the run.
-	return tw.Close()
 }
 
 func parsePolicy(s string) (core.PolicyKind, error) {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/stigmergy"
 	"repro/internal/trace"
@@ -291,7 +290,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		rec = network.NewStepRecorder(w, sink, sc.AnchorEvery)
 	}
 
-	steps, completed := sim.Run(sc.MaxSteps, func(step int) bool {
+	steps, completed := sc.MaxSteps, false
+	for step := 0; step < sc.MaxSteps; step++ {
 		m.steps.Inc()
 		rec.BeforeStep(step)
 		// Fault reaction: respawn agents stranded on nodes that died during
@@ -369,7 +369,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 			if sc.Tracer != nil {
 				sc.Tracer.Emit(trace.Event{Step: step, Kind: trace.KindFinish})
 			}
-			return true
+			steps, completed = step+1, true
+			break
 		}
 		// Phase 3: decide + mark, in agent order (board is nil without
 		// stigmergy).
@@ -393,8 +394,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		m.syncCounts(agents)
 		w.Step()
 		rec.AfterWorldStep()
-		return false
-	})
+	}
 
 	res.Finished = completed
 	if completed {

@@ -4,12 +4,15 @@
 // anchors — plus a self-describing header naming the scenario that produced
 // it (RunMeta). From those, this file reconstructs the world at any
 // recorded step (nearest anchor + delta tail), verifies a log against a
-// fresh simulation step by step, and builds streaming summaries.
+// fresh simulation step by step, builds streaming summaries, and exports
+// the event stream as JSON Lines.
 package replay
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/faults"
 	"repro/internal/netgen"
@@ -29,7 +32,9 @@ type RunMeta struct {
 	WorldSeed uint64 `json:"world_seed"`
 	// Seed is the run seed (agent placement and per-agent streams).
 	Seed uint64 `json:"seed"`
-	// Steps is the recorded run length.
+	// Steps is the fault-schedule horizon: FreshWorld compiles FaultPreset
+	// over this many steps, exactly as the recording harness did. Routing
+	// records its run length here; mapping records its capped horizon.
 	Steps int `json:"steps"`
 	// FaultPreset, when non-empty, names the injected fault preset
 	// (faults.Preset), compiled for the generated world with WorldSeed.
@@ -320,4 +325,29 @@ func SummarizeLog(lr *trace.LogReader) (Summary, error) {
 		return nil
 	})
 	return b.Summary(), err
+}
+
+// ExportJSONL writes the log's event stream to w as JSON Lines — one
+// encoding/json object per event, in recorded order — and returns the
+// number of events written. World deltas and anchors have no JSONL form
+// and are skipped. A decode error (truncated or corrupt log) or a write
+// error ends the export and is returned.
+func ExportJSONL(lr *trace.LogReader, w io.Writer) (int, error) {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	n := 0
+	err := lr.Scan(func(r trace.Record) error {
+		if r.Kind != trace.RecordEvent {
+			return nil
+		}
+		if err := enc.Encode(r.Event); err != nil {
+			return err
+		}
+		n++
+		return nil
+	})
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return n, err
 }

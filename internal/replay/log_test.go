@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -217,8 +218,18 @@ func compareRecovery(t *testing.T, what string, got, want stats.RecoveryStats) {
 	}
 }
 
-// TestSummaryBuilderMatchesSummarize pins the streaming builder against
-// the slice-based Summarize on a recorded event stream.
+// summarize is SummarizeLog's referee: a materialised event slice folded
+// through a fresh SummaryBuilder.
+func summarize(events []trace.Event) replay.Summary {
+	b := replay.NewSummaryBuilder()
+	for _, e := range events {
+		b.Add(e)
+	}
+	return b.Summary()
+}
+
+// TestSummaryBuilderMatchesSummarize pins the streaming SummarizeLog
+// against the batch referee on a recorded event stream.
 func TestSummaryBuilderMatchesSummarize(t *testing.T) {
 	meta := replay.RunMeta{
 		Scenario:    "routing",
@@ -232,37 +243,24 @@ func TestSummaryBuilderMatchesSummarize(t *testing.T) {
 	lr, _ := openLog(t, data)
 
 	var events []trace.Event
-	b := replay.NewSummaryBuilder()
 	err := lr.Scan(func(r trace.Record) error {
 		if r.Kind == trace.RecordEvent {
 			events = append(events, r.Event)
-			b.Add(r.Event)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := replay.Summarize(events)
-	stream := b.Summary()
-	if stream.String() != batch.String() {
-		t.Fatalf("streaming summary %q != batch %q", stream.String(), batch.String())
+	stream, err := replay.SummarizeLog(lr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(stream.Measures) != len(batch.Measures) || stream.MeasureName != batch.MeasureName {
-		t.Fatal("streaming and batch measure curves differ")
+	if batch := summarize(events); !reflect.DeepEqual(stream, batch) {
+		t.Fatalf("streaming summary %v != batch %v", stream, batch)
 	}
-	for i := range stream.Measures {
-		if stream.Measures[i] != batch.Measures[i] {
-			t.Fatalf("measure %d differs", i)
-		}
-	}
-	if len(stream.DepositsPerStep) != len(batch.DepositsPerStep) {
-		t.Fatal("deposit curves differ in length")
-	}
-	for i := range stream.DepositsPerStep {
-		if stream.DepositsPerStep[i] != batch.DepositsPerStep[i] {
-			t.Fatalf("deposits[%d] differ", i)
-		}
+	if stream.ByKind[trace.KindDeposit] == 0 || len(stream.DepositsPerStep) == 0 {
+		t.Fatal("recorded run has no deposits to compare")
 	}
 }
 

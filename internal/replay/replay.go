@@ -1,7 +1,10 @@
-// Package replay turns a recorded simulation trace back into analysable
-// structure: per-kind tallies, meeting-size distributions, per-agent
-// paths, node heat, and measurement curves. It is the analysis layer
-// behind cmd/tracestat and a building block for custom post-processing.
+// Package replay turns a recorded binary simulation log back into worlds
+// and analysable structure: per-step world reconstruction, lockstep
+// verification against a fresh simulation, streaming summaries (per-kind
+// tallies, meeting-size distributions, agent activity, measurement
+// curves), and the JSON Lines export of the event stream. It is the
+// analysis layer behind cmd/replay and a building block for custom
+// post-processing.
 package replay
 
 import (
@@ -45,11 +48,11 @@ type Summary struct {
 	FinishStep int
 }
 
-// SummaryBuilder accumulates a Summary one event at a time — the streaming
-// form of Summarize. It never materialises the event stream, so it scales
-// to logs far larger than memory: feed it from trace.LogReader.Scan (or
-// any ordered event source) and call Summary when done. The zero value is
-// not ready; use NewSummaryBuilder.
+// SummaryBuilder accumulates a Summary one event at a time. It never
+// materialises the event stream, so it scales to logs far larger than
+// memory: feed it from trace.LogReader.Scan (or any ordered event source)
+// and call Summary when done. The zero value is not ready; use
+// NewSummaryBuilder.
 type SummaryBuilder struct {
 	s Summary
 }
@@ -106,15 +109,6 @@ func (b *SummaryBuilder) Add(e trace.Event) {
 // events afterwards; the returned value shares the builder's storage.
 func (b *SummaryBuilder) Summary() Summary { return b.s }
 
-// Summarize scans events (in recorded order) into a Summary.
-func Summarize(events []trace.Event) Summary {
-	b := NewSummaryBuilder()
-	for _, e := range events {
-		b.Add(e)
-	}
-	return b.Summary()
-}
-
 // Recovery computes post-fault reconvergence statistics for the named
 // measurement curve (Summary.MeasureName when name is empty), using the
 // recorded fault steps. The harness emits its fault event at the top of
@@ -136,60 +130,6 @@ func (s Summary) Recovery(name string, tol float64) (stats.RecoveryStats, error)
 		shifted[i] = fs + 1
 	}
 	return stats.Recovery(series, shifted, tol), nil
-}
-
-// AgentPath reconstructs the node sequence one agent occupied, starting
-// at its first recorded position. Steps where the agent stayed put do not
-// appear (only moves are traced).
-func AgentPath(events []trace.Event, agent int32) []int32 {
-	var path []int32
-	for _, e := range events {
-		if e.Kind != trace.KindMove || e.Agent != agent {
-			continue
-		}
-		if len(path) == 0 {
-			path = append(path, e.Node)
-		}
-		path = append(path, e.To)
-	}
-	return path
-}
-
-// NodeHeat returns, for each node in [0, n), how often agents arrived on
-// it, normalised so the hottest node is 1. Nodes never visited are 0.
-func NodeHeat(events []trace.Event, n int) []float64 {
-	counts := make([]float64, n)
-	maxC := 0.0
-	for _, e := range events {
-		if e.Kind != trace.KindMove || int(e.To) >= n || e.To < 0 {
-			continue
-		}
-		counts[e.To]++
-		if counts[e.To] > maxC {
-			maxC = counts[e.To]
-		}
-	}
-	if maxC > 0 {
-		for i := range counts {
-			counts[i] /= maxC
-		}
-	}
-	return counts
-}
-
-// DepositsPerStep returns the number of route deposits in each step.
-func DepositsPerStep(events []trace.Event) []int {
-	var out []int
-	for _, e := range events {
-		if e.Kind != trace.KindDeposit {
-			continue
-		}
-		for len(out) <= e.Step {
-			out = append(out, 0)
-		}
-		out[e.Step]++
-	}
-	return out
 }
 
 // MeetingSizesSorted returns the distribution as (size, count) pairs in

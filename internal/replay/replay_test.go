@@ -1,4 +1,4 @@
-package replay
+package replay_test
 
 import (
 	"testing"
@@ -23,7 +23,7 @@ func sampleEvents() []trace.Event {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize(sampleEvents())
+	s := summarize(sampleEvents())
 	if s.Events != 11 || s.Steps != 3 {
 		t.Fatalf("events=%d steps=%d", s.Events, s.Steps)
 	}
@@ -42,6 +42,9 @@ func TestSummarize(t *testing.T) {
 	if s.MeasureName != "connectivity" {
 		t.Fatalf("measure name = %q", s.MeasureName)
 	}
+	if d := s.DepositsPerStep; len(d) != 3 || d[0] != 0 || d[1] != 1 || d[2] != 1 {
+		t.Fatalf("deposits per step = %v", d)
+	}
 	if s.FinishStep != 2 {
 		t.Fatalf("finish = %d", s.FinishStep)
 	}
@@ -51,61 +54,14 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Events != 0 || s.Steps != 0 || s.FinishStep != -1 {
+	s := summarize(nil)
+	if s.Events != 0 || s.Steps != 0 || s.FinishStep != -1 || len(s.DepositsPerStep) != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
 }
 
-func TestAgentPath(t *testing.T) {
-	path := AgentPath(sampleEvents(), 0)
-	want := []int32{5, 6, 7}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if got := AgentPath(sampleEvents(), 99); got != nil {
-		t.Fatalf("unknown agent path = %v", got)
-	}
-}
-
-func TestNodeHeat(t *testing.T) {
-	heat := NodeHeat(sampleEvents(), 10)
-	// Node 7 was arrived at twice (hottest), node 6 once.
-	if heat[7] != 1 {
-		t.Fatalf("hottest node heat = %v", heat[7])
-	}
-	if heat[6] != 0.5 {
-		t.Fatalf("node 6 heat = %v", heat[6])
-	}
-	if heat[0] != 0 {
-		t.Fatalf("unvisited heat = %v", heat[0])
-	}
-	// Out-of-range destinations are ignored.
-	heat = NodeHeat([]trace.Event{{Kind: trace.KindMove, To: 50}}, 10)
-	for _, h := range heat {
-		if h != 0 {
-			t.Fatal("out-of-range move counted")
-		}
-	}
-}
-
-func TestDepositsPerStep(t *testing.T) {
-	d := DepositsPerStep(sampleEvents())
-	if len(d) != 3 || d[0] != 0 || d[1] != 1 || d[2] != 1 {
-		t.Fatalf("deposits = %v", d)
-	}
-	if got := DepositsPerStep(nil); len(got) != 0 {
-		t.Fatalf("empty deposits = %v", got)
-	}
-}
-
 func TestMeetingSizesSorted(t *testing.T) {
-	s := Summarize(sampleEvents())
+	s := summarize(sampleEvents())
 	sizes, counts := s.MeetingSizesSorted()
 	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 3 {
 		t.Fatalf("sizes = %v", sizes)
@@ -116,12 +72,12 @@ func TestMeetingSizesSorted(t *testing.T) {
 }
 
 func TestMoveStats(t *testing.T) {
-	s := Summarize(sampleEvents())
+	s := summarize(sampleEvents())
 	agents, total, min, max := s.MoveStats()
 	if agents != 2 || total != 3 || min != 1 || max != 2 {
 		t.Fatalf("stats = %d %d %d %d", agents, total, min, max)
 	}
-	empty := Summarize(nil)
+	empty := summarize(nil)
 	if _, _, min, _ := empty.MoveStats(); min != 0 {
 		t.Fatal("empty min should be 0")
 	}

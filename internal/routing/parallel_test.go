@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -87,7 +86,7 @@ func TestRunManyTracerForcesSequential(t *testing.T) {
 	withBudget(t, 4, func() {
 		traced := sc
 		traced.RunWorkers = 4
-		traced.Tracer = trace.NewWriter(io.Discard)
+		traced.Tracer = trace.NewCounter()
 		got, err := RunMany(freshWorld(42), traced, 3, 7)
 		if err != nil {
 			t.Fatal(err)

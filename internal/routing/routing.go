@@ -25,7 +25,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/stigmergy"
 	"repro/internal/trace"
@@ -732,7 +731,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		rec = network.NewStepRecorder(w, sink, sc.AnchorEvery)
 	}
 
-	sim.Run(sc.Steps, func(step int) bool {
+	for step := 0; step < sc.Steps; step++ {
 		m.steps.Inc()
 		rec.BeforeStep(step)
 		// Fault reaction: events fired inside the previous w.Step() advance
@@ -843,8 +842,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		}
 		w.Step()
 		rec.AfterWorldStep()
-		return false
-	})
+	}
 
 	m.measResyncs.Add(uint64(meter.Resyncs()))
 	res.Mean = stats.WindowMean(res.Connectivity, sc.MeasureFrom, sc.Steps)

@@ -1,10 +1,9 @@
 // Binary event-log persistence: a compact framed encoding of the trace
 // event stream, with embedded world-snapshot anchors and per-step world
-// deltas, wrapped in per-block gzip compression. The format is the durable
-// counterpart of the JSONL Writer (which stays the human-readable debug
-// format): write a run once, analyse it forever — replay the measurement
-// curves, rebuild summaries, or reconstruct the world at any recorded step
-// without re-simulating.
+// deltas, wrapped in per-block gzip compression. It is the one durable event
+// format: write a run once, analyse it forever — replay the measurement
+// curves, rebuild summaries, export the events as JSON Lines, or
+// reconstruct the world at any recorded step without re-simulating.
 //
 // File layout:
 //
@@ -244,9 +243,9 @@ func (enc *recordEncoder) nextBlock(buf []byte) {
 const maxInFlight = 2
 
 // LogWriter streams events, world deltas, and snapshot anchors into the
-// compact binary format. It implements Tracer and WorldSink. Like the JSONL
-// Writer it is error-latched: the first write error turns every subsequent
-// Emit into a no-op and is reported by Close. Construct with NewLogWriter
+// compact binary format. It implements Tracer and WorldSink. It is
+// error-latched: the first write error turns every subsequent Emit into a
+// no-op and is reported by Close. Construct with NewLogWriter
 // (any io.Writer) or CreateLog (file plus sidecar index).
 //
 // Block compression is pipelined: a sealed block deflates on its own

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"testing"
 )
@@ -73,8 +76,36 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); retur
 
 const benchSteps, benchAgents = 120, 100
 
+// encodeJSONL writes events as JSON Lines — the encoding the binary log's
+// JSONL export (replay.ExportJSONL) produces.
+func encodeJSONL(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// decodeJSONL parses JSON Lines back into events.
+func decodeJSONL(r io.Reader) ([]Event, error) {
+	dec := json.NewDecoder(r)
+	var out []Event
+	for {
+		var e Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
+}
+
 // BenchmarkTraceEncode measures event-stream serialisation throughput and
-// density: JSONL (the debug format) vs the compressed binary log. The
+// density: JSONL (the export format) vs the compressed binary log. The
 // binary case additionally carries the world-delta stream JSONL cannot
 // express, so its bytes/event figure is an upper bound.
 func BenchmarkTraceEncode(b *testing.B) {
@@ -83,11 +114,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 		var size int64
 		for i := 0; i < b.N; i++ {
 			cw := &countWriter{}
-			w := NewWriter(cw)
-			for _, e := range events {
-				w.Emit(e)
-			}
-			if err := w.Close(); err != nil {
+			if err := encodeJSONL(cw, events); err != nil {
 				b.Fatal(err)
 			}
 			size = cw.n
@@ -119,18 +146,14 @@ func BenchmarkTraceDecode(b *testing.B) {
 	events, deltas := benchStream(benchSteps, benchAgents)
 	b.Run("format=jsonl", func(b *testing.B) {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, e := range events {
-			w.Emit(e)
-		}
-		if err := w.Close(); err != nil {
+		if err := encodeJSONL(&buf, events); err != nil {
 			b.Fatal(err)
 		}
 		data := buf.Bytes()
 		b.SetBytes(int64(len(data)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := Read(bytes.NewReader(data))
+			got, err := decodeJSONL(bytes.NewReader(data))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -329,33 +329,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriterFailFast pins the JSONL writer's error latch: the first write
-// error makes every subsequent Emit a no-op immediately (n stops
-// advancing), and Close reports the error.
-func TestWriterFailFast(t *testing.T) {
-	fw := &failWriter{n: 4096} // one bufio flush fits, the next fails
-	w := NewWriter(fw)
-	e := Event{Kind: KindMeasure, Value: 0.123456789, Extra: "connectivity"}
-	for i := 0; i < 200 && w.Err() == nil; i++ {
-		e.Step = i
-		w.Emit(e)
-	}
-	if w.Err() == nil {
-		t.Fatal("writer never latched the sink error")
-	}
-	latched := w.Count()
-	for i := 0; i < 50; i++ {
-		w.Emit(e)
-	}
-	if w.Count() != latched {
-		t.Fatalf("Emit after latched error still counted: %d -> %d", latched, w.Count())
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close returned nil after a latched error")
-	}
-}
-
-// TestLogWriterFailFast pins the same latch on the binary writer: once a
+// TestLogWriterFailFast pins the binary writer's error latch: once a
 // block write fails, Emit/EmitAnchor turn into no-ops and Close reports.
 func TestLogWriterFailFast(t *testing.T) {
 	fw := &failWriter{n: 64} // header fits; the first block write fails

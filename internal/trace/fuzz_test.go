@@ -2,47 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
-
-// FuzzRead ensures the trace parser never panics and that whatever it
-// successfully parses round-trips through the writer.
-func FuzzRead(f *testing.F) {
-	f.Add(`{"step":1,"kind":"move","agent":2,"node":3,"to":4}`)
-	f.Add(`{"step":0,"kind":"measure","value":0.5,"extra":"connectivity"}`)
-	f.Add("")
-	f.Add("{}\n{}\n")
-	f.Add(`{"step":-1,"kind":"bogus"}`)
-	f.Add("not json at all")
-	f.Fuzz(func(t *testing.T, input string) {
-		events, err := Read(strings.NewReader(input))
-		if err != nil {
-			return // malformed input is allowed to error, never to panic
-		}
-		// Round-trip what was parsed.
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, e := range events {
-			w.Emit(e)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		again, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("re-read failed: %v", err)
-		}
-		if len(again) != len(events) {
-			t.Fatalf("round trip changed count: %d -> %d", len(events), len(again))
-		}
-		for i := range events {
-			if again[i] != events[i] {
-				t.Fatalf("round trip changed event %d: %+v -> %+v", i, events[i], again[i])
-			}
-		}
-	})
-}
 
 // fuzzLogBytes builds a small well-formed binary log for seeding.
 func fuzzLogBytes() []byte {

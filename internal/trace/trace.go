@@ -5,13 +5,7 @@
 // runners trace sequentially, so a trace is byte-for-byte reproducible.
 package trace
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Kind classifies an event.
 type Kind string
@@ -26,7 +20,8 @@ const (
 	KindFault   Kind = "fault"   // fault events fired; Value counts them, Extra names the first kind
 )
 
-// Event is one simulation occurrence.
+// Event is one simulation occurrence. Its JSON tags define the JSON Lines
+// export of a log (replay.ExportJSONL).
 type Event struct {
 	Step  int     `json:"step"`
 	Kind  Kind    `json:"kind"`
@@ -75,83 +70,14 @@ type WorldDelta struct {
 
 // WorldSink is a Tracer that can additionally absorb world evolution:
 // periodic full snapshot anchors (opaque serialised network.Snapshot JSON)
-// and per-step world deltas. The binary LogWriter implements it; the plain
-// JSONL Writer deliberately does not (it is the debug format for the event
-// stream alone).
+// and per-step world deltas. The binary LogWriter implements it; the
+// in-memory Buffer and Counter do not (they keep the event stream alone).
 type WorldSink interface {
 	Tracer
 	// EmitAnchor records a full world snapshot observed at step.
 	EmitAnchor(step int, snapshot []byte)
 	// EmitWorld records one step's world delta.
 	EmitWorld(d WorldDelta)
-}
-
-// Writer streams events as JSON Lines. Construct with NewWriter and Close
-// (or Flush) when done; Close also surfaces the first error swallowed by
-// Emit, so callers learn about silently dropped events.
-type Writer struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   int
-	err error // first encode/flush error, surfaced by Close
-}
-
-// NewWriter returns a Tracer writing one JSON object per line to w.
-func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Emit writes the event. Encoding errors never fail a simulation — but
-// they latch the writer: the first error makes every subsequent Emit an
-// immediate no-op (no further encoding work, no further writes against a
-// sink that already failed), and Close reports it.
-func (w *Writer) Emit(e Event) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return // error-latched fast path: drop without re-encoding
-	}
-	if err := w.enc.Encode(e); err == nil {
-		w.n++
-	} else {
-		w.err = err
-	}
-}
-
-// Err returns the writer's latched error, if any, without flushing. Once
-// non-nil, every further Emit is a no-op.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
-// Count returns the number of events written.
-func (w *Writer) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-// Flush flushes buffered output.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bw.Flush()
-}
-
-// Close flushes buffered output and returns the first error the writer
-// encountered — a swallowed Emit encode failure or the flush itself. The
-// writer must not be used after Close.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = err
-	}
-	return w.err
 }
 
 // Counter tallies events by kind without storing them — the cheap tracer
@@ -205,20 +131,4 @@ func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.events)
-}
-
-// Read parses a JSONL trace back into events.
-func Read(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, fmt.Errorf("trace: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
 }

@@ -1,102 +1,9 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
-
-func TestWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	events := []Event{
-		{Step: 0, Kind: KindMove, Agent: 1, Node: 2, To: 3},
-		{Step: 1, Kind: KindMeet, Node: 5, Value: 3},
-		{Step: 2, Kind: KindMeasure, Value: 0.75, Extra: "connectivity"},
-		{Step: 3, Kind: KindFinish},
-	}
-	for _, e := range events {
-		w.Emit(e)
-	}
-	if w.Count() != len(events) {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events", len(got))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
-		}
-	}
-}
-
-// failAfter errors every write once n bytes have passed through,
-// simulating a disk filling up mid-trace.
-type failAfter struct {
-	n       int
-	written int
-}
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.written >= f.n {
-		return 0, errDiskFull
-	}
-	f.written += len(p)
-	return len(p), nil
-}
-
-var errDiskFull = fmt.Errorf("disk full")
-
-func TestWriterClose(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Emit(Event{Step: 1, Kind: KindMove})
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close on healthy writer = %v", err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("Close did not flush buffered events")
-	}
-}
-
-func TestWriterCloseSurfacesEmitError(t *testing.T) {
-	// Small buffer so Emit itself hits the failing writer.
-	w := NewWriter(&failAfter{n: 0})
-	w.bw = bufio.NewWriterSize(&failAfter{n: 0}, 16)
-	w.enc = json.NewEncoder(w.bw)
-	for i := 0; i < 10; i++ {
-		w.Emit(Event{Step: i, Kind: KindMove})
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close swallowed the write error")
-	}
-}
-
-func TestReadMalformed(t *testing.T) {
-	_, err := Read(strings.NewReader("{\"step\":1}\nnot json\n"))
-	if err == nil {
-		t.Fatal("malformed trace accepted")
-	}
-}
-
-func TestReadEmpty(t *testing.T) {
-	got, err := Read(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty read = %v, %v", got, err)
-	}
-}
 
 func TestCounter(t *testing.T) {
 	c := NewCounter()
@@ -123,8 +30,6 @@ func TestBuffer(t *testing.T) {
 }
 
 func TestConcurrentEmit(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	c := NewCounter()
 	var b Buffer
 	var wg sync.WaitGroup
@@ -134,21 +39,13 @@ func TestConcurrentEmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				e := Event{Step: i, Kind: KindMove}
-				w.Emit(e)
 				c.Emit(e)
 				b.Emit(e)
 			}
 		}()
 	}
 	wg.Wait()
-	if w.Count() != 800 || c.Count(KindMove) != 800 || b.Len() != 800 {
-		t.Fatalf("lost events: %d %d %d", w.Count(), c.Count(KindMove), b.Len())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil || len(got) != 800 {
-		t.Fatalf("read %d, %v", len(got), err)
+	if c.Count(KindMove) != 800 || b.Len() != 800 {
+		t.Fatalf("lost events: %d %d", c.Count(KindMove), b.Len())
 	}
 }

@@ -133,17 +133,18 @@ fi
 
 # --- durable event logs: encode/decode throughput + Fig8 trace density ---
 # BenchmarkTraceEncode/Decode serialise a routing-shaped stream (events +
-# world deltas) through the JSONL debug format and the compressed binary
-# log. The size tier then records ONE canonical 250-node routing run (the
-# Fig 8 network) both ways and compares files on disk; the binary log must
-# be >=5x smaller than the JSONL even though it additionally carries the
-# replayable world stream. That floor is enforced here, so CI's bench
-# smoke fails if the encoding regresses.
+# world deltas) through JSONL and the compressed binary log. The size tier
+# then records ONE canonical 250-node routing run (the Fig 8 network) as a
+# binary log, exports its event stream as JSONL (replay -jsonl), and
+# compares the two sizes; the binary log must be >=5x smaller than the
+# JSONL even though it additionally carries the replayable world stream.
+# That floor is enforced here, so CI's bench smoke fails if the encoding
+# regresses.
 traw="$out/bench_trace.txt"
 tjson="$out/BENCH_trace.json"
 
 {
-  echo "# Trace serialisation — JSONL debug format vs compressed binary log"
+  echo "# Trace serialisation — JSONL vs compressed binary log"
   echo "# host: $(nproc) CPU(s), $(go version | cut -d' ' -f3-)"
   echo "# benchtime: $benchtime"
   go test -run '^$' -benchtime "$benchtime" -benchmem \
@@ -151,8 +152,8 @@ tjson="$out/BENCH_trace.json"
 } | tee "$traw"
 
 tracedir=$(mktemp -d)
-go run ./cmd/routing -runs 1 -trace "$tracedir/fig8.jsonl" -binlog "$tracedir/fig8.alog" >/dev/null
-jsonl_bytes=$(wc -c < "$tracedir/fig8.jsonl")
+go run ./cmd/routing -runs 1 -binlog "$tracedir/fig8.alog" >/dev/null
+jsonl_bytes=$(go run ./cmd/replay -log "$tracedir/fig8.alog" -jsonl | wc -c)
 binary_bytes=$(wc -c < "$tracedir/fig8.alog")
 rm -rf "$tracedir"
 echo "fig8 trace: jsonl=${jsonl_bytes}B binary=${binary_bytes}B" | tee -a "$traw"

@@ -65,10 +65,13 @@ go test -race -count=1 \
 
 echo "== record/replay determinism gate"
 # A recorded binary log must reconstruct the world bit-identically from
-# snapshot anchors + deltas: record one small dynamic run and one faulted
-# (churn) run, then verify each in full lockstep and at a mid-run seek.
+# snapshot anchors + deltas: record one small dynamic run, one faulted
+# (churn) routing run and one churn-faulted mapping run, then verify each
+# in full lockstep (the routing ones at a mid-run seek too). The one log
+# reader's other modes get a smoke: the JSONL export and the summary of
+# the routing log, and the export of a truncated log must exit 1.
 replaydir=$(mktemp -d)
-go build -o "$replaydir" ./cmd/routing ./cmd/replay
+go build -o "$replaydir" ./cmd/routing ./cmd/mapping ./cmd/replay
 "$replaydir/routing" -nodes 60 -edges 400 -gateways 4 -agents 20 -steps 80 \
   -runs 1 -anchorevery 25 -binlog "$replaydir/run.alog" >/dev/null
 # grep without -q so it drains the pipe to EOF: -q exits at the first
@@ -80,6 +83,20 @@ go build -o "$replaydir" ./cmd/routing ./cmd/replay
   -runs 1 -anchorevery 30 -faults churn -binlog "$replaydir/churn.alog" >/dev/null
 "$replaydir/replay" -log "$replaydir/churn.alog" -verify | grep '^verify ok' >/dev/null
 "$replaydir/replay" -log "$replaydir/churn.alog" -step 77 -verify | grep '^verify step=77 ok' >/dev/null
+"$replaydir/mapping" -runs 1 -maxsteps 400 -faults churn -binlog "$replaydir/mapping.alog" >/dev/null
+"$replaydir/replay" -log "$replaydir/mapping.alog" -verify | grep '^verify ok' >/dev/null
+"$replaydir/replay" -log "$replaydir/run.alog" -jsonl > "$replaydir/run.jsonl"
+grep '^{"step":0,"kind":"move",' "$replaydir/run.jsonl" >/dev/null
+"$replaydir/replay" -log "$replaydir/run.alog" -summary | grep '^agent activity: 20 agents' >/dev/null
+head -c "$(( $(wc -c < "$replaydir/run.alog") / 2 ))" "$replaydir/run.alog" > "$replaydir/trunc.alog"
+set +e
+"$replaydir/replay" -log "$replaydir/trunc.alog" -jsonl >/dev/null 2>&1
+status=$?
+set -e
+if [ "$status" != 1 ]; then
+  echo "FAIL: replay -jsonl on a truncated log exited $status, want 1" >&2
+  exit 1
+fi
 rm -rf "$replaydir"
 
 echo "== corrupt-log gate (framing fuzz seeds + corruption table + codec pipeline, GOMAXPROCS=1, 2 and NumCPU, -race)"
@@ -91,7 +108,7 @@ echo "== corrupt-log gate (framing fuzz seeds + corruption table + codec pipelin
 # gate also pins the pipelined writer byte for byte to its synchronous
 # reference, its failure and early-stop paths, and its reuse of deflate
 # state. It runs at GOMAXPROCS=1 too: the pipeline must not need a second P.
-corrupt_gate='TestBinlogCorruption|FuzzLogReader|FuzzRead|LogWriterFailFast|WriterFailFast|LogWriterMatchesSyncReference|LogWriterPipelineFailure|LogReaderCorruptBlockInOrder|LogReaderStopAwaitsHelper|LogWriterReusesDeflateState'
+corrupt_gate='TestBinlogCorruption|FuzzLogReader|LogWriterFailFast|LogWriterMatchesSyncReference|LogWriterPipelineFailure|LogReaderCorruptBlockInOrder|LogReaderStopAwaitsHelper|LogWriterReusesDeflateState'
 GOMAXPROCS=1 go test -race -count=1 -run "$corrupt_gate" ./internal/trace
 GOMAXPROCS=2 go test -race -count=1 -run "$corrupt_gate" ./internal/trace
 go test -race -count=1 -run "$corrupt_gate" \
@@ -101,9 +118,10 @@ echo "== replay determinism tests (pinned runs + log byte pins + faulted round-t
 # The pinned logs (a dynamic routing run, a churn-faulted one, and a static
 # mapping world under churn) are pinned by length and FNV-64a hash, so a
 # codec change that moves any log byte fails here at test size. Replay must
-# also reject a delta naming nodes outside the recorded world.
+# also reject a delta naming nodes outside the recorded world, and the
+# JSONL export must match the events a trace.Buffer sees byte for byte.
 go test -count=1 -run 'TestReplayMatchesPinnedRun|TestReplayChurnLogPinned|TestReplayStaticMappingLogPinned' .
-go test -count=1 -run 'TestLogRoundTrip|TestDeltaOutsideWorldRejected' ./internal/replay
+go test -count=1 -run 'TestLogRoundTrip|TestDeltaOutsideWorldRejected|TestExportJSONL|FuzzExportJSONL' ./internal/replay
 
 echo "== trajectory replay gate (cached-stepping equivalence + tape size, -race)"
 # The record-once/replay-many engine must stay bit-identical to live
