@@ -53,6 +53,28 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestDepositsPerStep pins the per-step route-deposit counts the summary
+// feeds to replay -summary's sparkline: steps without deposits read zero,
+// and a stream without deposits yields no series.
+func TestDepositsPerStep(t *testing.T) {
+	d := summarize(sampleEvents()).DepositsPerStep
+	if len(d) != 3 || d[0] != 0 || d[1] != 1 || d[2] != 1 {
+		t.Fatalf("deposits = %v", d)
+	}
+	if got := summarize(nil).DepositsPerStep; len(got) != 0 {
+		t.Fatalf("empty deposits = %v", got)
+	}
+	gap := summarize([]trace.Event{
+		{Step: 4, Kind: trace.KindDeposit},
+		{Step: 4, Kind: trace.KindDeposit},
+		{Step: 1, Kind: trace.KindDeposit},
+		{Step: 6, Kind: trace.KindMove},
+	}).DepositsPerStep
+	if len(gap) != 5 || gap[0] != 0 || gap[1] != 1 || gap[2] != 0 || gap[3] != 0 || gap[4] != 2 {
+		t.Fatalf("deposits with gaps = %v", gap)
+	}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	s := summarize(nil)
 	if s.Events != 0 || s.Steps != 0 || s.FinishStep != -1 || len(s.DepositsPerStep) != 0 {
