@@ -20,15 +20,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
-	"repro/internal/replay"
-	"repro/internal/trace"
-	"repro/internal/viz"
 )
 
 func main() {
@@ -43,17 +39,8 @@ func main() {
 		tsvDir     = flag.String("tsv", "", "directory to write per-figure TSV series into")
 		mdFile     = flag.String("md", "", "append Markdown sections for each experiment to this file")
 		list       = flag.Bool("list", false, "list available experiments")
-		fromLog    = flag.String("fromlog", "", "render curves from a recorded binary run log (routing/mapping -binlog) instead of simulating")
 	)
 	flag.Parse()
-
-	if *fromLog != "" {
-		if err := figuresFromLog(*fromLog, *tsvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -163,73 +150,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: %d shape check(s) deviated from the paper\n", failed)
 		os.Exit(1)
 	}
-}
-
-// figuresFromLog renders measurement curves from a recorded binary log —
-// the offline path: no simulation runs, only the event stream is read.
-// With tsvDir set, the curves also land as one TSV (step + one column per
-// measure) named after the log file.
-func figuresFromLog(path, tsvDir string) error {
-	lr, closeLog, err := trace.OpenLog(path)
-	if err != nil {
-		return err
-	}
-	defer closeLog()
-	hdr := lr.Header()
-	fmt.Printf("log: %s seed=%d confighash=%016x\n", path, hdr.BaseSeed, hdr.ConfigHash)
-	if meta, err := replay.MetaFromHeader(hdr); err == nil {
-		fmt.Printf("run: scenario=%s worldseed=%d seed=%d steps=%d faults=%q\n",
-			meta.Scenario, meta.WorldSeed, meta.Seed, meta.Steps, meta.FaultPreset)
-	}
-	sum, err := replay.SummarizeLog(lr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s\n", sum)
-	for _, name := range sum.MeasureNames {
-		curve := sum.MeasuresByName[name]
-		if len(curve) == 0 {
-			continue
-		}
-		fmt.Printf("\n%s (%d points, final %.4f):\n%s\n",
-			name, len(curve), curve[len(curve)-1], viz.Sparkline(curve, 75))
-	}
-	if len(sum.FaultSteps) > 0 {
-		fmt.Printf("\nfault steps: %v\n", sum.FaultSteps)
-	}
-	if tsvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(tsvDir, 0o755); err != nil {
-		return err
-	}
-	var b strings.Builder
-	b.WriteString("step")
-	longest := 0
-	for _, name := range sum.MeasureNames {
-		b.WriteString("\t" + name)
-		if n := len(sum.MeasuresByName[name]); n > longest {
-			longest = n
-		}
-	}
-	b.WriteByte('\n')
-	for i := 0; i < longest; i++ {
-		fmt.Fprintf(&b, "%d", i)
-		for _, name := range sum.MeasureNames {
-			curve := sum.MeasuresByName[name]
-			if i < len(curve) {
-				fmt.Fprintf(&b, "\t%.6f", curve[i])
-			} else {
-				b.WriteString("\t")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	out := filepath.Join(tsvDir, base+".tsv")
-	if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", out)
-	return nil
 }

@@ -176,7 +176,7 @@ func downsampleStride(n int) int {
 
 // recordOneRun executes a single sequential run recorded into a binary
 // log at path (snapshot anchors + world deltas + events), returning the
-// event count. The sidecar index lands at path+".idx".
+// event count.
 func recordOneRun(path string, meta replay.RunMeta, w *network.World, sc mapping.Scenario, seed uint64) (int, error) {
 	hdr, err := replay.NewLogHeader(meta)
 	if err != nil {

@@ -179,7 +179,7 @@ func main() {
 
 // recordOneRun executes a single sequential run recorded into a binary
 // log at path (snapshot anchors + world deltas + events), returning the
-// event count. The sidecar index lands at path+".idx".
+// event count.
 func recordOneRun(path string, meta replay.RunMeta, worldFor func(int) (*network.World, error), sc routing.Scenario, seed uint64) (int, error) {
 	hdr, err := replay.NewLogHeader(meta)
 	if err != nil {

@@ -134,9 +134,6 @@ func (a *Agent) TieSalt() uint64 { return a.tieSalt }
 // Kind returns the agent's movement policy.
 func (a *Agent) Kind() PolicyKind { return a.kind }
 
-// Stigmergic reports whether the agent uses footprints.
-func (a *Agent) Stigmergic() bool { return a.stigmergy }
-
 // SharesTopology reports whether the agent exchanges maps when meeting.
 func (a *Agent) SharesTopology() bool { return a.shareTopology }
 

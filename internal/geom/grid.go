@@ -189,13 +189,6 @@ func (g *Grid) ReserveBuckets(items int) {
 	}
 }
 
-// CellSize returns the side length of one grid cell.
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Origin returns the arena corner cell (0,0) is anchored at, so callers
-// of BoxCellRange can recover each cell's rectangle for distance pruning.
-func (g *Grid) Origin() Point { return Point{X: g.arena.MinX, Y: g.arena.MinY} }
-
 // CellBucket returns the items stored in the flat cell index ci, with
 // their embedded positions. The returned slice is grid-owned and valid
 // until the next Update or Rebuild; callers must not modify or retain it.

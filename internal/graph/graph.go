@@ -185,9 +185,6 @@ func lowerBound(adj []NodeID, v NodeID) int {
 // graph; callers must not modify it.
 func (g *Directed) Out(u NodeID) []NodeID { return g.out[u] }
 
-// OutDegree returns the number of out-edges of u.
-func (g *Directed) OutDegree(u NodeID) int { return len(g.out[u]) }
-
 // SortAdjacency sorts every adjacency list ascending. Generators call it
 // once so that iteration order — and hence every downstream random choice —
 // is independent of insertion order.

@@ -488,25 +488,8 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	if sc.Tracer != nil {
 		workers = 1
 	}
-	pool := parallel.NewPool(workers)
-	results := make([]Result, runs)
-	var guard worldGuard
-	err := pool.Run(runs, func(r int) error {
-		w, err := worldFor(r)
-		if err != nil {
-			return err
-		}
-		if pool.Parallel() {
-			if err := guard.claim(w, r); err != nil {
-				return err
-			}
-		}
-		res, err := Run(w, sc, rng.DeriveSeed(baseSeed, uint64(r)))
-		if err != nil {
-			return err
-		}
-		results[r] = res
-		return nil
+	results, err := parallel.Replicate(workers, runs, baseSeed, worldFor, func(w *network.World, seed uint64) (Result, error) {
+		return Run(w, sc, seed)
 	})
 	if err != nil {
 		return Aggregate{}, err
@@ -535,7 +518,7 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 // The first run to need a world records a Trajectory from one freshly
 // built live world — sync.Once inside the source, so exactly one
 // recording happens at any RunWorkers — and every run (including the
-// first) replays it through World.StepFromTrajectory. Replay is
+// first) replays it through a replay world's Step. Replay is
 // bit-identical to live stepping, so the aggregate matches
 // RunMany(fresh-world-per-run, ...) exactly; it just skips the mobility
 // RNG, disc scans, and grid maintenance on every run after the recording.
@@ -550,26 +533,6 @@ func RunManyCached(build func() (*network.World, error), sc Scenario, runs int, 
 	d := sc.withDefaults()
 	src := network.NewTrajectorySource(d.MaxSteps, 0, d.Faults, build)
 	return RunMany(src.WorldFor, sc, runs, baseSeed)
-}
-
-// worldGuard detects worldFor implementations that hand the same *World
-// to two concurrent runs.
-type worldGuard struct {
-	mu   sync.Mutex
-	seen map[*network.World]int
-}
-
-func (g *worldGuard) claim(w *network.World, run int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.seen == nil {
-		g.seen = make(map[*network.World]int)
-	}
-	if prev, dup := g.seen[w]; dup {
-		return fmt.Errorf("parallel replication needs a fresh world per run: worldFor returned the same *World for runs %d and %d", prev, run)
-	}
-	g.seen[w] = run
-	return nil
 }
 
 // Accuracy compares an agent's reconstructed map against the world's

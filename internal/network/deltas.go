@@ -1,25 +1,25 @@
 package network
 
-// TopoDeltas is the per-step topology change stream consumers subscribe to
-// through World.WatchTopology: the directed edges the last Step added and
-// removed, or — when the step ran through a path that rewrites the whole
-// graph (full rebuilds, fault events, out-of-band SetFaults/snapshot
-// restores) — the Rebuilt flag instead of an edge list. The buffer is
-// reset at the top of every Step and is valid until the next one;
-// consumers keep their own step cursor (Step) and must fall back to a full
-// resync whenever Rebuilt is set or their cursor shows a missed step.
-//
-// The stream may over-report: the incremental engine emits at decision
-// points, so an entry can name an edge whose surgical edit turned
-// out to be a no-op (it was already present or already gone). Consumers
-// must tolerate that — the DynReach protocol does by construction. The
-// stream never under-reports on a step with Rebuilt == false.
+import "repro/internal/graph"
+
+// TopoDeltas is the world's per-step edge-change stream: exactly the
+// directed edges the last Step added and removed. Every stepping path
+// writes it — the incremental engine streams its surgical edits, the full
+// rebuild (fault steps, partition-active steps, SetFullRebuild) merge-diffs
+// the previous and new topologies, and replay worlds apply the recorded
+// diff — so each entry is a real change of the graph, reported once, and
+// the report sizes are the step's link churn. The World owns the buffer,
+// resets it at the top of every Step, and keeps it valid until the next
+// one; consumers read it through World.WatchTopology, each keeping its own
+// step cursor (Step), and fall back to a full resync when Rebuilt is set or
+// their cursor shows a missed step.
 type TopoDeltas struct {
 	// Step is the world step these deltas describe (StepCount after it).
 	Step int
-	// Rebuilt marks a step whose changes are not enumerated: the topology
-	// was rewritten wholesale. Consumers must resync. Out-of-band rebuilds
-	// (SetFaults detach, snapshot restore) set it too, outside any Step.
+	// Rebuilt marks an out-of-band rewrite since that step: SetFaults
+	// detaching a schedule or a faulted snapshot restore rebuilt the whole
+	// topology between steps, so the edge lists do not describe it and
+	// consumers must resync. Step itself never sets it.
 	Rebuilt bool
 	// AddU/AddV and RemU/RemV are the added and removed directed edges,
 	// as parallel slices.
@@ -46,16 +46,38 @@ func (d *TopoDeltas) remove(u, v NodeID) {
 	d.RemV = append(d.RemV, v)
 }
 
-// WatchTopology attaches (or returns the already-attached) per-step
-// topology delta buffer. The World owns the buffer and rewrites it every
-// Step; multiple consumers may read it, each keeping its own cursor.
-// Watching is free on the full-rebuild path and costs two appends per
-// churned edge on the incremental and replay paths; an unwatched world
-// pays nothing. The returned buffer starts with Rebuilt set so a consumer
-// attaching mid-run starts from a resync.
-func (w *World) WatchTopology() *TopoDeltas {
-	if w.watch == nil {
-		w.watch = &TopoDeltas{Step: w.step, Rebuilt: true}
+// diff streams the edges that differ between old and cur, two graphs over
+// the same nodes with sorted out-lists, by merging each node's lists —
+// O(E_old + E_cur).
+func (d *TopoDeltas) diff(old, cur *graph.Directed) {
+	for u := NodeID(0); int(u) < cur.N(); u++ {
+		prev, next := old.Out(u), cur.Out(u)
+		i, j := 0, 0
+		for i < len(prev) && j < len(next) {
+			switch {
+			case prev[i] == next[j]:
+				i++
+				j++
+			case prev[i] < next[j]:
+				d.remove(u, prev[i])
+				i++
+			default:
+				d.add(u, next[j])
+				j++
+			}
+		}
+		for ; i < len(prev); i++ {
+			d.remove(u, prev[i])
+		}
+		for ; j < len(next); j++ {
+			d.add(u, next[j])
+		}
 	}
-	return w.watch
 }
+
+// WatchTopology returns the world's per-step edge-change stream. The
+// buffer exists for the world's whole life and is rewritten by every Step;
+// any number of consumers may read it, each keeping its own cursor. A
+// consumer starts from a full read of Topology() and thereafter applies
+// one step's deltas per Step.
+func (w *World) WatchTopology() *TopoDeltas { return &w.deltas }

@@ -66,6 +66,8 @@ func (w *World) SetFaults(s *faults.Schedule) {
 		if w.flt != nil {
 			w.flt = nil
 			w.rebuildTopology()
+			// A rewrite between steps: the edge stream cannot describe it.
+			w.deltas.Rebuilt = true
 			if w.incr != nil {
 				w.incr.stale = true
 			}
@@ -249,6 +251,7 @@ func (w *World) restoreFaultState(dead, downGateways []NodeID, partX *float64) e
 	}
 	w.refreshActiveGateways()
 	w.rebuildTopology()
+	w.deltas.Rebuilt = true
 	if w.incr != nil {
 		// The incremental caches were initialised from the unmasked
 		// topology; resynchronise on the next incremental step.

@@ -263,9 +263,6 @@ type incrState struct {
 
 	decay []decayCursor // one per static decaying source (group 2)
 
-	// added and removed count this step's pair edits (see editLink).
-	added, removed uint64
-
 	// stale marks the records, lists and certificates invalid: full-
 	// rebuild steps move nodes, drain batteries, and rewrite the topology
 	// without maintaining them, so the first incremental step after a mode
@@ -827,11 +824,8 @@ func (w *World) stepIncremental() {
 	w.advanceDecay()
 	sp.Stop()
 	sp = w.m.rebuild.Start()
-	added, removed := w.applyChurn(now)
+	w.applyChurn(now)
 	sp.Stop()
-	w.m.linksAdded.Add(added)
-	w.m.linksRemoved.Add(removed)
-	w.m.edges.Set(float64(w.topo.M()))
 }
 
 // mover returns mover x's list state.
@@ -868,25 +862,17 @@ func (w *World) advanceDecay() {
 	}
 }
 
-// editLink applies one pair edit: insert (add) or remove the directed
-// edge u→v. Pair churn is counted and streamed at decision time,
-// unconditionally.
+// editLink applies one pair edit — insert (add) or remove the directed
+// edge u→v — and streams it. A pair's link bits mirror the graph, so every
+// edit flips an edge.
 func (w *World) editLink(u, v NodeID, add bool) {
-	t := w.incr
-	dl := w.watch
 	if add {
 		w.topo.InsertEdgeSorted(u, v)
-		t.added++
-		if dl != nil {
-			dl.add(u, v)
-		}
+		w.deltas.add(u, v)
 		return
 	}
 	w.topo.RemoveEdgeSorted(u, v)
-	t.removed++
-	if dl != nil {
-		dl.remove(u, v)
-	}
+	w.deltas.remove(u, v)
 }
 
 // rebuildList rebuilds mover x's candidate list around its new anchor:
@@ -941,13 +927,10 @@ func (w *World) rebuildList(x int32, now int32, recheckOld bool) {
 }
 
 // applyChurn repairs the topology after movers re-bucketed and batteries
-// drained, returning the directed link churn (for the world's metrics —
-// the same counts the full-rebuild path derives by diffing topologies).
-func (w *World) applyChurn(now int32) (added, removed uint64) {
+// drained, streaming every edge edit into w.deltas.
+func (w *World) applyChurn(now int32) {
 	t := w.incr
 	g := w.topo
-	dl := w.watch
-	t.added, t.removed = 0, 0
 	// Bound violations, strayed movers and hot walks first: their
 	// certificates or lists no longer hold. A pair reached twice in a step
 	// is decided twice; the second decision finds no flip.
@@ -981,25 +964,20 @@ func (w *World) applyChurn(now int32) (added, removed uint64) {
 			w.recheck(int32(pi), now)
 		}
 	}
-	added, removed = t.added, t.removed
 	// Group-2 removals: each decaying static source's cursor advances
 	// while its shrinking range excludes the next-farthest static target.
 	// RemoveEdgeSorted reports whether the edge still existed, which keeps
-	// the churn counters exact even if full-rebuild steps (mode toggles)
-	// already dropped some cursor edges.
+	// the stream exact even if full-rebuild steps (mode toggles) already
+	// dropped some cursor edges.
 	for i := range t.decay {
 		dc := &t.decay[i]
 		r := w.radios[dc.src].Range()
 		r2 := r * r
 		for dc.cursor < len(dc.d2) && (r <= 0 || dc.d2[dc.cursor] > r2) {
 			if g.RemoveEdgeSorted(dc.src, dc.dst[dc.cursor]) {
-				removed++
-				if dl != nil {
-					dl.remove(dc.src, dc.dst[dc.cursor])
-				}
+				w.deltas.remove(dc.src, dc.dst[dc.cursor])
 			}
 			dc.cursor++
 		}
 	}
-	return added, removed
 }

@@ -72,14 +72,11 @@ type World struct {
 	// mobility, decay, faults, or topology maintenance.
 	traj *trajDecoder
 
-	// watch, when non-nil, is the per-step topology delta stream attached
-	// by WatchTopology (see deltas.go): every stepping path either
-	// enumerates its edge edits into it or marks it Rebuilt.
-	watch *TopoDeltas
+	// deltas is the per-step edge-change stream (see deltas.go): every
+	// stepping path reports its exact edge edits into it.
+	deltas TopoDeltas
 
-	m        worldMetrics
-	diffMark []int32 // per-node stamp scratch for the instrumented edge diff
-	diffGen  int32
+	m worldMetrics
 }
 
 // worldMetrics holds the World's instrument handles. All handles are
@@ -236,18 +233,30 @@ func (w *World) Neighbors(u NodeID) []NodeID { return w.topo.Out(u) }
 // nodes that can move plus the links that actually churned) unless
 // SetFullRebuild forced the per-step full recompute. Both paths produce
 // bit-identical topologies — canonical sorted out-lists — pinned by the
-// equivalence and fuzz tests in this package.
+// equivalence and fuzz tests in this package. Whatever the path, the step's
+// exact edge edits land in the WatchTopology stream, and the link-churn
+// instruments are read off it.
 func (w *World) Step() {
-	if w.traj != nil {
-		// Replay worlds (Trajectory.World) step from the recorded delta
-		// stream — no mobility RNG, no disc scans, no grid maintenance.
-		w.StepFromTrajectory()
-		return
+	if c := w.traj; c != nil && c.rel >= c.t.steps {
+		panic(fmt.Sprintf("network: trajectory exhausted: world stepped past the %d recorded steps", c.t.steps))
 	}
 	w.step++
 	w.m.steps.Inc()
-	if w.watch != nil {
-		w.watch.reset(w.step)
+	w.deltas.reset(w.step)
+	w.advance()
+	w.m.linksAdded.Add(uint64(len(w.deltas.AddU)))
+	w.m.linksRemoved.Add(uint64(len(w.deltas.RemU)))
+	w.m.edges.Set(float64(w.topo.M()))
+}
+
+// advance runs one step's state change through the stepping path that
+// applies, each of which reports its edge edits into w.deltas.
+func (w *World) advance() {
+	if w.traj != nil {
+		// Replay worlds (Trajectory.World) step from the recorded delta
+		// stream — no mobility RNG, no disc scans, no grid maintenance.
+		w.stepFromTrajectory()
+		return
 	}
 	if f := w.flt; f != nil {
 		// Fault steps — and every step while a partition is active on a
@@ -315,9 +324,7 @@ func (w *World) stepFullRebuild() {
 		// staleness on their own).
 		w.incr.stale = true
 	}
-	if w.m.linksAdded.Enabled() {
-		w.recordLinkChurn(old, w.topo)
-	}
+	w.deltas.diff(old, w.topo)
 }
 
 // rebuildTopology recomputes the directed link graph using the spatial
@@ -326,13 +333,6 @@ func (w *World) stepFullRebuild() {
 // Grid cells visit each node exactly once and exclude the centre node, so
 // the neighbour lists are duplicate- and self-loop-free as SetOut requires.
 func (w *World) rebuildTopology() {
-	if w.watch != nil {
-		// Wholesale rewrite: watchers cannot enumerate the change, so they
-		// must resync. Sticky until the next Step resets the buffer, which
-		// also covers out-of-band rebuilds (SetFaults detach, snapshot
-		// restore) that happen between steps.
-		w.watch.Rebuilt = true
-	}
 	n := w.N()
 	w.topoIdx ^= 1
 	g := w.topoBuf[w.topoIdx]
@@ -383,52 +383,6 @@ func (w *World) rebuildTopology() {
 		g.SetOut(NodeID(u), w.nbrBuf)
 	}
 	w.topo = g
-}
-
-// recordLinkChurn counts the edges that appeared and disappeared between
-// two consecutive topologies using a generation-stamped scratch array —
-// O(E_old + E_new) per step and allocation-free after warm-up. Only runs
-// when a registry is attached.
-func (w *World) recordLinkChurn(old, cur *graph.Directed) {
-	n := w.N()
-	if len(w.diffMark) < n {
-		w.diffMark = make([]int32, n)
-		w.diffGen = 0
-	}
-	if w.diffGen > 1<<30 { // avoid stamp collisions on wraparound
-		for i := range w.diffMark {
-			w.diffMark[i] = 0
-		}
-		w.diffGen = 0
-	}
-	var added, removed uint64
-	for u := 0; u < n; u++ {
-		// Stamp the new out-set, then scan the old one: unstamped ⇒ removed.
-		w.diffGen++
-		gen := w.diffGen
-		for _, v := range cur.Out(NodeID(u)) {
-			w.diffMark[v] = gen
-		}
-		for _, v := range old.Out(NodeID(u)) {
-			if w.diffMark[v] != gen {
-				removed++
-			}
-		}
-		// Stamp the old out-set, then scan the new one: unstamped ⇒ added.
-		w.diffGen++
-		gen = w.diffGen
-		for _, v := range old.Out(NodeID(u)) {
-			w.diffMark[v] = gen
-		}
-		for _, v := range cur.Out(NodeID(u)) {
-			if w.diffMark[v] != gen {
-				added++
-			}
-		}
-	}
-	w.m.linksAdded.Add(added)
-	w.m.linksRemoved.Add(removed)
-	w.m.edges.Set(float64(cur.M()))
 }
 
 // ConnectivityToGateways returns the fraction of non-gateway nodes that

@@ -9,7 +9,7 @@ package network
 // identical world. A TrajectoryRecorder captures one live run's evolution
 // — position deltas, edge add/remove churn, range updates, fault-epoch
 // transitions — into an in-memory Trajectory. Subsequent runs replay it
-// through World.StepFromTrajectory, which applies the cached churn in
+// through World.Step, which on a replay world applies the cached churn in
 // O(changes) with zero mobility RNG, zero disc scans, and zero grid
 // maintenance, and is bit-identical to live stepping (pinned by the
 // equivalence and -race gates in trajectory_test.go).
@@ -32,6 +32,7 @@ package network
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/faults"
@@ -102,13 +103,13 @@ type TrajectoryRecorder struct {
 	codec *trace.DeltaCodec
 	t     *Trajectory
 
+	start int // world step the recording starts from
 	steps int // AfterStep calls so far
 	gap   int // empty steps since the last emitted record
 
 	prevInjected, prevRecovered uint64
-	prevOff                     []int32
-	prevDst                     []NodeID
 
+	keys                   []uint64 // sort scratch: u<<32 | v
 	addU, addV, remU, remV []int32
 }
 
@@ -121,84 +122,54 @@ func NewTrajectoryRecorder(w *World) *TrajectoryRecorder {
 		df:    newWorldDiffer(w),
 		codec: trace.NewDeltaCodec(n),
 		t:     &Trajectory{n: n, dynamic: w.dynamic, snap: w.Snapshot()},
+		start: w.step,
 	}
 	if f := w.flt; f != nil {
 		r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
 	}
-	r.captureTopo()
 	return r
 }
 
-// captureTopo copies the world's adjacency into the recorder's flat CSR
-// baseline.
-func (r *TrajectoryRecorder) captureTopo() {
-	g := r.df.w.topo
-	n := r.df.w.N()
-	r.prevOff = append(r.prevOff[:0], 0)
-	r.prevDst = r.prevDst[:0]
-	for u := 0; u < n; u++ {
-		r.prevDst = append(r.prevDst, g.Out(NodeID(u))...)
-		r.prevOff = append(r.prevOff, int32(len(r.prevDst)))
+// sortPairs returns the edges (us[i], vs[i]) sorted by (u, v), written
+// into the lanes du, dv (reused).
+func (r *TrajectoryRecorder) sortPairs(us, vs []NodeID, du, dv []int32) ([]int32, []int32) {
+	r.keys = r.keys[:0]
+	for i := range us {
+		r.keys = append(r.keys, uint64(us[i])<<32|uint64(vs[i]))
 	}
-}
-
-// diffTopo merges each node's previous and current sorted out-lists into
-// the add/remove churn lists — O(E_prev + E_cur) total.
-func (r *TrajectoryRecorder) diffTopo() {
-	r.addU, r.addV = r.addU[:0], r.addV[:0]
-	r.remU, r.remV = r.remU[:0], r.remV[:0]
-	g := r.df.w.topo
-	n := r.df.w.N()
-	for u := 0; u < n; u++ {
-		prev := r.prevDst[r.prevOff[u]:r.prevOff[u+1]]
-		cur := g.Out(NodeID(u))
-		i, j := 0, 0
-		for i < len(prev) && j < len(cur) {
-			switch {
-			case prev[i] == cur[j]:
-				i++
-				j++
-			case prev[i] < cur[j]:
-				r.remU = append(r.remU, int32(u))
-				r.remV = append(r.remV, int32(prev[i]))
-				i++
-			default:
-				r.addU = append(r.addU, int32(u))
-				r.addV = append(r.addV, int32(cur[j]))
-				j++
-			}
-		}
-		for ; i < len(prev); i++ {
-			r.remU = append(r.remU, int32(u))
-			r.remV = append(r.remV, int32(prev[i]))
-		}
-		for ; j < len(cur); j++ {
-			r.addU = append(r.addU, int32(u))
-			r.addV = append(r.addV, int32(cur[j]))
-		}
+	slices.Sort(r.keys)
+	du, dv = du[:0], dv[:0]
+	for _, k := range r.keys {
+		du = append(du, int32(k>>32))
+		dv = append(dv, int32(uint32(k)))
 	}
+	return du, dv
 }
 
 // AfterStep records the delta between the world's previous and current
-// state. Call immediately after every World.Step.
+// state; the edge churn is the world's WatchTopology stream for the step.
+// Call immediately after every World.Step.
 func (r *TrajectoryRecorder) AfterStep() {
 	r.steps++
+	if w := r.df.w; w.step != r.start+r.steps {
+		panic(fmt.Sprintf("network: TrajectoryRecorder.AfterStep call %d follows world step %d: it must follow every Step",
+			r.steps, w.step-r.start))
+	}
 	// The topology is a function of positions, ranges and fault state, so
 	// a step that changed none of them changed no edge either.
 	if !r.df.diff() {
 		r.gap++
 		return
 	}
-	r.diffTopo()
+	e := &r.df.w.deltas
+	r.addU, r.addV = r.sortPairs(e.AddU, e.AddV, r.addU, r.addV)
+	r.remU, r.remV = r.sortPairs(e.RemU, e.RemV, r.remU, r.remV)
 	t, d := r.t, &r.df.d
 	t.data = binary.AppendUvarint(t.data, uint64(r.gap))
 	r.gap = 0
 	t.data = r.codec.Append(t.data, *d)
 	t.data = trajAppendPairs(t.data, r.addU, r.addV)
 	t.data = trajAppendPairs(t.data, r.remU, r.remV)
-	if len(r.addU) > 0 || len(r.remU) > 0 {
-		r.captureTopo()
-	}
 	if d.FaultChanged {
 		var injected, recovered uint64
 		if f := r.df.w.flt; f != nil {
@@ -285,24 +256,13 @@ func (s *TrajectorySource) WorldFor(int) (*World, error) {
 // ---------------------------------------------------------------------------
 // Replay
 
-// StepFromTrajectory advances a replay world one step by applying the next
+// stepFromTrajectory advances a replay world one step by applying the next
 // recorded delta — O(changes), no mobility RNG, no disc scans, no grid.
-// Step dispatches here automatically for worlds built by Trajectory.World;
-// calling it on a world without a trajectory, or past the recorded horizon,
-// panics (the harness contract is steps <= Trajectory.Steps()).
-func (w *World) StepFromTrajectory() {
+// Step dispatches here for worlds built by Trajectory.World and panics
+// past the recorded horizon (the harness contract is steps <=
+// Trajectory.Steps()).
+func (w *World) stepFromTrajectory() {
 	c := w.traj
-	if c == nil {
-		panic("network: StepFromTrajectory on a world without an attached trajectory")
-	}
-	if c.rel >= c.t.steps {
-		panic(fmt.Sprintf("network: trajectory exhausted: world stepped past the %d recorded steps", c.t.steps))
-	}
-	w.step++
-	w.m.steps.Inc()
-	if w.watch != nil {
-		w.watch.reset(w.step)
-	}
 	has, err := c.next()
 	if err != nil {
 		// Only a TrajectoryRecorder writes the stream and nothing mutates
@@ -319,28 +279,17 @@ func (w *World) StepFromTrajectory() {
 	for i, u := range d.RangeNodes {
 		w.radios[u] = radio.New(d.Ranges[i])
 	}
-	if len(c.addU) > 0 || len(c.remU) > 0 {
-		for i := range c.addU {
-			w.topo.InsertEdgeSorted(NodeID(c.addU[i]), NodeID(c.addV[i]))
-		}
-		for i := range c.remU {
-			w.topo.RemoveEdgeSorted(NodeID(c.remU[i]), NodeID(c.remV[i]))
-		}
-		w.m.linksAdded.Add(uint64(len(c.addU)))
-		w.m.linksRemoved.Add(uint64(len(c.remU)))
-		w.m.edges.Set(float64(w.topo.M()))
-		if dl := w.watch; dl != nil {
-			// Recorded deltas are exact diffs, so replay keeps watchers
-			// incremental even across fault steps (the recording diffed the
-			// topology straight through the live rebuild). A fault record
-			// still forces a resync via the epoch advance consumers track.
-			for i := range c.addU {
-				dl.add(NodeID(c.addU[i]), NodeID(c.addV[i]))
-			}
-			for i := range c.remU {
-				dl.remove(NodeID(c.remU[i]), NodeID(c.remV[i]))
-			}
-		}
+	// Recorded pairs are the exact diff, fault steps included, so the
+	// stream stays exact on replay worlds too.
+	for i := range c.addU {
+		u, v := NodeID(c.addU[i]), NodeID(c.addV[i])
+		w.topo.InsertEdgeSorted(u, v)
+		w.deltas.add(u, v)
+	}
+	for i := range c.remU {
+		u, v := NodeID(c.remU[i]), NodeID(c.remV[i])
+		w.topo.RemoveEdgeSorted(u, v)
+		w.deltas.remove(u, v)
 	}
 	if d.FaultChanged {
 		w.applyTrajFault(d, c.injected, c.recovered)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -93,6 +94,127 @@ func TestTrajectoryReplayMatchesLive(t *testing.T) {
 				t.Fatal("schedule fired no events — equivalence is vacuous")
 			}
 		})
+	}
+}
+
+// refTape records w over steps the way TrajectoryRecorder did before it
+// read the WatchTopology stream: it keeps a private CSR copy of the
+// topology and merge-diffs every node's sorted out-list against it after
+// each changed step. It is the referee the stream-fed tape is pinned to
+// byte for byte. It returns the tape and its record count.
+func refTape(w *World, steps int) ([]byte, int) {
+	n := w.N()
+	df := newWorldDiffer(w)
+	codec := trace.NewDeltaCodec(n)
+	var prevInjected, prevRecovered uint64
+	if f := w.flt; f != nil {
+		prevInjected, prevRecovered = f.injectedTotal, f.recoveredTotal
+	}
+	var prevOff []int32
+	var prevDst []NodeID
+	captureTopo := func() {
+		prevOff = append(prevOff[:0], 0)
+		prevDst = prevDst[:0]
+		for u := 0; u < n; u++ {
+			prevDst = append(prevDst, w.topo.Out(NodeID(u))...)
+			prevOff = append(prevOff, int32(len(prevDst)))
+		}
+	}
+	var addU, addV, remU, remV []int32
+	diffTopo := func() {
+		addU, addV, remU, remV = addU[:0], addV[:0], remU[:0], remV[:0]
+		for u := 0; u < n; u++ {
+			prev := prevDst[prevOff[u]:prevOff[u+1]]
+			cur := w.topo.Out(NodeID(u))
+			i, j := 0, 0
+			for i < len(prev) && j < len(cur) {
+				switch {
+				case prev[i] == cur[j]:
+					i++
+					j++
+				case prev[i] < cur[j]:
+					remU, remV = append(remU, int32(u)), append(remV, int32(prev[i]))
+					i++
+				default:
+					addU, addV = append(addU, int32(u)), append(addV, int32(cur[j]))
+					j++
+				}
+			}
+			for ; i < len(prev); i++ {
+				remU, remV = append(remU, int32(u)), append(remV, int32(prev[i]))
+			}
+			for ; j < len(cur); j++ {
+				addU, addV = append(addU, int32(u)), append(addV, int32(cur[j]))
+			}
+		}
+	}
+	captureTopo()
+	var data []byte
+	gap, records := 0, 0
+	for i := 0; i < steps; i++ {
+		w.Step()
+		if !df.diff() {
+			gap++
+			continue
+		}
+		diffTopo()
+		data = binary.AppendUvarint(data, uint64(gap))
+		gap = 0
+		data = codec.Append(data, df.d)
+		data = trajAppendPairs(data, addU, addV)
+		data = trajAppendPairs(data, remU, remV)
+		if len(addU) > 0 || len(remU) > 0 {
+			captureTopo()
+		}
+		if df.d.FaultChanged {
+			var injected, recovered uint64
+			if f := w.flt; f != nil {
+				injected, recovered = f.injectedTotal-prevInjected, f.recoveredTotal-prevRecovered
+				prevInjected, prevRecovered = f.injectedTotal, f.recoveredTotal
+			}
+			data = binary.AppendUvarint(data, injected)
+			data = binary.AppendUvarint(data, recovered)
+		}
+		records++
+	}
+	return data, records
+}
+
+// TestTrajectoryTapeMatchesDiffReferee pins the recorder's tape, whose
+// edge churn comes from the world's edge-change stream, byte for byte to
+// the full-diff referee's — clean and under every fault workload, on both
+// live stepping engines.
+func TestTrajectoryTapeMatchesDiffReferee(t *testing.T) {
+	const n, steps = 120, 150
+	gateways := []NodeID{0, 40, 80}
+	scheds := faultSchedules(n, gateways, steps)
+	scheds["clean"] = nil
+	for name, sched := range scheds {
+		for _, full := range []bool{false, true} {
+			engine := map[bool]string{false: "incremental", true: "rebuild"}[full]
+			t.Run(name+"/"+engine, func(t *testing.T) {
+				build := func() *World {
+					w := buildFaultWorld(t, n, gateways, 3)
+					w.SetFaults(sched)
+					w.SetFullRebuild(full)
+					return w
+				}
+				traj, err := RecordTrajectory(build(), steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, records := refTape(build(), steps)
+				if !bytes.Equal(traj.data, want) {
+					t.Fatalf("tape (%d bytes) differs from the referee's (%d bytes)", len(traj.data), len(want))
+				}
+				if traj.Records() != records {
+					t.Fatalf("tape holds %d records, referee %d", traj.Records(), records)
+				}
+				if records == 0 {
+					t.Fatal("vacuous: no records")
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package parallel provides the one concurrency layer of the simulator: a
-// deterministic bounded worker pool that runs independent replications
-// side by side (mapping.RunMany, routing.RunMany, and the parameter-point
-// loops of cmd/sweep and cmd/figures), plus a process-wide token budget.
+// deterministic bounded worker pool that runs independent items side by
+// side (the replications of mapping.RunMany and routing.RunMany, through
+// Replicate, and the parameter-point loops of cmd/sweep and cmd/figures),
+// plus a process-wide token budget.
 //
 // Determinism contract: a Pool only runs *independent* items concurrently
 // and makes no scheduling decision observable to the work function — item
@@ -18,9 +19,12 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
 
 // budget is the process-wide token pool. limit is the configured number of
@@ -159,4 +163,45 @@ func (p *Pool) Run(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Replicate is the replication loop of mapping.RunMany and routing.RunMany:
+// it runs replications 0..runs-1 on a pool of the given workers, handing
+// replication r the world worldFor(r) and the seed rng.DeriveSeed(baseSeed,
+// r), and returns the results in replication order — so they are identical
+// at any worker count. A parallel batch needs a fresh world per
+// replication, since running one mutates it; Replicate fails loudly when
+// worldFor returns the same world twice. The error is the lowest-index
+// failure, as Pool.Run reports it.
+func Replicate[W comparable, R any](workers, runs int, baseSeed uint64,
+	worldFor func(r int) (W, error), run func(w W, seed uint64) (R, error)) ([]R, error) {
+	pool := NewPool(workers)
+	results := make([]R, runs)
+	var mu sync.Mutex
+	seen := make(map[W]int)
+	err := pool.Run(runs, func(r int) error {
+		w, err := worldFor(r)
+		if err != nil {
+			return err
+		}
+		if pool.Parallel() {
+			mu.Lock()
+			prev, dup := seen[w]
+			seen[w] = r
+			mu.Unlock()
+			if dup {
+				return fmt.Errorf("parallel replication needs a fresh world per run: worldFor returned the same world for runs %d and %d", prev, r)
+			}
+		}
+		res, err := run(w, rng.DeriveSeed(baseSeed, uint64(r)))
+		if err != nil {
+			return err
+		}
+		results[r] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }

@@ -3,8 +3,11 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // withBudget runs fn under a temporary budget and restores the old limit.
@@ -157,4 +160,37 @@ func TestSetBudgetClamps(t *testing.T) {
 	if Budget() != 0 {
 		t.Fatalf("SetBudget(-7) stored %d, want 0", Budget())
 	}
+}
+
+// TestReplicate pins the replication loop: results land in replication
+// order with replication r seeded rng.DeriveSeed(base, r), identically at
+// any worker count, and a parallel batch refuses a world handed out twice
+// while a sequential one accepts it.
+func TestReplicate(t *testing.T) {
+	withBudget(t, 4, func() {
+		worlds := make([]*int, 16)
+		for i := range worlds {
+			worlds[i] = new(int)
+		}
+		fresh := func(r int) (*int, error) { return worlds[r], nil }
+		run := func(w *int, seed uint64) (uint64, error) { return seed, nil }
+		for _, workers := range []int{1, 4} {
+			got, err := Replicate(workers, len(worlds), 7, fresh, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, seed := range got {
+				if want := rng.DeriveSeed(7, uint64(r)); seed != want {
+					t.Fatalf("workers=%d: replication %d got seed %d, want %d", workers, r, seed, want)
+				}
+			}
+		}
+		shared := func(int) (*int, error) { return worlds[0], nil }
+		if _, err := Replicate(1, 4, 7, shared, run); err != nil {
+			t.Fatalf("sequential batch rejected a shared world: %v", err)
+		}
+		if _, err := Replicate(4, 4, 7, shared, run); err == nil || !strings.Contains(err.Error(), "fresh world per run") {
+			t.Fatalf("parallel batch with a shared world: err = %v, want the fresh-world error", err)
+		}
+	})
 }

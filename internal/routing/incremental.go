@@ -19,11 +19,11 @@ import (
 // one sync decision. Local connectivity and staleness reduce to counters
 // patched on the same events.
 //
-// Steps whose changes cannot be enumerated — topology rebuilt wholesale
-// (fault events, anchor restores, partition-active stepping), fault
-// epochs (alive/gateway masks moved), or a missed step — degrade to one
-// full recompute, which costs exactly what the scratch path pays every
-// step. Every value the Meter emits is bit-identical to the scratch
+// Every stepping path reports its exact edge edits, full rebuilds
+// included. Steps the streams cannot cover — a topology rewritten between
+// steps (the stream's Rebuilt flag), fault epochs (alive/gateway masks
+// moved), or a missed step — degrade to one full recompute, which costs
+// exactly what the scratch path pays every step. Every value the Meter emits is bit-identical to the scratch
 // functions' across all of it, pinned by the equivalence, property, and
 // fuzz tests in this package.
 //
@@ -170,8 +170,8 @@ func (m *Meter) Measure(step int) Measurement {
 	d := m.deltas
 	// The incremental path is valid only when every change since the last
 	// Measure is enumerable: the tables' dirty list always is; the
-	// topology's stream is when no wholesale rebuild happened, the fault
-	// masks did not move, and at most one world step elapsed.
+	// topology's stream is when nothing rewrote the graph between steps,
+	// the fault masks did not move, and at most one world step elapsed.
 	incrOK := m.synced && !d.Rebuilt && w.FaultEpoch() == m.lastEpoch &&
 		(w.StepCount() == m.lastStep ||
 			(d.Step == w.StepCount() && d.Step == m.lastStep+1))

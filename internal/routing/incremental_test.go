@@ -340,6 +340,57 @@ func TestMeterStaysIncremental(t *testing.T) {
 	}
 }
 
+// TestMeterPartitionStaysIncremental pins the meter on partition-active
+// steps: the world reports their exact edge edits, so the meter applies
+// them like any other step and resyncs only for its first measure and at
+// fault epochs (where the masks move), on both stepping engines, while
+// every value still equals the scratch referee's.
+func TestMeterPartitionStaysIncremental(t *testing.T) {
+	const steps = 150
+	sched := meterSchedules(t, steps)["preset-partition"]
+	for ename, rebuild := range map[string]bool{"incremental": false, "rebuild": true} {
+		t.Run(ename, func(t *testing.T) {
+			w, err := netgen.Generate(testSpec(), 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.SetFullRebuild(rebuild)
+			w.SetFaults(sched)
+			n := w.N()
+			ts := NewTables(n, 2)
+			meter := NewMeter(w, ts)
+			var scratch Scratch
+			s := rng.New(5)
+			partSteps := 0
+			for step := 0; step < steps; step++ {
+				gws := w.Gateways()
+				for i := 0; len(gws) > 0 && i < 10; i++ {
+					ts.Update(NodeID(s.Intn(n)), network.Entry{
+						Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
+						Hops: 1 + s.Intn(9), Updated: step,
+					})
+				}
+				if got, want := meter.Measure(step), scratchQuad(w, ts, &scratch, step); got != want {
+					t.Fatalf("step %d: meter %+v, scratch %+v", step, got, want)
+				}
+				w.Step()
+				if _, active := w.Partition(); active {
+					partSteps++
+				}
+			}
+			epochs := w.FaultEpoch()
+			t.Logf("%d resyncs, %d fault epochs, %d partition-active steps", meter.Resyncs(), epochs, partSteps)
+			if partSteps <= epochs+1 {
+				t.Fatalf("vacuous: %d partition-active steps, %d fault epochs", partSteps, epochs)
+			}
+			if got := meter.Resyncs(); got > 1+epochs {
+				t.Fatalf("Resyncs() = %d over %d partition-active steps, want <= 1 + %d fault epochs",
+					got, partSteps, epochs)
+			}
+		})
+	}
+}
+
 // TestMeterSteadyStateAllocs pins the zero-allocation property: once
 // warmed up, a measure step (table writes + world step + Measure) must not
 // allocate.

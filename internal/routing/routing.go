@@ -1032,29 +1032,12 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	if sc.Tracer != nil || sc.Observer != nil {
 		workers = 1
 	}
-	pool := parallel.NewPool(workers)
-	results := make([]Result, runs)
 	// Static worlds tempt callers into returning one shared *World from
-	// worldFor; Run still mutates it (step counter, metrics hook,
-	// topology delta watch), so that is a data race under run-level
-	// parallelism. Catch it loudly rather than corrupting results.
-	var guard worldGuard
-	err := pool.Run(runs, func(r int) error {
-		w, err := worldFor(r)
-		if err != nil {
-			return err
-		}
-		if pool.Parallel() {
-			if err := guard.claim(w, r); err != nil {
-				return err
-			}
-		}
-		res, err := Run(w, sc, rng.DeriveSeed(baseSeed, uint64(r)))
-		if err != nil {
-			return err
-		}
-		results[r] = res
-		return nil
+	// worldFor; Run still mutates it (step counter, metrics hook, edge
+	// stream), so that is a data race under run-level parallelism.
+	// Replicate catches it loudly rather than corrupting results.
+	results, err := parallel.Replicate(workers, runs, baseSeed, worldFor, func(w *network.World, seed uint64) (Result, error) {
+		return Run(w, sc, seed)
 	})
 	if err != nil {
 		return Aggregate{}, err
@@ -1118,7 +1101,7 @@ func aggregate(results []Result) Aggregate {
 // The first run to need a world records a Trajectory from one freshly
 // built live world — sync.Once inside the source, so exactly one
 // recording happens at any RunWorkers — and every run (including the
-// first) replays it through World.StepFromTrajectory. Replay is
+// first) replays it through a replay world's Step. Replay is
 // bit-identical to live stepping, so the aggregate matches
 // RunMany(fresh-world-per-run, ...) exactly; it just skips the mobility
 // RNG, disc scans, and grid maintenance on every run after the recording.
@@ -1133,24 +1116,4 @@ func RunManyCached(build func() (*network.World, error), sc Scenario, runs int, 
 	d := sc.withDefaults()
 	src := network.NewTrajectorySource(d.Steps, 0, d.Faults, build)
 	return RunMany(src.WorldFor, sc, runs, baseSeed)
-}
-
-// worldGuard detects worldFor implementations that hand the same *World
-// to two concurrent runs.
-type worldGuard struct {
-	mu   sync.Mutex
-	seen map[*network.World]int
-}
-
-func (g *worldGuard) claim(w *network.World, run int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.seen == nil {
-		g.seen = make(map[*network.World]int)
-	}
-	if prev, dup := g.seen[w]; dup {
-		return fmt.Errorf("parallel replication needs a fresh world per run: worldFor returned the same *World for runs %d and %d", prev, run)
-	}
-	g.seen[w] = run
-	return nil
 }

@@ -16,9 +16,8 @@
 //	     | uvarint rawLen | uvarint compLen | crc32(comp) LE | comp bytes
 //
 // where comp is the gzip of the raw record payload and first/last bound the
-// steps the block covers. A sidecar index (written by FileLog as
-// "<path>.idx") lists every block's offset and step range so readers can
-// seek; readers fall back to a header-walking scan when it is missing.
+// steps the block covers. Readers build the block index — every block's
+// offset and step range, for seeking — by walking the frame headers.
 //
 // Event records use varint-delta steps, a one-byte kind code, a field
 // presence mask, and per-block string interning for Extra labels, so blocks
@@ -101,11 +100,11 @@ func ConfigHashOf(config []byte) uint64 {
 // BlockInfo locates one block: its byte offset from the start of the file,
 // type, covered step range, and record count.
 type BlockInfo struct {
-	Off   int64 `json:"off"`
-	Type  byte  `json:"type"`
-	First int   `json:"first"`
-	Last  int   `json:"last"`
-	Count int   `json:"count"`
+	Off   int64
+	Type  byte
+	First int
+	Last  int
+	Count int
 }
 
 // kind <-> wire code. Code 0 means "custom kind", carried as an interned
@@ -246,13 +245,13 @@ const maxInFlight = 2
 // compact binary format. It implements Tracer and WorldSink. It is
 // error-latched: the first write error turns every subsequent Emit into a
 // no-op and is reported by Close. Construct with NewLogWriter
-// (any io.Writer) or CreateLog (file plus sidecar index).
+// (any io.Writer) or CreateLog (a file).
 //
 // Block compression is pipelined: a sealed block deflates on its own
 // goroutine while the next one fills, with at most maxInFlight blocks in
-// flight. Blocks commit (frame, write, index) in seal order on the
+// flight. Blocks commit (frame, write) in seal order on the
 // caller's goroutine, so the bytes equal a one-block-at-a-time encoder's.
-// EmitAnchor, Flush, Close and Index drain the pipeline before returning.
+// EmitAnchor, Flush and Close drain the pipeline before returning.
 // A write error therefore latches when its block commits: at the next
 // barrier, or once maxInFlight more blocks have sealed.
 type LogWriter struct {
@@ -262,7 +261,6 @@ type LogWriter struct {
 	err error
 
 	enc    recordEncoder
-	index  []BlockInfo
 	events int
 
 	// inflight is a ring of sealed blocks: pending of them, oldest at head.
@@ -457,14 +455,6 @@ func (lw *LogWriter) Count() int {
 	return lw.events
 }
 
-// Index returns the blocks written so far (sealed blocks only).
-func (lw *LogWriter) Index() []BlockInfo {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	lw.drainLocked()
-	return append([]BlockInfo(nil), lw.index...)
-}
-
 // sealLocked hands the events block being filled to the pipeline and
 // starts the next one in the buffer the block's slot frees.
 func (lw *LogWriter) sealLocked() {
@@ -493,7 +483,7 @@ func (lw *LogWriter) startLocked(typ byte, first, last, count int, raw []byte) *
 }
 
 // commitLocked waits for the oldest block in flight and writes it: frame
-// header, CRC, payload, index entry and counters, latching the first
+// header, CRC, payload and counters, latching the first
 // error. Once an error is latched, later blocks are dropped unwritten.
 // Waiting under the mutex cannot deadlock: compression never takes it.
 func (lw *LogWriter) commitLocked() {
@@ -518,7 +508,6 @@ func (lw *LogWriter) drainLocked() {
 }
 
 func (lw *LogWriter) writeBlockLocked(typ byte, first, last, count, rawLen int, comp []byte) {
-	off := lw.off
 	var hdr []byte
 	hdr = append(hdr, blockMagic, typ)
 	hdr = binary.AppendUvarint(hdr, uint64(first))
@@ -533,7 +522,6 @@ func (lw *LogWriter) writeBlockLocked(typ byte, first, last, count, rawLen int, 
 	if err := lw.write(comp); err != nil {
 		return
 	}
-	lw.index = append(lw.index, BlockInfo{Off: off, Type: typ, First: first, Last: last, Count: count})
 	lw.mBlocks.Inc()
 }
 
@@ -552,12 +540,10 @@ func (lw *LogWriter) Close() error {
 	return lw.Flush()
 }
 
-// FileLog is a LogWriter backed by a file plus its sidecar block index
-// ("<path>.idx"), written on Close.
+// FileLog is a LogWriter backed by a file it closes on Close.
 type FileLog struct {
 	*LogWriter
-	f       *os.File
-	idxPath string
+	f *os.File
 }
 
 // CreateLog creates path (truncating) and returns a FileLog writing hdr.
@@ -571,29 +557,14 @@ func CreateLog(path string, hdr Header) (*FileLog, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileLog{LogWriter: lw, f: f, idxPath: path + ".idx"}, nil
+	return &FileLog{LogWriter: lw, f: f}, nil
 }
 
-// sidecar is the JSON shape of the "<path>.idx" index file.
-type sidecar struct {
-	Version int         `json:"version"`
-	Blocks  []BlockInfo `json:"blocks"`
-}
-
-// Close seals the log, writes the sidecar index, and closes the file. The
-// log file itself stays fully readable without the sidecar (readers fall
-// back to scanning); a failed index write therefore only degrades seeking.
+// Close seals the log and closes the file, returning the first error.
 func (l *FileLog) Close() error {
 	err := l.LogWriter.Close()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
-	}
-	if err == nil {
-		b, merr := json.MarshalIndent(sidecar{Version: LogVersion, Blocks: l.LogWriter.index}, "", " ")
-		if merr == nil {
-			merr = os.WriteFile(l.idxPath, b, 0o644)
-		}
-		err = merr
 	}
 	return err
 }

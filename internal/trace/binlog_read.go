@@ -42,9 +42,9 @@ type Record struct {
 	Anchor []byte // anchor records: serialised network.Snapshot JSON
 }
 
-// LogReader decodes a binary event log. Construct with OpenLog (file +
-// sidecar index) or NewLogReader (any io.ReadSeeker; the block index is
-// rebuilt by scanning frame headers). Not safe for concurrent use.
+// LogReader decodes a binary event log. Construct with OpenLog (a file) or
+// NewLogReader (any io.ReadSeeker); Blocks builds the block index by
+// scanning frame headers. Not safe for concurrent use.
 type LogReader struct {
 	r         io.ReadSeeker
 	hdr       Header
@@ -99,9 +99,7 @@ func NewLogReader(r io.ReadSeeker) (*LogReader, error) {
 	return lr, nil
 }
 
-// OpenLog opens a binary log file, loading its sidecar index
-// ("<path>.idx") when present and consistent; otherwise the index is
-// rebuilt by scanning the file. The caller owns closing the reader.
+// OpenLog opens a binary log file. The caller owns closing the reader.
 func OpenLog(path string) (*LogReader, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -112,29 +110,7 @@ func OpenLog(path string) (*LogReader, func() error, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	if b, err := os.ReadFile(path + ".idx"); err == nil {
-		var sc sidecar
-		if json.Unmarshal(b, &sc) == nil && sc.Version == LogVersion && sidecarSane(sc.Blocks, lr.headerEnd) {
-			lr.blocks, lr.indexed = sc.Blocks, true
-		}
-	}
 	return lr, f.Close, nil
-}
-
-// sidecarSane rejects index files that cannot match this log: offsets must
-// start right after the header and ascend.
-func sidecarSane(blocks []BlockInfo, headerEnd int64) bool {
-	prev := headerEnd
-	for i, b := range blocks {
-		if i == 0 && b.Off != headerEnd {
-			return false
-		}
-		if b.Off < prev || (b.Type != blockEvents && b.Type != blockAnchor) {
-			return false
-		}
-		prev = b.Off
-	}
-	return true
 }
 
 // Header returns the log's self-describing header.
@@ -148,8 +124,8 @@ func (lr *LogReader) Instrument(r *metrics.Registry) {
 	lr.mBlocks = r.Counter("replay_blocks_read")
 }
 
-// Blocks returns the log's block index, scanning frame headers to build it
-// when no sidecar index was loaded.
+// Blocks returns the log's block index, scanning the frame headers to
+// build it on the first call.
 func (lr *LogReader) Blocks() ([]BlockInfo, error) {
 	if lr.indexed {
 		return lr.blocks, nil

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,9 +19,8 @@ import (
 // and it compresses every block with a fresh level-6 gzip writer, so it
 // reuses no compression state at all.
 type refLogWriter struct {
-	buf   bytes.Buffer
-	enc   recordEncoder
-	index []BlockInfo
+	buf bytes.Buffer
+	enc recordEncoder
 }
 
 func newRefLogWriter(t testing.TB, hdr Header) *refLogWriter {
@@ -73,7 +71,6 @@ func (rw *refLogWriter) writeBlock(typ byte, first, last, count int, raw []byte)
 	}
 	zw.Write(raw) // writes into a bytes.Buffer cannot fail
 	zw.Close()
-	off := int64(rw.buf.Len())
 	rw.buf.WriteByte(blockMagic)
 	rw.buf.WriteByte(typ)
 	var hdr []byte
@@ -85,7 +82,6 @@ func (rw *refLogWriter) writeBlock(typ byte, first, last, count int, raw []byte)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(comp.Bytes()))
 	rw.buf.Write(hdr)
 	rw.buf.Write(comp.Bytes())
-	rw.index = append(rw.index, BlockInfo{Off: off, Type: typ, First: first, Last: last, Count: count})
 }
 
 // bytes seals the final block and returns the whole log.
@@ -141,10 +137,9 @@ func refStreams() []struct {
 }
 
 // TestLogWriterMatchesSyncReference pins the pipelined block codec to the
-// synchronous reference: the same calls must give the same log bytes and
-// the same block index, at GOMAXPROCS=1 (compression and simulation share
-// one P) and at the host default, and for a FileLog, the same file and
-// sidecar.
+// synchronous reference: the same calls must give the same log bytes, at
+// GOMAXPROCS=1 (compression and simulation share one P) and at the host
+// default, and for a FileLog, the same file.
 func TestLogWriterMatchesSyncReference(t *testing.T) {
 	hdr := Header{BaseSeed: 11, Config: []byte(`{"scenario":"routing"}`)}
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -166,9 +161,6 @@ func TestLogWriterMatchesSyncReference(t *testing.T) {
 					}
 					if !bytes.Equal(buf.Bytes(), want) {
 						t.Fatalf("log bytes differ from the reference (%d vs %d bytes)", buf.Len(), len(want))
-					}
-					if got := lw.Index(); !reflect.DeepEqual(got, ref.index) {
-						t.Fatalf("index differs from the reference:\n got %+v\nwant %+v", got, ref.index)
 					}
 				})
 			}
@@ -210,10 +202,6 @@ func TestLogWriterMatchesSyncReference(t *testing.T) {
 				ref := newRefLogWriter(t, hdr)
 				st.emit(ref)
 				want := ref.bytes()
-				wantIdx, err := json.MarshalIndent(sidecar{Version: LogVersion, Blocks: ref.index}, "", " ")
-				if err != nil {
-					t.Fatal(err)
-				}
 				path := t.TempDir() + "/run.alog"
 				fl, err := CreateLog(path, hdr)
 				if err != nil {
@@ -227,15 +215,8 @@ func TestLogWriterMatchesSyncReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotIdx, err := os.ReadFile(path + ".idx")
-				if err != nil {
-					t.Fatal(err)
-				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("log file differs from the reference (%d vs %d bytes)", len(got), len(want))
-				}
-				if !bytes.Equal(gotIdx, wantIdx) {
-					t.Fatalf("sidecar index differs from the reference:\n got %s\nwant %s", gotIdx, wantIdx)
 				}
 			})
 		})

@@ -389,15 +389,16 @@ func waitGoroutines(t *testing.T, base int) {
 // TestLogWriterPipelineFailure: a sink that fails on the second events
 // block, with no anchor to force a barrier. The error latches when that
 // block commits, mid-stream; from then on Count freezes and nothing more
-// reaches the sink, Close reports the error, the index lists only the
-// block the sink took, and no codec goroutine outlives Close.
+// reaches the sink, Close reports the error, the sink holds only the
+// preamble and the block it took, and no codec goroutine outlives Close.
 func TestLogWriterPipelineFailure(t *testing.T) {
 	events, deltas := benchStream(benchSteps, benchAgents)
 	ref := newRefLogWriter(t, Header{})
 	emitStream(ref, events, deltas, 0)
 	want := ref.bytes()
-	if len(ref.index) < 2*maxInFlight+2 {
-		t.Fatalf("stream has %d blocks, too few to fill the pipeline", len(ref.index))
+	blocks := logBlocks(t, want)
+	if len(blocks) < 2*maxInFlight+2 {
+		t.Fatalf("stream has %d blocks, too few to fill the pipeline", len(blocks))
 	}
 
 	base := runtime.NumGoroutine()
@@ -430,11 +431,8 @@ func TestLogWriterPipelineFailure(t *testing.T) {
 	if fw.calls != fw.ok+1 {
 		t.Fatalf("sink saw %d writes, want %d: nothing may follow the failed one", fw.calls, fw.ok+1)
 	}
-	if got := lw.Index(); !reflect.DeepEqual(got, ref.index[:1]) {
-		t.Fatalf("index = %+v, want only the first block %+v", got, ref.index[:1])
-	}
-	if !bytes.Equal(fw.buf.Bytes(), want[:ref.index[1].Off]) {
-		t.Fatalf("sink holds %d bytes, want the preamble and first block (%d bytes)", fw.buf.Len(), ref.index[1].Off)
+	if !bytes.Equal(fw.buf.Bytes(), want[:blocks[1].Off]) {
+		t.Fatalf("sink holds %d bytes, want the preamble and first block (%d bytes)", fw.buf.Len(), blocks[1].Off)
 	}
 	waitGoroutines(t, base)
 }
@@ -613,7 +611,7 @@ func TestLogMetricsNoPerturbation(t *testing.T) {
 	want := map[string]uint64{
 		"trace_events_total":   uint64(len(sampleEvents())),
 		"trace_bytes_written":  uint64(buf.Len()),
-		"trace_blocks_flushed": uint64(len(lw.Index())),
+		"trace_blocks_flushed": uint64(len(logBlocks(t, buf.Bytes()))),
 	}
 	for name, w := range want {
 		if got := snap.Counter(name); got != w {
@@ -631,15 +629,31 @@ func TestLogMetricsNoPerturbation(t *testing.T) {
 	if err := lr.Scan(func(Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := rreg.Snapshot(nil).Counter("replay_blocks_read"); got != uint64(len(lw.Index())) {
-		t.Fatalf("replay_blocks_read = %v, want %d", got, len(lw.Index()))
+	if got, want := rreg.Snapshot(nil).Counter("replay_blocks_read"), uint64(len(logBlocks(t, buf.Bytes()))); got != want {
+		t.Fatalf("replay_blocks_read = %v, want %d", got, want)
 	}
 }
 
-// TestFileLogSidecarIndex: CreateLog writes a sidecar index on Close;
-// OpenLog uses it, and still works (scanning) when the sidecar is gone.
+// logBlocks returns the block index of the log in b, by frame scan.
+func logBlocks(t *testing.T, b []byte) []BlockInfo {
+	t.Helper()
+	lr, err := NewLogReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := lr.Blocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// TestFileLogSidecarIndex: CreateLog writes the log file alone, and
+// OpenLog builds its block index by scanning the frames — a stale or
+// crafted "<path>.idx" next to the log is not input the reader reads.
 func TestFileLogSidecarIndex(t *testing.T) {
-	path := t.TempDir() + "/run.alog"
+	dir := t.TempDir()
+	path := dir + "/run.alog"
 	fl, err := CreateLog(path, Header{BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -651,36 +665,43 @@ func TestFileLogSidecarIndex(t *testing.T) {
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(label string) {
-		lr, closer, err := OpenLog(path)
-		if err != nil {
-			t.Fatalf("%s: OpenLog: %v", label, err)
-		}
-		defer closer()
-		blocks, err := lr.Blocks()
-		if err != nil {
-			t.Fatalf("%s: Blocks: %v", label, err)
-		}
-		if len(blocks) == 0 {
-			t.Fatalf("%s: no blocks", label)
-		}
-		n := 0
-		if err := lr.Scan(func(r Record) error {
-			if r.Kind == RecordEvent {
-				n++
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: Scan: %v", label, err)
-		}
-		if n != len(sampleEvents()) {
-			t.Fatalf("%s: decoded %d events, want %d", label, n, len(sampleEvents()))
-		}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("log directory holds %d entries (%v), want the log alone", len(entries), err)
 	}
-	check("with sidecar")
-	if err := os.Remove(path + ".idx"); err != nil {
+	log, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("scan fallback")
+	want := logBlocks(t, log)
+	if len(want) != 2 {
+		t.Fatalf("log holds %d blocks, want an events block and an anchor", len(want))
+	}
+	crafted := `{"version":1,"blocks":[{"off":0,"type":1,"first":0,"last":99,"count":1}]}`
+	if err := os.WriteFile(path+".idx", []byte(crafted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lr, closer, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer()
+	blocks, err := lr.Blocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(blocks, want) {
+		t.Fatalf("OpenLog blocks = %+v, want the scanned %+v", blocks, want)
+	}
+	n := 0
+	if err := lr.Scan(func(r Record) error {
+		if r.Kind == RecordEvent {
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(sampleEvents()) {
+		t.Fatalf("decoded %d events, want %d", n, len(sampleEvents()))
+	}
 }

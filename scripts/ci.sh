@@ -27,27 +27,30 @@ echo "== parallel determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
 # executor equivalence and pinned-batch tests at a forced 2 so a many-core
 # host also exercises the constrained-budget schedule (and a 1-core host
 # exercises a parallel one).
-GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned' \
-  . ./internal/routing ./internal/mapping
-go test -race -run 'ParallelEquivalence|ParallelDeterminism' \
-  . ./internal/routing ./internal/mapping
+GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate' \
+  . ./internal/routing ./internal/mapping ./internal/parallel
+go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate' \
+  . ./internal/routing ./internal/mapping ./internal/parallel
 
 echo "== incremental-vs-rebuild topology equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The full -race suite above already runs these, but the equivalence of the
 # incremental topology engine against the full per-step rebuild is a
 # correctness cornerstone (bit-identical graphs under mobility, decay, and
 # mode toggles), so it gets an explicit named gate that fails loudly on
-# its own. TopoDeltasReplayTopology checks the per-step delta stream
-# against the graph; KineticCertificatesAdversarial and the
-# FuzzIncrementalTopology seed corpus drive the pair certificates through
-# worlds built to break them (fast nodes, threshold pairs, bound
+# its own. TopoDeltasReplayTopology checks that the per-step edge-change
+# stream is the exact graph diff on every stepping path (incremental,
+# full rebuild, fault and partition steps, replay worlds), and
+# TrajectoryTapeMatchesDiffReferee that the replay tape built from it is
+# byte-identical to a full-diff referee's. KineticCertificatesAdversarial
+# and the FuzzIncrementalTopology seed corpus drive the pair certificates
+# through worlds built to break them (fast nodes, threshold pairs, bound
 # violations, faults). The gate runs at a forced GOMAXPROCS=2 next to the
 # host default.
 GOMAXPROCS=2 go test -race -count=1 \
-  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|TrajectoryTapeMatchesDiffReferee|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
   ./internal/network
 go test -race -count=1 \
-  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
+  -run 'IncrementalMatchesFullRebuild|IncrementalModeToggle|IncrementalChurnCounters|WorldStepZeroAllocs|TopoDeltasReplayTopology|TrajectoryTapeMatchesDiffReferee|KineticCertificatesAdversarial|FuzzIncrementalTopology' \
   ./internal/network
 
 echo "== fault-injection gate (churn/partition equivalence + snapshot round-trip, -race)"
@@ -126,9 +129,10 @@ go test -count=1 -run 'TestLogRoundTrip|TestDeltaOutsideWorldRejected|TestExport
 echo "== trajectory replay gate (cached-stepping equivalence + tape size, -race)"
 # The record-once/replay-many engine must stay bit-identical to live
 # stepping at every worker setting, and its tape must stay as compact as
-# the predictor lanes make it (TestTrajectoryCompact). The tape encodes
-# world change with the binary log's trace.DeltaCodec, whose decoder the
-# corrupt-log gate fuzzes (FuzzLogReader).
+# the predictor lanes make it (TestTrajectoryCompact), and byte-identical
+# to the full-diff referee's (TestTrajectoryTapeMatchesDiffReferee). The
+# tape encodes world change with the binary log's trace.DeltaCodec, whose
+# decoder the corrupt-log gate fuzzes (FuzzLogReader).
 go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt' \
   ./internal/network ./internal/mapping ./internal/routing ./internal/replay
 
@@ -141,8 +145,10 @@ echo "== incremental-measurement equivalence gate (-race)"
 # only measurement path of every routing run (its ideal-connectivity
 # forest included), so they get an explicit named gate that fails loudly
 # on its own. DynReach is the witness-forest engine under both forests.
+# MeterPartitionStaysIncremental pins that partition-active steps, whose
+# edge edits the world reports exactly, cost no resync.
 go test -race -count=1 \
-  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental' \
+  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental|MeterPartitionStaysIncremental' \
   ./internal/routing
 go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
