@@ -482,7 +482,7 @@ func benchConnectivityTables(b *testing.B, w *network.World) *routing.Tables {
 	gw := w.Gateways()[0]
 	for u := 0; u < n; u++ {
 		if dist[u] != inf && dist[u] > 0 {
-			ts.Update(network.NodeID(u), network.Entry{
+			ts.Update(network.NodeID(u), routing.Entry{
 				Gateway: gw, NextHop: parent[u], Hops: dist[u], Updated: 0,
 			})
 		}
@@ -496,7 +496,7 @@ func benchConnectivityTables(b *testing.B, w *network.World) *routing.Tables {
 // tables on a stepping world with a steady trickle of table writes.
 // mode=full computes all four from scratch each step (the pre-incremental
 // behaviour); mode=incr is the churn-proportional Meter, fed by the
-// topology delta stream and table write tracking. The two are
+// topology delta stream and the tables' dirty list. The two are
 // bit-identical at every step (pinned by the equivalence, property, and
 // fuzz tests in internal/routing), so the ratio is pure measurement cost.
 // World stepping and the writes happen with the timer stopped; only the
@@ -535,7 +535,7 @@ func BenchmarkConnectivity(b *testing.B) {
 					if len(nbrs) == 0 {
 						continue
 					}
-					e = network.Entry{
+					e = routing.Entry{
 						Gateway: gws[s.Intn(len(gws))], NextHop: nbrs[s.Intn(len(nbrs))],
 						Hops: 1 + s.Intn(9),
 					}

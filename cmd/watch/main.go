@@ -91,7 +91,7 @@ func main() {
 			for u := range values {
 				if reach[u] {
 					values[u] = 1
-				} else if tables.At(network.NodeID(u)).Len() > 0 {
+				} else if len(tables.Entries(network.NodeID(u))) > 0 {
 					values[u] = 0.4 // has a route, but it no longer reaches
 				}
 			}

@@ -170,7 +170,7 @@ func (c *AntColony) Tables(step int) *routing.Tables {
 		if best < 0 {
 			continue
 		}
-		ts.At(network.NodeID(u)).Update(network.Entry{
+		ts.Update(network.NodeID(u), routing.Entry{
 			Gateway: c.gwHint[u][best],
 			NextHop: best,
 			Hops:    1, // pheromone does not encode distance; hops are nominal

@@ -33,7 +33,7 @@ func TestAntColonyTablesPointTowardGateway(t *testing.T) {
 	// On a chain with the gateway at 0, strong trails must point down.
 	downhill := 0
 	for u := network.NodeID(1); u < 5; u++ {
-		if e, ok := ts.At(u).Lookup(0); ok && e.NextHop == u-1 {
+		if e, ok := lookup(ts, u, 0); ok && e.NextHop == u-1 {
 			downhill++
 		}
 	}

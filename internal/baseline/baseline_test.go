@@ -8,7 +8,18 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/network"
 	"repro/internal/radio"
+	"repro/internal/routing"
 )
+
+// lookup returns node u's entry for gateway gw, if any.
+func lookup(ts *routing.Tables, u, gw NodeID) (routing.Entry, bool) {
+	for _, e := range ts.Entries(u) {
+		if e.Gateway == gw {
+			return e, true
+		}
+	}
+	return routing.Entry{}, false
+}
 
 // chain builds a static bidirectional chain of n nodes, gateway at 0.
 func chain(t *testing.T, n int) *network.World {
@@ -116,7 +127,7 @@ func TestDistanceVectorChainConverges(t *testing.T) {
 	}
 	ts := dv.Tables(6)
 	// Node 5 must route via node 4 with 5 hops.
-	e, ok := ts.At(5).Lookup(0)
+	e, ok := lookup(ts, 5, 0)
 	if !ok || e.NextHop != 4 || e.Hops != 5 {
 		t.Fatalf("entry at node 5 = %+v, %v", e, ok)
 	}

@@ -135,7 +135,7 @@ func (dv *DistanceVector) Tables(step int) *routing.Tables {
 			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) {
 				continue
 			}
-			ts.At(NodeID(u)).Update(network.Entry{
+			ts.Update(NodeID(u), routing.Entry{
 				Gateway: gw,
 				NextHop: dv.via[u][k],
 				Hops:    int(dv.dist[u][k]),

@@ -169,7 +169,7 @@ func (a *Agent) Decide(board *stigmergy.Board, step int, candidates []NodeID) No
 	}
 	cands := candidates
 	if a.stigmergy && board != nil {
-		a.stigBuf = board.Unmarked(a.At, step, candidates, a.stigBuf[:0])
+		a.stigBuf = board.Unmarked(a.At, candidates, a.stigBuf[:0])
 		if len(a.stigBuf) > 0 {
 			cands = a.stigBuf
 		}

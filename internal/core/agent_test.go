@@ -213,7 +213,7 @@ func TestDecideStigmergyAvoidsMarked(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		// Fresh board each trial: the agent's own footprint from a previous
 		// decision must not pollute the check.
-		board := stigmergy.NewBoard(10, 3, 0)
+		board := stigmergy.NewBoard(10, 3)
 		board.Leave(0, 1, 0)
 		board.Leave(0, 2, 0)
 		if next := a.Decide(board, 1, []NodeID{1, 2, 3}); next != 3 {
@@ -223,7 +223,7 @@ func TestDecideStigmergyAvoidsMarked(t *testing.T) {
 }
 
 func TestDecideStigmergyFallsBackWhenAllMarked(t *testing.T) {
-	board := stigmergy.NewBoard(10, 3, 0)
+	board := stigmergy.NewBoard(10, 3)
 	a := newAgent(t, Config{ID: 1, Start: 0, Kind: PolicyRandom, Stigmergy: true})
 	board.Leave(0, 1, 0)
 	board.Leave(0, 2, 0)
@@ -234,10 +234,10 @@ func TestDecideStigmergyFallsBackWhenAllMarked(t *testing.T) {
 }
 
 func TestDecideStigmergyLeavesMark(t *testing.T) {
-	board := stigmergy.NewBoard(10, 3, 0)
+	board := stigmergy.NewBoard(10, 3)
 	a := newAgent(t, Config{ID: 1, Start: 0, Kind: PolicyRandom, Stigmergy: true})
 	next := a.Decide(board, 5, []NodeID{1, 2, 3})
-	if !board.IsMarked(0, next, 6) {
+	if !board.IsMarked(0, next) {
 		t.Fatal("no footprint left")
 	}
 	if a.Overhead.MarksLeft != 1 {
@@ -246,7 +246,7 @@ func TestDecideStigmergyLeavesMark(t *testing.T) {
 }
 
 func TestNonStigmergicIgnoresBoard(t *testing.T) {
-	board := stigmergy.NewBoard(10, 3, 0)
+	board := stigmergy.NewBoard(10, 3)
 	board.Leave(0, 1, 0)
 	a := newAgent(t, Config{ID: 1, Start: 0, Kind: PolicyRandom})
 	saw1 := false

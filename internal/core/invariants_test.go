@@ -25,7 +25,7 @@ func TestInvariantDecideReturnsCandidate(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		board := stigmergy.NewBoard(30, 2, 5)
+		board := stigmergy.NewBoard(30, 2)
 		for step := 0; step < 30; step++ {
 			n := 1 + s.Intn(6)
 			cands := make([]NodeID, 0, n)

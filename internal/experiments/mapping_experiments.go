@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -324,7 +325,8 @@ func extB(cfg Config) (Report, error) {
 
 func extE(cfg Config) (Report, error) {
 	// A battery-degraded mapping network: map it once, let it decay, and
-	// measure how stale the map becomes and what a remap costs.
+	// measure how far the topology drifts from the one the team mapped and
+	// what a remap costs.
 	spec := netgen.Mapping300()
 	spec.BatteryFraction = 0.5
 	spec.DecayPerStep = 0.0003 // slow enough for the initial survey to finish
@@ -350,13 +352,16 @@ func extE(cfg Config) (Report, error) {
 			continue
 		}
 		firstFinish = append(firstFinish, float64(res.FinishStep))
-		// Reconstruct team knowledge accuracy via a probe agent that is
-		// taught the world as the team finished it: compare the world at
-		// finish time vs after decay.
+		// The team's map is taken to be the topology at finish (the run
+		// ended on perfect knowledge). The "at finish" row compares that
+		// clone with the world it was just cloned from, so it reads 1.000
+		// by construction; the "after decay" row is the fraction of nodes
+		// whose out-list is unchanged after decaySteps more steps — the
+		// topology drift since the map finished, not a measured agent map.
 		snapshot := w.Topology().Clone()
 		match := 0
 		for u := 0; u < w.N(); u++ {
-			if equalIDs(snapshot.Out(network.NodeID(u)), w.Neighbors(network.NodeID(u))) {
+			if slices.Equal(snapshot.Out(network.NodeID(u)), w.Neighbors(network.NodeID(u))) {
 				match++
 			}
 		}
@@ -366,7 +371,7 @@ func extE(cfg Config) (Report, error) {
 		}
 		match = 0
 		for u := 0; u < w.N(); u++ {
-			if equalIDs(snapshot.Out(network.NodeID(u)), w.Neighbors(network.NodeID(u))) {
+			if slices.Equal(snapshot.Out(network.NodeID(u)), w.Neighbors(network.NodeID(u))) {
 				match++
 			}
 		}
@@ -415,16 +420,4 @@ func knownDeviation(name string, ok bool, format string, args ...any) Check {
 	c := check(name, ok, format, args...)
 	c.Known = true
 	return c
-}
-
-func equalIDs(a, b []network.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -416,18 +417,7 @@ func fmtFloats(xs []float64) string {
 	for i, x := range xs {
 		parts[i] = f3(x)
 	}
-	return "[" + joinStrings(parts, " ") + "]"
-}
-
-func joinStrings(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
+	return "[" + strings.Join(parts, " ") + "]"
 }
 
 // extJ compares three ways to route the same MANET at matched population:

@@ -306,19 +306,19 @@ func PresetNames() []string {
 func PresetPlan(name string, n, gateways, steps int) (Plan, error) {
 	churn := Plan{
 		ChurnStart:       steps / 5,
-		ChurnEvery:       maxInt(1, steps/10),
-		ChurnKills:       maxInt(1, n/25),
-		ChurnDowntime:    maxInt(1, steps/6),
+		ChurnEvery:       max(1, steps/10),
+		ChurnKills:       max(1, n/25),
+		ChurnDowntime:    max(1, steps/6),
 		RespawnElsewhere: true,
 	}
 	gwfail := Plan{
 		GatewayFailStep: steps / 3,
-		GatewayKills:    maxInt(1, gateways/3),
-		GatewayDowntime: maxInt(1, steps/4),
+		GatewayKills:    max(1, gateways/3),
+		GatewayDowntime: max(1, steps/4),
 	}
 	partition := Plan{
 		PartitionStep: steps / 3,
-		PartitionHeal: maxInt(1, steps/4),
+		PartitionHeal: max(1, steps/4),
 		PartitionFrac: 0.5,
 	}
 	switch name {
@@ -331,8 +331,8 @@ func PresetPlan(name string, n, gateways, steps int) (Plan, error) {
 	case "degrade":
 		return Plan{
 			DegradeStep:    steps / 4,
-			DegradeCount:   maxInt(1, n/5),
-			DegradeRestore: maxInt(1, steps/4),
+			DegradeCount:   max(1, n/5),
+			DegradeRestore: max(1, steps/4),
 			DegradeFactor:  0.5,
 		}, nil
 	case "blackout":
@@ -356,11 +356,4 @@ func Preset(name string, n int, gateways []int32, steps int, seed uint64) (*Sche
 		return nil, err
 	}
 	return p.Build(n, gateways, steps, seed), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,6 +12,7 @@ package mapping
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -97,12 +98,9 @@ type Scenario struct {
 	Metrics *metrics.Registry
 }
 
-// stigPerNode and stigWindow size the footprint board: three marks per
-// node, never expiring (displacement is the only forgetting).
-const (
-	stigPerNode = 3
-	stigWindow  = 0
-)
+// stigPerNode sizes the footprint board: three marks per node (marks never
+// expire; displacement is the only forgetting).
+const stigPerNode = 3
 
 func (sc Scenario) withDefaults() Scenario {
 	if len(sc.Team) > 0 {
@@ -262,7 +260,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	}
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), stigPerNode, stigWindow)
+		board = stigmergy.NewBoard(w.N(), stigPerNode)
 	}
 	st.reset(w.N(), len(agents))
 	next := st.next
@@ -537,8 +535,9 @@ func RunManyCached(build func() (*network.World, error), sc Scenario, runs int, 
 
 // Accuracy compares an agent's reconstructed map against the world's
 // current topology and returns the fraction of nodes whose known
-// out-neighbour list exactly matches reality. Used by the degraded-network
-// extension, where "perfect knowledge" is a moving target.
+// out-neighbour list exactly matches reality — on a degrading network,
+// "perfect knowledge" is a moving target. No harness or experiment calls
+// it yet; the package tests pin its semantics.
 func Accuracy(a *core.Agent, w *network.World) float64 {
 	n := w.N()
 	if n == 0 {
@@ -551,24 +550,12 @@ func Accuracy(a *core.Agent, w *network.World) float64 {
 		for mw != 0 {
 			u := NodeID(wi<<6 + bits.TrailingZeros64(mw))
 			mw &= mw - 1
-			if equalIDs(a.Topo.Neighbors(u), w.Neighbors(u)) {
+			if slices.Equal(a.Topo.Neighbors(u), w.Neighbors(u)) {
 				match++
 			}
 		}
 	}
 	return float64(match) / float64(n)
-}
-
-func equalIDs(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MovesPerNode returns the team's exploration redundancy: agent

@@ -125,31 +125,6 @@ func measureStepAllocs(t *testing.T, w *World) {
 	}
 }
 
-// TestTableResetZeroAllocs enforces the pooled per-worker scratch budget:
-// recycling a node table between runs (Reset + refill to the same working
-// set) must not allocate, so a replication worker's table array reaches
-// steady state after its first run.
-func TestTableResetZeroAllocs(t *testing.T) {
-	const capacity = 4
-	tab := NewTable(capacity)
-	fill := func() {
-		for g := 0; g < capacity+2; g++ { // +2 forces evictions too
-			tab.Update(Entry{Gateway: NodeID(g), NextHop: NodeID(g + 1), Hops: g, Updated: g})
-		}
-	}
-	fill()
-	avg := testing.AllocsPerRun(200, func() {
-		tab.Reset(capacity)
-		fill()
-	})
-	if avg > 0 {
-		t.Fatalf("Table.Reset+refill allocates %v per cycle, want 0", avg)
-	}
-	if tab.Evictions() == 0 {
-		t.Fatal("refill never evicted — the test is not exercising the eviction path")
-	}
-}
-
 // TestWorldStepZeroAllocsInstrumented repeats the hot-loop budget with a
 // live metrics registry attached: phase timers, the link-churn diff, and
 // the edge gauge must all stay inside the same allocation budget.

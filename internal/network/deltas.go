@@ -11,16 +11,11 @@ import "repro/internal/graph"
 // the report sizes are the step's link churn. The World owns the buffer,
 // resets it at the top of every Step, and keeps it valid until the next
 // one; consumers read it through World.WatchTopology, each keeping its own
-// step cursor (Step), and fall back to a full resync when Rebuilt is set or
-// their cursor shows a missed step.
+// step cursor (Step), and fall back to a full resync when their cursor
+// shows a missed step.
 type TopoDeltas struct {
 	// Step is the world step these deltas describe (StepCount after it).
 	Step int
-	// Rebuilt marks an out-of-band rewrite since that step: SetFaults
-	// detaching a schedule or a faulted snapshot restore rebuilt the whole
-	// topology between steps, so the edge lists do not describe it and
-	// consumers must resync. Step itself never sets it.
-	Rebuilt bool
 	// AddU/AddV and RemU/RemV are the added and removed directed edges,
 	// as parallel slices.
 	AddU, AddV []NodeID
@@ -29,7 +24,6 @@ type TopoDeltas struct {
 
 func (d *TopoDeltas) reset(step int) {
 	d.Step = step
-	d.Rebuilt = false
 	d.AddU = d.AddU[:0]
 	d.AddV = d.AddV[:0]
 	d.RemU = d.RemU[:0]

@@ -16,9 +16,9 @@ import (
 // edge changes the graph (a removal was present before the step and is
 // absent after it, an addition the reverse), no edge is reported twice,
 // and applying the report to the previous topology reproduces the current
-// one, so the report sizes equal the exact diff's. Step never sets
-// Rebuilt. Live worlds also run against an always-full-rebuild twin, so an
-// engine whose edits and reports agree but are both wrong fails too.
+// one, so the report sizes equal the exact diff's. Live worlds also run
+// against an always-full-rebuild twin, so an engine whose edits and
+// reports agree but are both wrong fails too.
 func TestTopoDeltasReplayTopology(t *testing.T) {
 	for name, sc := range incrementalScenarios() {
 		build := func() *World { return buildPlannedWorld(t, sc.plans(), sc.p, 5) }
@@ -94,9 +94,6 @@ func checkTopoDeltas(t *testing.T, w, twin *World, steps int, fullAt func(step i
 		}
 		if d.Step != step {
 			t.Fatalf("step %d: deltas describe step %d", step, d.Step)
-		}
-		if d.Rebuilt {
-			t.Fatalf("step %d: Step set Rebuilt", step)
 		}
 		added, removed := exactDiff(prev, cur)
 		if len(d.AddU) != added || len(d.RemU) != removed {

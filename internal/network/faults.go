@@ -54,24 +54,14 @@ type faultState struct {
 	injectedTotal, recoveredTotal uint64
 }
 
-// SetFaults attaches a fault schedule to the world. A nil or empty
-// schedule detaches fault handling entirely (every node alive again). On a
-// world with no fault state the masks start clean; on a world restored
-// from a faulted snapshot the restored masks are preserved, so re-attaching
-// the original schedule resumes the faulted run exactly where the snapshot
-// was taken. Schedules are immutable, so one schedule may drive many
-// worlds concurrently.
+// SetFaults attaches a fault schedule to the world; a nil or empty
+// schedule attaches nothing. On a world with no fault state the masks
+// start clean; on a world restored from a faulted snapshot the restored
+// masks are preserved, so re-attaching the original schedule resumes the
+// faulted run exactly where the snapshot was taken. Schedules are
+// immutable, so one schedule may drive many worlds concurrently.
 func (w *World) SetFaults(s *faults.Schedule) {
 	if s.Len() == 0 {
-		if w.flt != nil {
-			w.flt = nil
-			w.rebuildTopology()
-			// A rewrite between steps: the edge stream cannot describe it.
-			w.deltas.Rebuilt = true
-			if w.incr != nil {
-				w.incr.stale = true
-			}
-		}
 		return
 	}
 	if w.flt == nil {
@@ -223,17 +213,23 @@ func (w *World) refreshActiveGateways() {
 	}
 }
 
-// restoreFaultState re-applies captured fault state (snapshot restore):
-// dead nodes, out-of-service gateways, and an optional partition cut, then
-// rebuilds the topology so the restored world's links match the captured
-// world's bit for bit.
-func (w *World) restoreFaultState(dead, downGateways []NodeID, partX *float64) error {
+// setFaultMasks installs absolute fault state, replacing the current
+// masks: the dead nodes, the out-of-service gateways and the partition
+// cut. IDs are range-checked, because snapshots are outside input. Snapshot
+// restore and trajectory replay both install fault state through it; the
+// topology is left to the caller.
+func (w *World) setFaultMasks(dead, downGateways []NodeID, partActive bool, partX float64) error {
 	n := w.N()
-	w.initFaultState()
+	if w.flt == nil {
+		w.initFaultState()
+	}
 	f := w.flt
+	clear(f.dead)
+	clear(f.gwDown)
+	f.aliveCount = n
 	for _, u := range dead {
-		if int(u) < 0 || int(u) >= n {
-			return fmt.Errorf("network: snapshot dead node %d out of range [0,%d)", u, n)
+		if u < 0 || int(u) >= n {
+			return fmt.Errorf("dead node %d out of range [0,%d)", u, n)
 		}
 		if !f.dead[u] {
 			f.dead[u] = true
@@ -241,21 +237,32 @@ func (w *World) restoreFaultState(dead, downGateways []NodeID, partX *float64) e
 		}
 	}
 	for _, g := range downGateways {
-		if int(g) < 0 || int(g) >= n || !w.isGateway[g] {
-			return fmt.Errorf("network: snapshot down gateway %d is not a gateway", g)
+		if g < 0 || int(g) >= n || !w.isGateway[g] {
+			return fmt.Errorf("down gateway %d is not a gateway", g)
 		}
 		f.gwDown[g] = true
 	}
-	if partX != nil {
-		f.partActive, f.partX = true, *partX
-	}
+	f.partActive, f.partX = partActive, partX
 	w.refreshActiveGateways()
-	w.rebuildTopology()
-	w.deltas.Rebuilt = true
-	if w.incr != nil {
-		// The incremental caches were initialised from the unmasked
-		// topology; resynchronise on the next incremental step.
-		w.incr.stale = true
-	}
 	return nil
+}
+
+// appendFaultMasks appends the world's dead nodes and out-of-service
+// gateways, in ascending order, to dead and down — the list form of the
+// masks that snapshots and world deltas record. Worlds without fault
+// injection append nothing.
+func (w *World) appendFaultMasks(dead, down []NodeID) ([]NodeID, []NodeID) {
+	f := w.flt
+	if f == nil {
+		return dead, down
+	}
+	for u := range f.dead {
+		if f.dead[u] {
+			dead = append(dead, NodeID(u))
+		}
+		if f.gwDown[u] {
+			down = append(down, NodeID(u))
+		}
+	}
+	return dead, down
 }

@@ -86,47 +86,6 @@ func FuzzIncrementalTopology(f *testing.F) {
 	})
 }
 
-// FuzzTableUpdate drives a routing table with an arbitrary update tape
-// and checks the capacity bound plus freshest-wins semantics.
-func FuzzTableUpdate(f *testing.F) {
-	f.Add(uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(1), []byte{0, 0, 0})
-	f.Add(uint8(0), []byte{255, 1, 128})
-	f.Fuzz(func(t *testing.T, capacity uint8, tape []byte) {
-		tb := NewTable(int(capacity))
-		freshest := map[NodeID]int{}
-		for i := 0; i+2 < len(tape); i += 3 {
-			e := Entry{
-				Gateway: NodeID(tape[i] % 8),
-				NextHop: NodeID(tape[i+1] % 16),
-				Hops:    int(tape[i+2]%10) + 1,
-				Updated: int(tape[i] % 50),
-			}
-			tb.Update(e)
-			if capacity > 0 && tb.Len() > int(capacity) {
-				t.Fatalf("len %d > capacity %d", tb.Len(), capacity)
-			}
-			if cur, ok := tb.Lookup(e.Gateway); ok {
-				// A stored entry for this gateway is never staler than
-				// the best update we have offered so far.
-				if prev, seen := freshest[e.Gateway]; seen && cur.Updated < prev && cur.Updated < e.Updated {
-					t.Fatalf("gateway %d holds staler entry (%d) than offered (%d)",
-						e.Gateway, cur.Updated, max(prev, e.Updated))
-				}
-			}
-			if prev, seen := freshest[e.Gateway]; !seen || e.Updated > prev {
-				freshest[e.Gateway] = e.Updated
-			}
-		}
-		// All stored entries must be among the offered gateways.
-		for _, e := range tb.Entries() {
-			if _, ok := freshest[e.Gateway]; !ok {
-				t.Fatalf("phantom gateway %d", e.Gateway)
-			}
-		}
-	})
-}
-
 // fuzzFaultSchedule scripts a deterministic fault tape from the same body
 // bytes that configured the nodes: bit 3 of a node's byte kills it partway
 // through the run and revives it later (bit 5 respawns it at a

@@ -237,100 +237,6 @@ func TestTopologyMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTableUpdateAndLookup(t *testing.T) {
-	tb := NewTable(4)
-	if tb.Len() != 0 {
-		t.Fatal("new table not empty")
-	}
-	if !tb.Update(Entry{Gateway: 1, NextHop: 2, Hops: 3, Updated: 10}) {
-		t.Fatal("first insert rejected")
-	}
-	e, ok := tb.Lookup(1)
-	if !ok || e.NextHop != 2 || e.Hops != 3 {
-		t.Fatalf("lookup = %+v, %v", e, ok)
-	}
-	// Staler update rejected.
-	if tb.Update(Entry{Gateway: 1, NextHop: 9, Hops: 1, Updated: 5}) {
-		t.Fatal("staler entry accepted")
-	}
-	// Fresher update accepted.
-	if !tb.Update(Entry{Gateway: 1, NextHop: 7, Hops: 9, Updated: 11}) {
-		t.Fatal("fresher entry rejected")
-	}
-	// Equal freshness, shorter route accepted.
-	if !tb.Update(Entry{Gateway: 1, NextHop: 8, Hops: 2, Updated: 11}) {
-		t.Fatal("shorter same-step entry rejected")
-	}
-	// Equal freshness, equal hops rejected (no churn).
-	if tb.Update(Entry{Gateway: 1, NextHop: 3, Hops: 2, Updated: 11}) {
-		t.Fatal("identical-cost entry accepted")
-	}
-}
-
-func TestTableEviction(t *testing.T) {
-	tb := NewTable(2)
-	tb.Update(Entry{Gateway: 1, Hops: 2, Updated: 10})
-	tb.Update(Entry{Gateway: 2, Hops: 2, Updated: 20})
-	tb.Update(Entry{Gateway: 3, Hops: 2, Updated: 30})
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tb.Len())
-	}
-	if _, ok := tb.Lookup(1); ok {
-		t.Fatal("stalest entry survived eviction")
-	}
-	for _, gw := range []NodeID{2, 3} {
-		if _, ok := tb.Lookup(gw); !ok {
-			t.Fatalf("entry for %d evicted wrongly", gw)
-		}
-	}
-}
-
-func TestTableEvictionTieBreaks(t *testing.T) {
-	tb := NewTable(2)
-	tb.Update(Entry{Gateway: 5, Hops: 9, Updated: 10})
-	tb.Update(Entry{Gateway: 6, Hops: 2, Updated: 10})
-	tb.Update(Entry{Gateway: 7, Hops: 1, Updated: 10})
-	if _, ok := tb.Lookup(5); ok {
-		t.Fatal("higher-hop same-age entry should be evicted first")
-	}
-}
-
-func TestTableUnbounded(t *testing.T) {
-	tb := NewTable(0)
-	for i := 0; i < 100; i++ {
-		tb.Update(Entry{Gateway: NodeID(i), Updated: i})
-	}
-	if tb.Len() != 100 {
-		t.Fatalf("unbounded table evicted: %d", tb.Len())
-	}
-}
-
-func TestTableClear(t *testing.T) {
-	tb := NewTable(3)
-	tb.Update(Entry{Gateway: 1, Updated: 1})
-	tb.Clear()
-	if tb.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-}
-
-func TestTableEntries(t *testing.T) {
-	tb := NewTable(0)
-	tb.Update(Entry{Gateway: 1, Updated: 1})
-	tb.Update(Entry{Gateway: 2, Updated: 2})
-	es := tb.Entries()
-	if len(es) != 2 {
-		t.Fatalf("Entries len = %d", len(es))
-	}
-	sum := 0
-	for _, e := range es {
-		sum += int(e.Gateway)
-	}
-	if sum != 3 {
-		t.Fatalf("Entries contents wrong: %v", es)
-	}
-}
-
 func TestWorldDeterministic(t *testing.T) {
 	build := func() *World {
 		s := rng.New(33)

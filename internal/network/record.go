@@ -145,19 +145,8 @@ func (df *worldDiffer) diff() bool {
 	if ep != df.prevEpoch {
 		df.prevEpoch = ep
 		d.FaultChanged = true
-		if f := w.flt; f != nil {
-			for u := 0; u < w.N(); u++ {
-				if f.dead[u] {
-					d.Dead = append(d.Dead, int32(u))
-				}
-				if f.gwDown[u] {
-					d.DownGateways = append(d.DownGateways, int32(u))
-				}
-			}
-			if f.partActive {
-				d.Partition, d.PartitionX = true, f.partX
-			}
-		}
+		d.Dead, d.DownGateways = w.appendFaultMasks(d.Dead, d.DownGateways)
+		d.PartitionX, d.Partition = w.Partition()
 	}
 	return len(d.Nodes) > 0 || len(d.RangeNodes) > 0 || d.FaultChanged
 }

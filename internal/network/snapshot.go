@@ -68,22 +68,10 @@ func (w *World) SnapshotInto(dst *Snapshot) {
 		dst.Ranges[i] = w.radios[i].Range()
 	}
 	dst.Gateways = append(dst.Gateways[:0], w.gateways...)
-	dst.Dead = dst.Dead[:0]
-	dst.DownGateways = dst.DownGateways[:0]
+	dst.Dead, dst.DownGateways = w.appendFaultMasks(dst.Dead[:0], dst.DownGateways[:0])
 	dst.PartitionX = nil
-	if f := w.flt; f != nil {
-		for u := 0; u < n; u++ {
-			if f.dead[u] {
-				dst.Dead = append(dst.Dead, NodeID(u))
-			}
-			if f.gwDown[u] {
-				dst.DownGateways = append(dst.DownGateways, NodeID(u))
-			}
-		}
-		if f.partActive {
-			x := f.partX
-			dst.PartitionX = &x
-		}
+	if x, ok := w.Partition(); ok {
+		dst.PartitionX = &x
 	}
 }
 
@@ -119,9 +107,17 @@ func (s Snapshot) World() (*World, error) {
 		return nil, err
 	}
 	if len(s.Dead) > 0 || len(s.DownGateways) > 0 || s.PartitionX != nil {
-		if err := w.restoreFaultState(s.Dead, s.DownGateways, s.PartitionX); err != nil {
-			return nil, err
+		// Snapshot worlds are static, so the incremental engine is off and
+		// no topology watcher exists yet: one rebuild under the restored
+		// masks yields the captured links.
+		partX := 0.0
+		if s.PartitionX != nil {
+			partX = *s.PartitionX
 		}
+		if err := w.setFaultMasks(s.Dead, s.DownGateways, s.PartitionX != nil, partX); err != nil {
+			return nil, fmt.Errorf("network: snapshot %w", err)
+		}
+		w.rebuildTopology()
 	}
 	return w, nil
 }

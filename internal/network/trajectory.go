@@ -310,21 +310,12 @@ func (w *World) TrajectoryRemaining() int {
 // needs no event semantics), and the faults_* instruments advance by the
 // recorded injected/recovered counts — identical to the live counters.
 func (w *World) applyTrajFault(d *trace.WorldDelta, injected, recovered uint64) {
-	if w.flt == nil {
-		w.initFaultState()
+	if err := w.setFaultMasks(d.Dead, d.DownGateways, d.Partition, d.PartitionX); err != nil {
+		// Only a TrajectoryRecorder writes the stream, from a world of the
+		// same size, so an out-of-range ID is a bug, not bad input.
+		panic(fmt.Sprintf("network: %v during replay at step %d", err, w.step))
 	}
 	f := w.flt
-	clear(f.dead)
-	clear(f.gwDown)
-	for _, u := range d.Dead {
-		f.dead[u] = true
-	}
-	for _, g := range d.DownGateways {
-		f.gwDown[g] = true
-	}
-	f.aliveCount = w.N() - len(d.Dead)
-	f.partActive, f.partX = d.Partition, d.PartitionX
-	w.refreshActiveGateways()
 	f.epoch++
 	f.injectedTotal += injected
 	f.recoveredTotal += recovered

@@ -11,26 +11,21 @@ import (
 // O(changes) per step instead of the three full graph traversals the
 // scratch path pays. It is fed by two change streams: the world's
 // per-step topology deltas (network.TopoDeltas) and the routing tables'
-// write tracking (Tables.Update/DropIf mark dirty nodes). End-to-end
-// reachability lives in a graph.DynReach witness forest over the
-// "route graph" — the directed edges (u → entry.NextHop) whose links are
-// currently up — and the ideal bound in a second forest over the raw
-// topology. Both forests ride the same topology deltas, in one pass, under
-// one sync decision. Local connectivity and staleness reduce to counters
-// patched on the same events.
+// dirty list (Update and DropIf, the tables' only mutators, mark every
+// node they change). End-to-end reachability lives in a graph.DynReach
+// witness forest over the "route graph" — the directed edges
+// (u → entry.NextHop) whose links are currently up — and the ideal bound
+// in a second forest over the raw topology. Both forests ride the same
+// topology deltas, in one pass, under one sync decision. Local
+// connectivity and staleness reduce to counters patched on the same
+// events.
 //
 // Every stepping path reports its exact edge edits, full rebuilds
-// included. Steps the streams cannot cover — a topology rewritten between
-// steps (the stream's Rebuilt flag), fault epochs (alive/gateway masks
-// moved), or a missed step — degrade to one full recompute, which costs
-// exactly what the scratch path pays every step. Every value the Meter emits is bit-identical to the scratch
-// functions' across all of it, pinned by the equivalence, property, and
-// fuzz tests in this package.
-//
-// Contract: between Measure calls, every mutation of the measured tables
-// must go through Tables.Update / Tables.DropIf (the harness's only write
-// paths). Writes that bypass tracking (Tables.At(u).Update(...)) are
-// invisible and void the equivalence guarantee.
+// included. Steps the streams cannot cover — fault epochs (alive/gateway
+// masks moved) or a missed step — degrade to one full recompute, which
+// costs exactly what the scratch path pays every step. Every value the
+// Meter emits is bit-identical to the scratch functions' across all of
+// it, pinned by the equivalence, property, and fuzz tests in this package.
 
 // Measurement is one step's metric values, as emitted by Meter.Measure.
 type Measurement struct {
@@ -88,8 +83,7 @@ type Meter struct {
 	resyncs   int
 }
 
-// NewMeter builds a meter over w's topology deltas and ts's write
-// tracking (which it enables).
+// NewMeter builds a meter over w's topology deltas and ts's dirty list.
 func NewMeter(w *network.World, ts *Tables) *Meter {
 	m := &Meter{}
 	m.Reset(w, ts)
@@ -97,12 +91,11 @@ func NewMeter(w *network.World, ts *Tables) *Meter {
 }
 
 // Reset rebinds the meter to a world/tables pair and forces a full
-// recompute at the next Measure. Enables write tracking on ts.
+// recompute at the next Measure.
 func (m *Meter) Reset(w *network.World, ts *Tables) {
 	m.w = w
 	m.ts = ts
 	m.deltas = w.WatchTopology()
-	ts.setTracking(true)
 	m.synced = false
 	m.resyncs = 0
 	if m.orc.LiveOut == nil {
@@ -112,7 +105,7 @@ func (m *Meter) Reset(w *network.World, ts *Tables) {
 		m.orc = graph.ReachOracle{
 			LiveOut: func(u NodeID, dst []NodeID) []NodeID {
 				topo := m.w.Topology()
-				for _, e := range m.ts.tables[u].Entries() {
+				for _, e := range m.ts.rows[u] {
 					if topo.HasEdgeSorted(u, e.NextHop) {
 						dst = append(dst, e.NextHop)
 					}
@@ -170,9 +163,9 @@ func (m *Meter) Measure(step int) Measurement {
 	d := m.deltas
 	// The incremental path is valid only when every change since the last
 	// Measure is enumerable: the tables' dirty list always is; the
-	// topology's stream is when nothing rewrote the graph between steps,
-	// the fault masks did not move, and at most one world step elapsed.
-	incrOK := m.synced && !d.Rebuilt && w.FaultEpoch() == m.lastEpoch &&
+	// topology's stream is when the fault masks did not move and at most
+	// one world step elapsed.
+	incrOK := m.synced && w.FaultEpoch() == m.lastEpoch &&
 		(w.StepCount() == m.lastStep ||
 			(d.Step == w.StepCount() && d.Step == m.lastStep+1))
 	if !incrOK {
@@ -249,7 +242,7 @@ func (m *Meter) resync() {
 		hu := m.hops[u][:0]
 		fresh := -1
 		lok := false
-		for _, e := range ts.tables[u].Entries() {
+		for _, e := range ts.rows[u] {
 			hu = append(hu, e.NextHop)
 			m.revEnt[e.NextHop] = appendSlack(m.revEnt[e.NextHop], id)
 			if e.Updated > fresh {
@@ -330,7 +323,7 @@ func (m *Meter) refreshNode(u NodeID) {
 	}
 	hu := m.hops[u][:0]
 	fresh := -1
-	for _, e := range ts.tables[u].Entries() {
+	for _, e := range ts.rows[u] {
 		hu = append(hu, e.NextHop)
 		m.revEnt[e.NextHop] = appendSlack(m.revEnt[e.NextHop], u)
 		if e.Updated > fresh {
@@ -363,7 +356,7 @@ func (m *Meter) refreshNode(u NodeID) {
 func (m *Meter) refreshLocal(u NodeID) {
 	topo := m.w.Topology()
 	lok := false
-	for _, e := range m.ts.tables[u].Entries() {
+	for _, e := range m.ts.rows[u] {
 		if topo.HasEdgeSorted(u, e.NextHop) {
 			lok = true
 			break

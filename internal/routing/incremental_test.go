@@ -210,7 +210,7 @@ func TestMeterResetRebinds(t *testing.T) {
 		s := rng.New(uint64(i) + 3)
 		for step := 0; step < 30; step++ {
 			for k := 0; k < 8; k++ {
-				ts.Update(NodeID(s.Intn(n)), network.Entry{
+				ts.Update(NodeID(s.Intn(n)), Entry{
 					Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
 					Hops: 1 + s.Intn(9), Updated: step,
 				})
@@ -238,7 +238,7 @@ func TestMeterSkippedStepsResync(t *testing.T) {
 	var scratch Scratch
 	s := rng.New(9)
 	for step := 0; step < steps; step++ {
-		ts.Update(NodeID(s.Intn(n)), network.Entry{
+		ts.Update(NodeID(s.Intn(n)), Entry{
 			Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
 			Hops: 1 + s.Intn(9), Updated: step,
 		})
@@ -281,7 +281,7 @@ func TestMeterPropertyRandomMutations(t *testing.T) {
 				writes := s.Intn(40)
 				for i := 0; i < writes; i++ {
 					u := NodeID(s.Intn(n))
-					ts.Update(u, network.Entry{
+					ts.Update(u, Entry{
 						Gateway: gws[s.Intn(len(gws))],
 						NextHop: NodeID(s.Intn(n)),
 						Hops:    1 + s.Intn(9),
@@ -291,7 +291,7 @@ func TestMeterPropertyRandomMutations(t *testing.T) {
 				if s.Intn(10) == 0 {
 					hops := 1 + s.Intn(9)
 					for u := 0; u < n; u++ {
-						ts.DropIf(NodeID(u), func(e network.Entry) bool { return e.Hops >= hops })
+						ts.DropIf(NodeID(u), func(e Entry) bool { return e.Hops >= hops })
 					}
 				}
 				// Occasionally skip a step's measurement entirely, forcing
@@ -327,7 +327,7 @@ func TestMeterStaysIncremental(t *testing.T) {
 	s := rng.New(5)
 	for step := 0; step < steps; step++ {
 		for i := 0; i < 10; i++ {
-			ts.Update(NodeID(s.Intn(n)), network.Entry{
+			ts.Update(NodeID(s.Intn(n)), Entry{
 				Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
 				Hops: 1 + s.Intn(9), Updated: step,
 			})
@@ -365,7 +365,7 @@ func TestMeterPartitionStaysIncremental(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				gws := w.Gateways()
 				for i := 0; len(gws) > 0 && i < 10; i++ {
-					ts.Update(NodeID(s.Intn(n)), network.Entry{
+					ts.Update(NodeID(s.Intn(n)), Entry{
 						Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
 						Hops: 1 + s.Intn(9), Updated: step,
 					})
@@ -407,7 +407,7 @@ func TestMeterSteadyStateAllocs(t *testing.T) {
 	step := 0
 	iter := func() {
 		for i := 0; i < 16; i++ {
-			ts.Update(NodeID(s.Intn(n)), network.Entry{
+			ts.Update(NodeID(s.Intn(n)), Entry{
 				Gateway: gws[s.Intn(len(gws))], NextHop: NodeID(s.Intn(n)),
 				Hops: 1 + s.Intn(9), Updated: step,
 			})
@@ -435,7 +435,7 @@ func TestReachSetCallerOwned(t *testing.T) {
 	for u := 0; u < w.N(); u++ {
 		for _, v := range w.Topology().Out(NodeID(u)) {
 			if w.IsGateway(v) {
-				ts.Update(NodeID(u), network.Entry{Gateway: v, NextHop: v, Hops: 1, Updated: 0})
+				ts.Update(NodeID(u), Entry{Gateway: v, NextHop: v, Hops: 1, Updated: 0})
 			}
 		}
 	}
@@ -484,13 +484,13 @@ func FuzzMeterEquivalence(f *testing.F) {
 			a, b, c, d := int(ops[i]), int(ops[i+1]), int(ops[i+2]), int(ops[i+3])
 			switch a % 4 {
 			case 0:
-				ts.Update(NodeID(b%n), network.Entry{
+				ts.Update(NodeID(b%n), Entry{
 					Gateway: gws[c%len(gws)], NextHop: NodeID(d % n),
 					Hops: 1 + c%9, Updated: step,
 				})
 			case 1:
 				limit := 1 + d%9
-				ts.DropIf(NodeID(b%n), func(e network.Entry) bool { return e.Hops >= limit })
+				ts.DropIf(NodeID(b%n), func(e Entry) bool { return e.Hops >= limit })
 			case 2:
 				w.Step()
 				step++

@@ -17,7 +17,7 @@ func randomTables(w *network.World, s *rng.Stream, density float64) *Tables {
 		if !s.Bool(density) {
 			continue
 		}
-		ts.At(NodeID(u)).Update(network.Entry{
+		ts.Update(NodeID(u), Entry{
 			Gateway: gws[s.Intn(len(gws))],
 			NextHop: NodeID(s.Intn(w.N())),
 			Hops:    1 + s.Intn(10),
@@ -106,7 +106,7 @@ func TestInvariantConnectivityMonotoneInEntries(t *testing.T) {
 		if len(nbrs) == 0 {
 			continue
 		}
-		ts.At(u).Update(network.Entry{
+		ts.Update(u, Entry{
 			Gateway: gws[s.Intn(len(gws))],
 			NextHop: nbrs[s.Intn(len(nbrs))],
 			Hops:    1 + s.Intn(5),

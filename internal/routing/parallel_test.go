@@ -120,30 +120,30 @@ func TestRunReusesPooledState(t *testing.T) {
 		if _, err := Run(w, sc, 7); err != nil {
 			t.Fatal(err)
 		}
-		if got := statePool.Get().(*runState); cap(got.tables.tables) >= n {
+		if got := statePool.Get().(*runState); cap(got.tables.rows) >= n {
 			st = got
 		}
 	}
 	if st == nil {
 		t.Fatalf("no pooled state with >= %d tables survived 20 runs", n)
 	}
-	tablesCap, nextCap := cap(st.tables.tables), cap(st.next)
+	tablesCap, nextCap := cap(st.tables.rows), cap(st.next)
 	if nextCap < sc.Agents {
 		t.Fatalf("pooled next slice caps at %d, want >= %d", nextCap, sc.Agents)
 	}
 	// A second run on an equally sized world must reuse that storage:
 	// every table survives reset with entries dropped and evictions
 	// zeroed, indistinguishable from fresh tables.
-	st.tables.tables[0].Update(network.Entry{Gateway: 1, NextHop: 2, Hops: 3, Updated: 4})
+	st.tables.Update(0, Entry{Gateway: 1, NextHop: 2, Hops: 3, Updated: 4})
 	st.reset(n, sc.Agents, 1)
-	if got := st.tables.tables[0].Len(); got != 0 {
+	if got := len(st.tables.Entries(0)); got != 0 {
 		t.Fatalf("reset table still holds %d entries", got)
 	}
 	if got := st.tables.Evictions(); got != 0 {
 		t.Fatalf("reset tables report %d evictions", got)
 	}
-	if &st.tables.tables[0] == nil || cap(st.tables.tables) != tablesCap {
-		t.Fatalf("reset reallocated table storage: cap %d → %d", tablesCap, cap(st.tables.tables))
+	if cap(st.tables.rows) != tablesCap {
+		t.Fatalf("reset reallocated table storage: cap %d → %d", tablesCap, cap(st.tables.rows))
 	}
 	statePool.Put(st)
 }

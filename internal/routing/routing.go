@@ -108,10 +108,9 @@ const (
 	// routing table": each node holds the single freshest route agents
 	// have offered it.
 	tableCapacity = 1
-	// stigPerNode and stigWindow size the footprint board: three marks per
-	// node, never expiring (displacement is the only forgetting).
+	// stigPerNode sizes the footprint board: three marks per node (marks
+	// never expire; displacement is the only forgetting).
 	stigPerNode = 3
-	stigWindow  = 0
 	// recoveryTol is the reconvergence tolerance for the post-fault
 	// recovery statistics: an event recovers when connectivity climbs back
 	// to within recoveryTol of its pre-fault baseline.
@@ -188,119 +187,6 @@ type Result struct {
 	Stranded int
 	// Overhead aggregates all agents' cost counters.
 	Overhead core.Overhead
-}
-
-// Tables is the per-node routing state agents maintain. When write
-// tracking is enabled (a Meter does so), every mutation through Update or
-// DropIf marks the written node on a dirty list the meter drains; direct
-// writes through At() bypass tracking and must not be mixed with a Meter.
-type Tables struct {
-	tables []*network.Table
-
-	track bool
-	dirty []NodeID
-	mark  []bool // mark[u]: u already on dirty
-}
-
-// NewTables builds empty tables for n nodes with the given per-table
-// capacity.
-func NewTables(n, capacity int) *Tables {
-	ts := &Tables{tables: make([]*network.Table, n)}
-	for i := range ts.tables {
-		ts.tables[i] = network.NewTable(capacity)
-	}
-	return ts
-}
-
-// At returns node u's table. Mutations through the returned table are
-// invisible to write tracking; harness code uses Update/DropIf instead.
-func (ts *Tables) At(u NodeID) *network.Table { return ts.tables[u] }
-
-// Update applies e to node u's table (freshest-wins, see network.Table)
-// and reports whether the table changed, marking u dirty for any attached
-// meter when it did.
-func (ts *Tables) Update(u NodeID, e network.Entry) bool {
-	changed := ts.tables[u].Update(e)
-	if changed && ts.track {
-		ts.markDirty(u)
-	}
-	return changed
-}
-
-// DropIf removes node u's entries matching drop, returning the count and
-// marking u dirty for any attached meter when entries were removed.
-func (ts *Tables) DropIf(u NodeID, drop func(network.Entry) bool) int {
-	n := ts.tables[u].DropIf(drop)
-	if n > 0 && ts.track {
-		ts.markDirty(u)
-	}
-	return n
-}
-
-func (ts *Tables) markDirty(u NodeID) {
-	if !ts.mark[u] {
-		ts.mark[u] = true
-		ts.dirty = append(ts.dirty, u)
-	}
-}
-
-// setTracking turns write tracking on or off. Enabling sizes the mark set
-// for the current node count and clears any stale dirty state.
-func (ts *Tables) setTracking(on bool) {
-	ts.track = on
-	if !on {
-		return
-	}
-	n := len(ts.tables)
-	if cap(ts.mark) < n {
-		ts.mark = make([]bool, n)
-	}
-	ts.mark = ts.mark[:n]
-	for i := range ts.mark {
-		ts.mark[i] = false
-	}
-	ts.dirty = ts.dirty[:0]
-}
-
-// clearDirty empties the dirty list (meter-side, after draining it).
-func (ts *Tables) clearDirty() {
-	for _, u := range ts.dirty {
-		ts.mark[u] = false
-	}
-	ts.dirty = ts.dirty[:0]
-}
-
-// Evictions returns the total number of capacity evictions across all
-// node tables.
-func (ts *Tables) Evictions() int {
-	total := 0
-	for _, t := range ts.tables {
-		total += t.Evictions()
-	}
-	return total
-}
-
-// Best returns the preferred forwarding entry at node u: fewest hops,
-// then freshest, then lowest gateway ID. ok is false for an empty table.
-func (ts *Tables) Best(u NodeID) (network.Entry, bool) {
-	var best network.Entry
-	found := false
-	for _, e := range ts.tables[u].Entries() {
-		if !found || better(e, best) {
-			best, found = e, true
-		}
-	}
-	return best, found
-}
-
-func better(a, b network.Entry) bool {
-	if a.Hops != b.Hops {
-		return a.Hops < b.Hops
-	}
-	if a.Updated != b.Updated {
-		return a.Updated > b.Updated
-	}
-	return a.Gateway < b.Gateway
 }
 
 // Reaches reports whether forwarding from u along the tables' best entries
@@ -390,7 +276,7 @@ func (s *Scratch) ReachSet(w *network.World, ts *Tables) []bool {
 	// World topologies keep canonically sorted out-lists on both stepping
 	// paths, so the liveness probe can binary-search.
 	for u := 0; u < n; u++ {
-		for _, e := range ts.tables[u].Entries() {
+		for _, e := range ts.rows[u] {
 			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
 				s.revOff[e.NextHop+1]++
 			}
@@ -406,7 +292,7 @@ func (s *Scratch) ReachSet(w *network.World, ts *Tables) []bool {
 	s.revDst = s.revDst[:total]
 	copy(s.revCur, s.revOff)
 	for u := 0; u < n; u++ {
-		for _, e := range ts.tables[u].Entries() {
+		for _, e := range ts.rows[u] {
 			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
 				s.revDst[s.revCur[e.NextHop]] = NodeID(u)
 				s.revCur[e.NextHop]++
@@ -468,7 +354,7 @@ func LocalConnectivity(w *network.World, ts *Tables) float64 {
 			continue
 		}
 		total++
-		for _, e := range ts.tables[u].Entries() {
+		for _, e := range ts.rows[u] {
 			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
 				ok++
 				break
@@ -493,7 +379,7 @@ func Staleness(w *network.World, ts *Tables, step int) float64 {
 			continue
 		}
 		freshest := -1
-		for _, e := range ts.tables[u].Entries() {
+		for _, e := range ts.rows[u] {
 			if e.Updated > freshest {
 				freshest = e.Updated
 			}
@@ -641,26 +527,6 @@ func (st *runState) reset(n, agents, capacity int) {
 	st.nbrs.Reset(n)
 }
 
-// reset prepares ts for a fresh run over n nodes with per-table capacity,
-// reusing table storage where possible.
-func (ts *Tables) reset(n, capacity int) {
-	// Tracking is per-run opt-in: the run's meter re-enables it after
-	// reset, sized for the new n.
-	ts.track = false
-	ts.dirty = ts.dirty[:0]
-	if cap(ts.tables) < n {
-		ts.tables = make([]*network.Table, n)
-	}
-	ts.tables = ts.tables[:n]
-	for i, t := range ts.tables {
-		if t == nil {
-			ts.tables[i] = network.NewTable(capacity)
-		} else {
-			t.Reset(capacity)
-		}
-	}
-}
-
 // Run executes one routing run on w. The world is consumed (stepped); use
 // a fresh world per run. Agent placement is drawn from seed.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
@@ -693,14 +559,14 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	tables := &st.tables
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), stigPerNode, stigWindow)
+		board = stigmergy.NewBoard(w.N(), stigPerNode)
 	}
 	next := st.next
 	grouper := st.grouper
 	nbrs := &st.nbrs
 	// The meter measures incrementally, bit-identical to the scratch
-	// functions (pinned by the differential tests), and enables write
-	// tracking on the run's tables.
+	// functions (pinned by the differential tests), fed by the tables'
+	// dirty list.
 	meter := &st.meter
 	meter.Reset(w, tables)
 	res := Result{
@@ -796,7 +662,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 			agent := a
 			nbrs.Stamp(w.Neighbors(node))
 			a.DepositRoute(nbrs, func(gw, hop NodeID, hops int) bool {
-				changed := tables.Update(node, network.Entry{
+				changed := tables.Update(node, Entry{
 					Gateway: gw, NextHop: hop, Hops: hops, Updated: step,
 				})
 				if changed && sc.Tracer != nil {
@@ -878,7 +744,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 func reactToFaults(w *network.World, sc Scenario, step int, tables *Tables, alive []*core.Agent, frng *rng.Stream, res *Result, m *runMetrics) []*core.Agent {
 	purged := 0
 	for u := 0; u < w.N(); u++ {
-		purged += tables.DropIf(NodeID(u), func(e network.Entry) bool {
+		purged += tables.DropIf(NodeID(u), func(e Entry) bool {
 			return !w.Alive(e.NextHop) || !w.IsGateway(e.Gateway)
 		})
 	}

@@ -247,8 +247,8 @@ func TestTablesBestAndReaches(t *testing.T) {
 	// Hand-built chain: 0(gw) ← 1 ← 2, tables pointing back.
 	w := lineWorldWithGateway(t)
 	ts := NewTables(w.N(), 4)
-	ts.At(1).Update(network.Entry{Gateway: 0, NextHop: 0, Hops: 1, Updated: 1})
-	ts.At(2).Update(network.Entry{Gateway: 0, NextHop: 1, Hops: 2, Updated: 1})
+	ts.Update(1, Entry{Gateway: 0, NextHop: 0, Hops: 1, Updated: 1})
+	ts.Update(2, Entry{Gateway: 0, NextHop: 1, Hops: 2, Updated: 1})
 	visited := make([]bool, w.N())
 	if !Reaches(w, ts, 2, 10, visited) {
 		t.Fatal("valid chain not detected")
@@ -268,8 +268,8 @@ func TestReachesDetectsLoop(t *testing.T) {
 	w := lineWorldWithGateway(t)
 	ts := NewTables(w.N(), 4)
 	// 1 → 2 → 1 forwarding loop.
-	ts.At(1).Update(network.Entry{Gateway: 0, NextHop: 2, Hops: 1, Updated: 1})
-	ts.At(2).Update(network.Entry{Gateway: 0, NextHop: 1, Hops: 1, Updated: 1})
+	ts.Update(1, Entry{Gateway: 0, NextHop: 2, Hops: 1, Updated: 1})
+	ts.Update(2, Entry{Gateway: 0, NextHop: 1, Hops: 1, Updated: 1})
 	visited := make([]bool, w.N())
 	if Reaches(w, ts, 1, 100, visited) {
 		t.Fatal("loop not detected")
@@ -280,7 +280,7 @@ func TestReachesFailsOnBrokenLink(t *testing.T) {
 	w := lineWorldWithGateway(t)
 	ts := NewTables(w.N(), 4)
 	// Entry points to a node that is not adjacent (no edge 3→0).
-	ts.At(3).Update(network.Entry{Gateway: 0, NextHop: 0, Hops: 1, Updated: 1})
+	ts.Update(3, Entry{Gateway: 0, NextHop: 0, Hops: 1, Updated: 1})
 	visited := make([]bool, w.N())
 	if Reaches(w, ts, 3, 10, visited) {
 		t.Fatal("missing link not detected")
@@ -289,14 +289,14 @@ func TestReachesFailsOnBrokenLink(t *testing.T) {
 
 func TestBestPrefersShorterThenFresher(t *testing.T) {
 	ts := NewTables(3, 4)
-	ts.At(0).Update(network.Entry{Gateway: 1, NextHop: 1, Hops: 3, Updated: 10})
-	ts.At(0).Update(network.Entry{Gateway: 2, NextHop: 2, Hops: 1, Updated: 5})
+	ts.Update(0, Entry{Gateway: 1, NextHop: 1, Hops: 3, Updated: 10})
+	ts.Update(0, Entry{Gateway: 2, NextHop: 2, Hops: 1, Updated: 5})
 	best, ok := ts.Best(0)
 	if !ok || best.Gateway != 2 {
 		t.Fatalf("Best = %+v, want gateway 2 (shorter)", best)
 	}
-	ts.At(1).Update(network.Entry{Gateway: 1, NextHop: 1, Hops: 2, Updated: 5})
-	ts.At(1).Update(network.Entry{Gateway: 2, NextHop: 2, Hops: 2, Updated: 9})
+	ts.Update(1, Entry{Gateway: 1, NextHop: 1, Hops: 2, Updated: 5})
+	ts.Update(1, Entry{Gateway: 2, NextHop: 2, Hops: 2, Updated: 9})
 	best, _ = ts.Best(1)
 	if best.Gateway != 2 {
 		t.Fatalf("Best = %+v, want fresher gateway 2", best)

@@ -18,7 +18,7 @@ func reachSetBrute(w *network.World, ts *Tables) []bool {
 	topo := w.Topology()
 	out := make([][]NodeID, n)
 	for u := 0; u < n; u++ {
-		for _, e := range ts.At(NodeID(u)).Entries() {
+		for _, e := range ts.Entries(NodeID(u)) {
 			if topo.HasEdge(NodeID(u), e.NextHop) {
 				out[u] = append(out[u], e.NextHop)
 			}
@@ -106,7 +106,7 @@ func TestReachSetQueueDrainsDeepChain(t *testing.T) {
 	w := chainWorld(t, n)
 	ts := NewTables(n, 1)
 	for u := 1; u < n; u++ {
-		ts.At(NodeID(u)).Update(network.Entry{
+		ts.Update(NodeID(u), Entry{
 			Gateway: 0, NextHop: NodeID(u - 1), Hops: u, Updated: 1,
 		})
 	}
@@ -117,7 +117,7 @@ func TestReachSetQueueDrainsDeepChain(t *testing.T) {
 		}
 	}
 	// Break one link's entry mid-chain: everything past it must drop out.
-	ts.At(60).Update(network.Entry{Gateway: 0, NextHop: 60, Hops: 1, Updated: 2})
+	ts.Update(60, Entry{Gateway: 0, NextHop: 60, Hops: 1, Updated: 2})
 	reach = ReachSet(w, ts)
 	for u := 0; u < n; u++ {
 		want := u < 60

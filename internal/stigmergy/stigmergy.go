@@ -17,26 +17,22 @@ type Mark struct {
 	Step   int
 }
 
-// Board stores the footprints for every node in the network. Construct
+// Board stores the footprints for every node in the network. Marks never
+// expire: displacement by newer marks is the only forgetting. Construct
 // with NewBoard.
 type Board struct {
 	perNode int
-	window  int // marks older than this many steps are ignored; 0 = forever
 	marks   [][]Mark
 }
 
 // NewBoard returns a board for an n-node network keeping at most perNode
-// recent marks per node (older marks are displaced). window limits how
-// long a mark stays relevant: a mark left at step s influences queries at
-// step q only while q-s < window; window 0 means marks never expire
-// (displacement is then the only forgetting mechanism).
-func NewBoard(n, perNode, window int) *Board {
+// recent marks per node (older marks are displaced).
+func NewBoard(n, perNode int) *Board {
 	if perNode < 1 {
 		perNode = 1
 	}
 	return &Board{
 		perNode: perNode,
-		window:  window,
 		marks:   make([][]Mark, n),
 	}
 }
@@ -70,46 +66,31 @@ func (b *Board) Leave(node, target NodeID, step int) {
 	b.marks[node] = append(ms, Mark{Target: target, Step: step})
 }
 
-// active reports whether a mark still influences decisions at step.
-func (b *Board) active(m Mark, step int) bool {
-	if b.window <= 0 {
-		return true
-	}
-	return step-m.Step < b.window
-}
-
-// IsMarked reports whether node currently carries an active mark toward
-// target.
-func (b *Board) IsMarked(node, target NodeID, step int) bool {
+// IsMarked reports whether node carries a mark toward target.
+func (b *Board) IsMarked(node, target NodeID) bool {
 	for _, m := range b.marks[node] {
-		if m.Target == target && b.active(m, step) {
+		if m.Target == target {
 			return true
 		}
 	}
 	return false
 }
 
-// Unmarked appends to dst the candidates that carry no active mark on
-// node, and returns the extended slice. If every candidate is marked the
-// result is empty — callers then fall back to the full candidate set.
-func (b *Board) Unmarked(node NodeID, step int, candidates []NodeID, dst []NodeID) []NodeID {
+// Unmarked appends to dst the candidates that carry no mark on node, and
+// returns the extended slice. If every candidate is marked the result is
+// empty — callers then fall back to the full candidate set.
+func (b *Board) Unmarked(node NodeID, candidates []NodeID, dst []NodeID) []NodeID {
 	for _, c := range candidates {
-		if !b.IsMarked(node, c, step) {
+		if !b.IsMarked(node, c) {
 			dst = append(dst, c)
 		}
 	}
 	return dst
 }
 
-// Marks returns a copy of the active marks on node at the given step.
-func (b *Board) Marks(node NodeID, step int) []Mark {
-	var out []Mark
-	for _, m := range b.marks[node] {
-		if b.active(m, step) {
-			out = append(out, m)
-		}
-	}
-	return out
+// Marks returns a copy of the marks on node.
+func (b *Board) Marks(node NodeID) []Mark {
+	return append([]Mark(nil), b.marks[node]...)
 }
 
 // Reset clears every mark.

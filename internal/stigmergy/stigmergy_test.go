@@ -5,107 +5,89 @@ import (
 )
 
 func TestLeaveAndIsMarked(t *testing.T) {
-	b := NewBoard(5, 3, 0)
-	if b.IsMarked(0, 1, 10) {
+	b := NewBoard(5, 3)
+	if b.IsMarked(0, 1) {
 		t.Fatal("fresh board has marks")
 	}
 	b.Leave(0, 1, 10)
-	if !b.IsMarked(0, 1, 11) {
+	if !b.IsMarked(0, 1) {
 		t.Fatal("mark not found")
 	}
-	if b.IsMarked(0, 2, 11) || b.IsMarked(1, 1, 11) {
+	if b.IsMarked(0, 2) || b.IsMarked(1, 1) {
 		t.Fatal("mark leaked to wrong target/node")
 	}
 }
 
 func TestSameTargetRefreshes(t *testing.T) {
-	b := NewBoard(3, 2, 5)
+	b := NewBoard(3, 2)
 	b.Leave(0, 1, 10)
 	b.Leave(0, 1, 20) // refresh, not duplicate
-	ms := b.Marks(0, 21)
+	ms := b.Marks(0)
 	if len(ms) != 1 || ms[0].Step != 20 {
 		t.Fatalf("marks = %v", ms)
 	}
 }
 
 func TestPerNodeDisplacement(t *testing.T) {
-	b := NewBoard(2, 2, 0)
+	b := NewBoard(2, 2)
 	b.Leave(0, 10, 1)
 	b.Leave(0, 11, 2)
 	b.Leave(0, 12, 3) // displaces the oldest (target 10)
-	if b.IsMarked(0, 10, 4) {
+	if b.IsMarked(0, 10) {
 		t.Fatal("oldest mark survived displacement")
 	}
 	for _, target := range []NodeID{11, 12} {
-		if !b.IsMarked(0, target, 4) {
+		if !b.IsMarked(0, target) {
 			t.Fatalf("mark %d displaced wrongly", target)
 		}
 	}
 }
 
-func TestWindowExpiry(t *testing.T) {
-	b := NewBoard(2, 4, 10)
-	b.Leave(0, 5, 100)
-	if !b.IsMarked(0, 5, 109) {
-		t.Fatal("mark expired early")
-	}
-	if b.IsMarked(0, 5, 110) {
-		t.Fatal("mark survived past window")
-	}
-}
-
 func TestInfiniteWindow(t *testing.T) {
-	b := NewBoard(2, 4, 0)
+	b := NewBoard(2, 4)
 	b.Leave(0, 5, 1)
-	if !b.IsMarked(0, 5, 1_000_000) {
-		t.Fatal("window 0 should never expire")
+	b.Leave(1, 6, 1_000_000) // time passes elsewhere on the board
+	if ms := b.Marks(0); !b.IsMarked(0, 5) || len(ms) != 1 || ms[0].Step != 1 {
+		t.Fatal("marks must never expire")
 	}
 }
 
 func TestUnmarked(t *testing.T) {
-	b := NewBoard(3, 4, 0)
+	b := NewBoard(3, 4)
 	b.Leave(0, 1, 5)
 	b.Leave(0, 3, 6)
-	got := b.Unmarked(0, 7, []NodeID{1, 2, 3, 4}, nil)
+	got := b.Unmarked(0, []NodeID{1, 2, 3, 4}, nil)
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("Unmarked = %v, want [2 4]", got)
 	}
 	// All marked → empty result signals the fallback.
-	all := b.Unmarked(0, 7, []NodeID{1, 3}, nil)
+	all := b.Unmarked(0, []NodeID{1, 3}, nil)
 	if len(all) != 0 {
 		t.Fatalf("expected empty, got %v", all)
 	}
 }
 
-func TestUnmarkedRespectsWindow(t *testing.T) {
-	b := NewBoard(2, 4, 3)
-	b.Leave(0, 1, 10)
-	if got := b.Unmarked(0, 20, []NodeID{1}, nil); len(got) != 1 {
-		t.Fatal("expired mark still filtering")
-	}
-}
-
 func TestPerNodeMinimumOne(t *testing.T) {
-	b := NewBoard(1, 0, 0)
+	b := NewBoard(1, 0)
 	if b.PerNode() != 1 {
 		t.Fatalf("PerNode = %d, want raised to 1", b.PerNode())
 	}
 	b.Leave(0, 2, 1)
 	b.Leave(0, 3, 2)
-	if b.IsMarked(0, 2, 3) {
+	if b.IsMarked(0, 2) {
 		t.Fatal("capacity-1 board kept two marks")
 	}
-	if !b.IsMarked(0, 3, 3) {
+	if !b.IsMarked(0, 3) {
 		t.Fatal("newest mark lost")
 	}
 }
 
 func TestReset(t *testing.T) {
-	b := NewBoard(2, 2, 0)
+	b := NewBoard(2, 2)
 	b.Leave(0, 1, 1)
 	b.Leave(1, 0, 1)
 	b.Reset()
-	if b.IsMarked(0, 1, 2) || b.IsMarked(1, 0, 2) {
+	if b.IsMarked(0, 1) || b.IsMarked(1, 0) {
 		t.Fatal("Reset left marks")
 	}
 }
@@ -113,10 +95,10 @@ func TestReset(t *testing.T) {
 func TestSingleAgentAvoidOwnPath(t *testing.T) {
 	// The paper's single-agent case: the agent marks its next hop; when it
 	// returns to the node the mark steers it elsewhere.
-	b := NewBoard(4, 2, 0)
+	b := NewBoard(4, 2)
 	b.Leave(0, 1, 1) // agent went 0→1
 	candidates := []NodeID{1, 2, 3}
-	free := b.Unmarked(0, 50, candidates, nil)
+	free := b.Unmarked(0, candidates, nil)
 	for _, f := range free {
 		if f == 1 {
 			t.Fatal("previously taken path not filtered")
@@ -128,13 +110,13 @@ func TestSingleAgentAvoidOwnPath(t *testing.T) {
 }
 
 func BenchmarkLeaveAndQuery(b *testing.B) {
-	board := NewBoard(300, 3, 0)
+	board := NewBoard(300, 3)
 	candidates := []NodeID{1, 2, 3, 4, 5, 6, 7}
 	var buf []NodeID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		node := NodeID(i % 300)
 		board.Leave(node, candidates[i%7], i)
-		buf = board.Unmarked(node, i, candidates, buf[:0])
+		buf = board.Unmarked(node, candidates, buf[:0])
 	}
 }

@@ -41,7 +41,7 @@ func chainWorld(t *testing.T, n int) *network.World {
 func chainTables(w *network.World) *routing.Tables {
 	ts := routing.NewTables(w.N(), 1)
 	for u := 1; u < w.N(); u++ {
-		ts.At(NodeID(u)).Update(network.Entry{
+		ts.Update(NodeID(u), routing.Entry{
 			Gateway: 0, NextHop: NodeID(u - 1), Hops: u, Updated: 0,
 		})
 	}
@@ -100,7 +100,7 @@ func TestDeadLinkDrops(t *testing.T) {
 	w := chainWorld(t, 4)
 	ts := routing.NewTables(w.N(), 1)
 	// Node 3 points at node 1, which is out of radio range.
-	ts.At(3).Update(network.Entry{Gateway: 0, NextHop: 1, Hops: 2, Updated: 0})
+	ts.Update(3, routing.Entry{Gateway: 0, NextHop: 1, Hops: 2, Updated: 0})
 	g := NewGen(0, 0, 0, rng.New(3))
 	g.flight = append(g.flight, packet{at: 3, ttl: 10, visited: map[NodeID]bool{3: true}})
 	g.stats.Injected++
@@ -114,8 +114,8 @@ func TestLoopDrops(t *testing.T) {
 	w := chainWorld(t, 4)
 	ts := routing.NewTables(w.N(), 1)
 	// 2 → 3 → 2 loop.
-	ts.At(2).Update(network.Entry{Gateway: 0, NextHop: 3, Hops: 1, Updated: 0})
-	ts.At(3).Update(network.Entry{Gateway: 0, NextHop: 2, Hops: 1, Updated: 0})
+	ts.Update(2, routing.Entry{Gateway: 0, NextHop: 3, Hops: 1, Updated: 0})
+	ts.Update(3, routing.Entry{Gateway: 0, NextHop: 2, Hops: 1, Updated: 0})
 	g := NewGen(0, 0, 0, rng.New(4))
 	g.flight = append(g.flight, packet{at: 2, ttl: 50, visited: map[NodeID]bool{2: true}})
 	g.stats.Injected++

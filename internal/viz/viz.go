@@ -239,10 +239,3 @@ func clamp01(v float64) float64 {
 	}
 	return v
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -146,9 +146,14 @@ echo "== incremental-measurement equivalence gate (-race)"
 # forest included), so they get an explicit named gate that fails loudly
 # on its own. DynReach is the witness-forest engine under both forests.
 # MeterPartitionStaysIncremental pins that partition-active steps, whose
-# edge edits the world reports exactly, cost no resync.
+# edge edits the world reports exactly, cost no resync. The meter's table
+# feed is routing.Tables' dirty list: TablesEveryWriteTracked pins that
+# every row-changing Update and DropIf marks its node exactly once, with
+# no Meter attached; the Table* tests and FuzzTableUpdate pin the row
+# semantics (freshest-wins, stalest-first eviction, the O(1) eviction
+# total, allocation-free reset).
 go test -race -count=1 \
-  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental|MeterPartitionStaysIncremental' \
+  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental|MeterPartitionStaysIncremental|TablesEveryWriteTracked|TablesEvictionsTotal|TableUpdateAndLookup|TableEviction|TableUnbounded|TableEntries|TableResetZeroAllocs|FuzzTableUpdate' \
   ./internal/routing
 go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
