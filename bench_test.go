@@ -202,17 +202,24 @@ func BenchmarkNetworkGenerationRouting250(b *testing.B) {
 
 // Replication-batch benchmarks: one whole RunMany batch (8 runs) per
 // iteration, sequential versus parallel across the machine's cores. The
-// parallel variant grants the executor budget NumCPU-1 extra workers
+// sequential variant spends the executor budget (SetBudget(0)), so it runs
+// on one goroutine: one run after another, each stepping its world
+// inline. The parallel variant grants the budget NumCPU-1 extra workers
 // explicitly, so the measurement reflects the hardware it runs on — on a
 // single-core host it degrades to the sequential path by design, and the
-// recorded speedup is honestly ~1x.
+// recorded speedup is honestly ~1x. The routing batch adds a
+// sequential+helper variant: runs one after another, each with a budget
+// token for the helper goroutine that steps its live world ahead of it
+// (network.Lookahead).
 
-func benchBatch(b *testing.B, runWorkers int, batch func() error) {
-	if runWorkers > 1 {
-		old := parallel.Budget()
-		parallel.SetBudget(runtime.NumCPU() - 1)
-		defer parallel.SetBudget(old)
+func benchBatch(b *testing.B, variant string, batch func() error) {
+	budget := runtime.NumCPU() - 1
+	if variant == "sequential" {
+		budget = 0
 	}
+	old := parallel.Budget()
+	parallel.SetBudget(budget)
+	defer parallel.SetBudget(old)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -233,7 +240,7 @@ func BenchmarkMappingBatch(b *testing.B) {
 				Agents: 15, Kind: agentmesh.PolicyConscientious, Cooperate: true,
 				RunWorkers: bc.workers,
 			}
-			benchBatch(b, bc.workers, func() error {
+			benchBatch(b, bc.name, func() error {
 				_, err := agentmesh.RunMappingBatch(worldFor, sc, 8, 7)
 				return err
 			})
@@ -246,13 +253,13 @@ func BenchmarkRoutingBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"sequential", 1}, {"parallel", runtime.NumCPU()}} {
+	}{{"sequential", 1}, {"sequential+helper", 1}, {"parallel", runtime.NumCPU()}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sc := agentmesh.RoutingScenario{
 				Agents: 100, Kind: agentmesh.PolicyOldestNode, Communicate: true,
 				Steps: 120, RunWorkers: bc.workers,
 			}
-			benchBatch(b, bc.workers, func() error {
+			benchBatch(b, bc.name, func() error {
 				_, err := agentmesh.RunRoutingBatch(worldFor, sc, 8, 7)
 				return err
 			})
@@ -273,7 +280,7 @@ func BenchmarkParallelVsSequentialMapping(b *testing.B) {
 				Agents: 40, Kind: agentmesh.PolicyConscientious,
 				Cooperate: true, RunWorkers: bc.workers,
 			}
-			benchBatch(b, bc.workers, func() error {
+			benchBatch(b, bc.name, func() error {
 				_, err := agentmesh.RunMappingBatch(worldFor, sc, 4, 1)
 				return err
 			})

@@ -80,29 +80,60 @@ type Agent struct {
 
 // New validates cfg and builds an agent.
 func New(cfg Config) (*Agent, error) {
+	a := new(Agent)
+	if err := a.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reset validates cfg and turns a into the agent New(cfg) would build,
+// reusing the storage of its visit memory, trail and topology: the reset
+// agent behaves exactly like a fresh one (no visit, no trail, no map, no
+// merge lineage, zero overhead), so harnesses can recycle agents from run
+// to run without allocating. On error a is left unchanged. The zero Agent
+// is a valid receiver.
+func (a *Agent) Reset(cfg Config) error {
 	if cfg.Stream == nil {
-		return nil, fmt.Errorf("core: agent %d needs a Stream", cfg.ID)
+		return fmt.Errorf("core: agent %d needs a Stream", cfg.ID)
 	}
 	if cfg.NetworkSize <= 0 {
-		return nil, fmt.Errorf("core: agent %d needs a positive NetworkSize", cfg.ID)
+		return fmt.Errorf("core: agent %d needs a positive NetworkSize", cfg.ID)
 	}
 	if int(cfg.Start) < 0 || int(cfg.Start) >= cfg.NetworkSize {
-		return nil, fmt.Errorf("core: agent %d start %d outside [0,%d)", cfg.ID, cfg.Start, cfg.NetworkSize)
+		return fmt.Errorf("core: agent %d start %d outside [0,%d)", cfg.ID, cfg.Start, cfg.NetworkSize)
 	}
 	switch cfg.Kind {
 	case PolicyRandom, PolicyConscientious, PolicySuperConscientious, PolicyOldestNode:
 	default:
-		return nil, fmt.Errorf("core: agent %d has unknown policy %d", cfg.ID, cfg.Kind)
+		return fmt.Errorf("core: agent %d has unknown policy %d", cfg.ID, cfg.Kind)
 	}
 	if cfg.Epsilon < 0 || cfg.Epsilon > 1 {
-		return nil, fmt.Errorf("core: agent %d epsilon %v outside [0,1]", cfg.ID, cfg.Epsilon)
+		return fmt.Errorf("core: agent %d epsilon %v outside [0,1]", cfg.ID, cfg.Epsilon)
 	}
-	a := &Agent{
+	topo, visits, trail := a.Topo, a.Visits, a.Trail
+	if topo == nil {
+		topo = knowledge.NewTopology(cfg.NetworkSize)
+	} else {
+		topo.Reset(cfg.NetworkSize)
+	}
+	if visits == nil {
+		visits = knowledge.NewVisits(cfg.VisitCapacity)
+	} else {
+		visits.Reset(cfg.VisitCapacity)
+	}
+	visits.Grow(cfg.NetworkSize)
+	if trail == nil {
+		trail = knowledge.NewTrail(cfg.TrailCapacity)
+	} else {
+		trail.Reset(cfg.TrailCapacity)
+	}
+	*a = Agent{
 		ID:            NodeID(cfg.ID),
 		At:            cfg.Start,
-		Topo:          knowledge.NewTopology(cfg.NetworkSize),
-		Visits:        knowledge.NewVisits(cfg.VisitCapacity),
-		Trail:         knowledge.NewTrail(cfg.TrailCapacity),
+		Topo:          topo,
+		Visits:        visits,
+		Trail:         trail,
 		kind:          cfg.Kind,
 		stigmergy:     cfg.Stigmergy,
 		shareTopology: cfg.ShareTopology,
@@ -111,9 +142,9 @@ func New(cfg Config) (*Agent, error) {
 		epsilon:       cfg.Epsilon,
 		stream:        cfg.Stream,
 		tieSalt:       saltFor(cfg.ID),
+		stigBuf:       a.stigBuf[:0],
 	}
-	a.Visits.Grow(cfg.NetworkSize)
-	return a, nil
+	return nil
 }
 
 // saltFor derives an agent's private tie-break salt from its ID

@@ -25,6 +25,16 @@ func NewTrail(capacity int) *Trail {
 	return &Trail{capacity: capacity}
 }
 
+// Reset empties t and bounds it at capacity, keeping its storage:
+// afterwards t behaves exactly like NewTrail(capacity).
+func (t *Trail) Reset(capacity int) {
+	if capacity < 2 {
+		capacity = 2
+	}
+	t.capacity = capacity
+	t.Clear()
+}
+
 // Capacity returns the history bound.
 func (t *Trail) Capacity() int { return t.capacity }
 

@@ -53,6 +53,16 @@ func NewVisits(capacity int) *Visits {
 	return &Visits{capacity: capacity}
 }
 
+// Reset empties v and bounds it at capacity (0 = unbounded), keeping its
+// storage: afterwards v behaves exactly like NewVisits(capacity) grown to
+// v's table size. It also leaves v's merge lineage.
+func (v *Visits) Reset(capacity int) {
+	v.capacity = capacity
+	clear(v.step)
+	v.nodes = v.nodes[:0]
+	v.dropLineage()
+}
+
 // Len returns the number of remembered nodes.
 func (v *Visits) Len() int { return len(v.nodes) }
 

@@ -14,6 +14,8 @@ package netgen
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -159,14 +161,13 @@ func Generate(spec Spec, seed uint64) (*network.World, error) {
 		maxTries, spec.N, spec.TargetEdges)
 }
 
-// build assembles one candidate world from a stream.
-func build(spec Spec, s *rng.Stream) (*network.World, error) {
-	n := spec.N
-	arena := geom.Square(spec.ArenaSide)
-	pos := placeNodes(spec, s.Named("placement"))
-
-	// Per-node range multipliers around the (searched) base range.
-	factors := make([]float64, n)
+// layout draws one candidate's geometry from a stream: the arena, node
+// positions, per-node range multipliers around the (searched) base range,
+// and the gateways, whose multiplier is the range boost.
+func layout(spec Spec, s *rng.Stream) (arena geom.Rect, pos []geom.Point, factors []float64, gateways []network.NodeID) {
+	arena = geom.Square(spec.ArenaSide)
+	pos = placeNodes(spec, s.Named("placement"))
+	factors = make([]float64, spec.N)
 	rs := s.Named("ranges")
 	for i := range factors {
 		if spec.RangeSpread > 0 {
@@ -175,18 +176,24 @@ func build(spec Spec, s *rng.Stream) (*network.World, error) {
 			factors[i] = 1
 		}
 	}
-
-	gateways := pickGateways(pos, spec.Gateways)
-	isGateway := make([]bool, n)
-	for _, g := range gateways {
-		isGateway[g] = true
-	}
+	gateways = pickGateways(pos, spec.Gateways)
 	boost := spec.RangeBoost
 	if boost <= 0 {
 		boost = 1
 	}
 	for _, g := range gateways {
 		factors[g] = boost
+	}
+	return arena, pos, factors, gateways
+}
+
+// build assembles one candidate world from a stream.
+func build(spec Spec, s *rng.Stream) (*network.World, error) {
+	n := spec.N
+	arena, pos, factors, gateways := layout(spec, s)
+	isGateway := make([]bool, n)
+	for _, g := range gateways {
+		isGateway[g] = true
 	}
 
 	base := searchBaseRange(arena, pos, factors, spec.TargetEdges)
@@ -342,20 +349,21 @@ func pickGateways(pos []geom.Point, k int) []network.NodeID {
 	return chosen
 }
 
-// countEdges counts directed links if every node i transmits to radius
-// base×factors[i].
-func countEdges(grid *geom.Grid, pos []geom.Point, factors []float64, base float64) int {
-	total := 0
-	var buf []int32
-	for i := range pos {
-		buf = grid.Within(pos[i], base*factors[i], i, buf[:0])
-		total += len(buf)
-	}
-	return total
-}
+// searchIters is the number of bisection steps of searchBaseRange.
+const searchIters = 48
 
 // searchBaseRange binary-searches the base radio range so the directed
-// edge count is as close as possible to target.
+// edge count is as close as possible to target: it returns the smallest
+// bisection point whose count reaches target, where node i links to every
+// node within base×factors[i] exactly as geom.Grid.Within decides it.
+//
+// While the query discs still span many grid cells, each step counts
+// edges directly and stops as soon as the count reaches target. Once the
+// largest disc fits one cell, the candidate pairs — those linked at the
+// current upper bound — are collected once. A pair's link test is
+// monotone in the base range, so every pair linked at the lower bound
+// stays linked and every pair unlinked at the upper bound stays
+// unlinked; each later step tests only the pairs still undecided.
 func searchBaseRange(arena geom.Rect, pos []geom.Point, factors []float64, target int) float64 {
 	maxFactor := 0.0
 	for _, f := range factors {
@@ -365,17 +373,147 @@ func searchBaseRange(arena geom.Rect, pos []geom.Point, factors []float64, targe
 	}
 	hi := math.Sqrt(arena.Width()*arena.Width()+arena.Height()*arena.Height()) / maxFactor
 	lo := 0.0
-	grid := geom.NewGrid(arena, len(pos), hi*maxFactor/8+1)
+	cell := hi*maxFactor/8 + 1
+	grid := geom.NewGrid(arena, len(pos), cell)
 	grid.Rebuild(pos)
-	for iter := 0; iter < 48; iter++ {
+	iter := 0
+	var buf []int32
+	for ; iter < searchIters && hi*maxFactor > cell; iter++ {
 		mid := (lo + hi) / 2
-		if countEdges(grid, pos, factors, mid) < target {
+		if reachesTarget(grid, pos, factors, mid, target, &buf) {
+			hi = mid
+		} else {
 			lo = mid
+		}
+	}
+	if iter == searchIters {
+		return hi
+	}
+	ps := pairSearches.Get().(*pairSearch)
+	defer pairSearches.Put(ps)
+	ps.reset(grid, pos, factors, lo, hi)
+	for ; iter < searchIters; iter++ {
+		mid := (lo + hi) / 2
+		if ps.count(mid) < target {
+			lo = mid
+			ps.narrow(true)
 		} else {
 			hi = mid
+			ps.narrow(false)
 		}
 	}
 	return hi
+}
+
+// reachesTarget reports whether at least target directed links exist when
+// every node i transmits to radius base×factors[i], stopping the count as
+// soon as it gets there. buf is query scratch.
+func reachesTarget(grid *geom.Grid, pos []geom.Point, factors []float64, base float64, target int, buf *[]int32) bool {
+	total := 0
+	for i := range pos {
+		*buf = grid.Within(pos[i], base*factors[i], i, (*buf)[:0])
+		total += len(*buf)
+		if total >= target {
+			return true
+		}
+	}
+	return false
+}
+
+// candidate is a pair (src → the node in grid cell (cx, cy)) linked at
+// the search's upper bound, with its squared distance computed as
+// geom.Grid.Within computes it.
+type candidate struct {
+	src    int32
+	cx, cy int32
+	d2     float64
+}
+
+// pairSearch holds the pairs whose link the remaining bisection steps can
+// still change, grouped by source, and the count of those linked for
+// certain.
+type pairSearch struct {
+	grid    *geom.Grid
+	pos     []geom.Point
+	factors []float64
+	linked  int
+	pending []candidate
+	hit     []bool // per pending pair: linked at the last counted base
+}
+
+// pairSearches recycles the candidate buffers from search to search.
+var pairSearches = sync.Pool{New: func() any { return new(pairSearch) }}
+
+// reset collects every pair linked at base hi — Within's own cell walk
+// and distance test — and settles those already linked at base lo.
+func (ps *pairSearch) reset(grid *geom.Grid, pos []geom.Point, factors []float64, lo, hi float64) {
+	ps.grid, ps.pos, ps.factors = grid, pos, factors
+	ps.linked, ps.pending = 0, ps.pending[:0]
+	cols := grid.Cols()
+	for i, p := range pos {
+		r := hi * factors[i]
+		minCX, maxCX, minCY, maxCY := grid.BoxCellRange(geom.Point{X: p.X - r, Y: p.Y - r}, geom.Point{X: p.X + r, Y: p.Y + r})
+		r2 := r * r
+		for cy := minCY; cy <= maxCY; cy++ {
+			for cx := minCX; cx <= maxCX; cx++ {
+				for _, e := range grid.CellBucket(cy*cols + cx) {
+					if int(e.ID) == i {
+						continue
+					}
+					dx, dy := e.X-p.X, e.Y-p.Y
+					if d2 := dx*dx + dy*dy; d2 <= r2 {
+						ps.pending = append(ps.pending, candidate{src: int32(i), cx: int32(cx), cy: int32(cy), d2: d2})
+					}
+				}
+			}
+		}
+	}
+	ps.count(lo)
+	ps.narrow(true)
+}
+
+// count returns how many links exist at the given base range: the settled
+// ones plus the pending pairs linked there, which it notes for narrow.
+func (ps *pairSearch) count(base float64) int {
+	ps.hit = slices.Grow(ps.hit[:0], len(ps.pending))[:len(ps.pending)]
+	n := ps.linked
+	src := int32(-1)
+	var minCX, maxCX, minCY, maxCY int32
+	var r2 float64
+	for k := range ps.pending {
+		c := &ps.pending[k]
+		if c.src != src {
+			src = c.src
+			p := ps.pos[src]
+			r := base * ps.factors[src]
+			x0, x1, y0, y1 := ps.grid.BoxCellRange(geom.Point{X: p.X - r, Y: p.Y - r}, geom.Point{X: p.X + r, Y: p.Y + r})
+			minCX, maxCX, minCY, maxCY = int32(x0), int32(x1), int32(y0), int32(y1)
+			r2 = r * r
+		}
+		hit := c.cx >= minCX && c.cx <= maxCX && c.cy >= minCY && c.cy <= maxCY && c.d2 <= r2
+		ps.hit[k] = hit
+		if hit {
+			n++
+		}
+	}
+	return n
+}
+
+// narrow applies the last count's verdict. raisedLo: the counted base
+// became the lower bound, so the pairs linked there are linked for
+// certain. Otherwise it became the upper bound, and the pairs unlinked
+// there never link again.
+func (ps *pairSearch) narrow(raisedLo bool) {
+	kept := ps.pending[:0]
+	for k, c := range ps.pending {
+		switch {
+		case ps.hit[k] && raisedLo:
+			ps.linked++
+		case ps.hit[k] || raisedLo:
+			kept = append(kept, c)
+		}
+	}
+	ps.pending = kept
 }
 
 // Describe returns a one-line summary of a world, handy for CLI output.

@@ -237,8 +237,10 @@ func (w *World) Neighbors(u NodeID) []NodeID { return w.topo.Out(u) }
 // exact edge edits land in the WatchTopology stream, and the link-churn
 // instruments are read off it.
 func (w *World) Step() {
-	if c := w.traj; c != nil && c.rel >= c.t.steps {
-		panic(fmt.Sprintf("network: trajectory exhausted: world stepped past the %d recorded steps", c.t.steps))
+	if c := w.traj; c != nil {
+		if err := c.await(); err != nil {
+			panic(fmt.Sprintf("network: %v", err))
+		}
 	}
 	w.step++
 	w.m.steps.Inc()

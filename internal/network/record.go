@@ -2,6 +2,7 @@ package network
 
 import (
 	"encoding/json"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -90,20 +91,24 @@ type worldDiffer struct {
 
 // newWorldDiffer takes w's current state as the baseline.
 func newWorldDiffer(w *World) worldDiffer {
+	var df worldDiffer
+	df.reset(w)
+	return df
+}
+
+// reset takes w's current state as the baseline, reusing df's buffers.
+func (df *worldDiffer) reset(w *World) {
 	n := w.N()
-	df := worldDiffer{
-		w:         w,
-		prevX:     make([]float64, n),
-		prevY:     make([]float64, n),
-		prevRange: make([]float64, n),
-		prevEpoch: w.FaultEpoch(),
-	}
+	df.w = w
+	df.prevEpoch = w.FaultEpoch()
+	df.prevX = slices.Grow(df.prevX[:0], n)[:n]
+	df.prevY = slices.Grow(df.prevY[:0], n)[:n]
+	df.prevRange = slices.Grow(df.prevRange[:0], n)[:n]
 	for u := 0; u < n; u++ {
 		p := w.pos[u]
 		df.prevX[u], df.prevY[u] = p.X, p.Y
 		df.prevRange[u] = w.radios[u].Range()
 	}
-	return df
 }
 
 // diff fills d with the change since the baseline — moved positions,

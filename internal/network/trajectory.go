@@ -14,6 +14,17 @@ package network
 // maintenance, and is bit-identical to live stepping (pinned by the
 // equivalence and -race gates in trajectory_test.go).
 //
+// A tape can be read while it is written. After every step the recorder
+// publishes the bytes written so far and the number of steps they cover;
+// it only ever appends, so readers keep reading what they were handed
+// while it writes on. A replay world that catches up with the recorder
+// waits until the step it needs is published or the tape is finished. It
+// calls a step empty only once the published part covers that step: a
+// gap is written together with the record that ends it, so running out
+// of bytes on an unfinished tape says nothing about the steps beyond the
+// published count. Lookahead (lookahead.go) builds on this to step a live
+// world on a helper goroutine while a routing run replays it.
+//
 // Wire format for Trajectory.data — a sequence of records, one per step
 // that changed anything, each:
 //
@@ -42,20 +53,70 @@ import (
 )
 
 // Trajectory is a recorded world evolution: the start state and the
-// delta-coded churn stream. It is immutable after Finish and safe to share
-// across concurrent replay worlds — each World() call gets its own decode
-// cursor.
+// delta-coded churn stream. Readers may replay it while the recorder is
+// still writing it: each World() call gets its own decode cursor, which
+// reads only what the recorder has published. After Finish it is
+// immutable and safe to share across any number of replay worlds.
 type Trajectory struct {
 	n       int
-	steps   int
 	dynamic bool
 	snap    Snapshot // start state
+
+	// Written by the recorder alone; readers see them through pub.
 	data    []byte
+	steps   int
 	records int
+
+	mu   sync.Mutex
+	cond sync.Cond // broadcast on every publish; L is &mu
+	pub  tapeView  // guarded by mu
 }
 
-// Steps returns how many world steps the trajectory covers.
-func (t *Trajectory) Steps() int { return t.steps }
+// tapeView is what readers see of a tape: a prefix of its bytes that ends
+// on a record boundary, the steps that prefix covers, and whether the
+// recorder has finished (or failed).
+type tapeView struct {
+	data    []byte
+	steps   int
+	records int
+	done    bool
+	err     error // the recorder stopped without finishing the tape
+}
+
+// publish makes everything recorded so far visible to readers and wakes
+// any reader waiting for it. The recorder never rewrites published
+// bytes, it only appends, so readers may keep reading a prefix they were
+// handed while the recorder writes past it.
+func (t *Trajectory) publish(done bool, err error) {
+	t.mu.Lock()
+	t.pub = tapeView{data: t.data, steps: t.steps, records: t.records, done: done, err: err}
+	t.cond.Broadcast()
+	t.mu.Unlock()
+}
+
+// await blocks until the published tape covers step (counted from 1) or
+// is finished, and returns what is published.
+func (t *Trajectory) await(step int) tapeView {
+	t.mu.Lock()
+	for t.pub.steps < step && !t.pub.done {
+		t.cond.Wait()
+	}
+	v := t.pub
+	t.mu.Unlock()
+	return v
+}
+
+// view returns what is published now, without waiting.
+func (t *Trajectory) view() tapeView {
+	t.mu.Lock()
+	v := t.pub
+	t.mu.Unlock()
+	return v
+}
+
+// Steps returns how many world steps the trajectory covers; while it is
+// still being recorded, how many are published so far.
+func (t *Trajectory) Steps() int { return t.view().steps }
 
 // N returns the node count of the recorded world.
 func (t *Trajectory) N() int { return t.n }
@@ -63,15 +124,22 @@ func (t *Trajectory) N() int { return t.n }
 // Dynamic reports whether the recorded world was dynamic.
 func (t *Trajectory) Dynamic() bool { return t.dynamic }
 
-// Records returns how many non-empty step records the stream holds.
-func (t *Trajectory) Records() int { return t.records }
+// Records returns how many non-empty step records the published stream
+// holds.
+func (t *Trajectory) Records() int { return t.view().records }
 
 // World builds a fresh replay world positioned at the trajectory's start.
 // Every Step on it applies the next recorded delta instead of running
-// mobility, decay, or topology maintenance; stepping past Steps() panics.
+// mobility, decay, or topology maintenance; a Step the recorder has not
+// published yet waits for it, and stepping past a finished tape panics.
 // Worlds from the same Trajectory are independent (the shared data is read
 // only), so concurrent replications are race-free.
 func (t *Trajectory) World() (*World, error) {
+	return t.world(&trajDecoder{})
+}
+
+// world is World with a caller-owned cursor, whose buffers it reuses.
+func (t *Trajectory) world(dec *trajDecoder) (*World, error) {
 	w, err := t.snap.World()
 	if err != nil {
 		return nil, err
@@ -84,7 +152,8 @@ func (t *Trajectory) World() (*World, error) {
 	// callers (and re-recording) see the same world shape. The dispatch in
 	// Step routes every call to the trajectory before any dynamic branch.
 	w.dynamic = t.dynamic
-	w.traj = &trajDecoder{t: t, gap: -1, codec: trace.NewDeltaCodec(t.n)}
+	dec.reset(t)
+	w.traj = dec
 	return w, nil
 }
 
@@ -98,13 +167,15 @@ func (t *Trajectory) World() (*World, error) {
 //	rec := NewTrajectoryRecorder(w) // world at its start state
 //	for i := 0; i < steps; i++ { w.Step(); rec.AfterStep() }
 //	traj := rec.Finish()
+//
+// Replay worlds built from the tape before Finish read each step as soon
+// as AfterStep publishes it (see Lookahead).
 type TrajectoryRecorder struct {
 	df    worldDiffer
 	codec *trace.DeltaCodec
 	t     *Trajectory
 
 	start int // world step the recording starts from
-	steps int // AfterStep calls so far
 	gap   int // empty steps since the last emitted record
 
 	prevInjected, prevRecovered uint64
@@ -117,17 +188,31 @@ type TrajectoryRecorder struct {
 // becomes the trajectory's start, so construct the recorder before the
 // first Step.
 func NewTrajectoryRecorder(w *World) *TrajectoryRecorder {
+	r := &TrajectoryRecorder{}
+	r.reset(w, new(Trajectory))
+	return r
+}
+
+// reset starts recording w onto the tape t, reusing the recorder's
+// buffers and t's. No reader may still be reading t.
+func (r *TrajectoryRecorder) reset(w *World, t *Trajectory) {
 	n := w.N()
-	r := &TrajectoryRecorder{
-		df:    newWorldDiffer(w),
-		codec: trace.NewDeltaCodec(n),
-		t:     &Trajectory{n: n, dynamic: w.dynamic, snap: w.Snapshot()},
-		start: w.step,
+	r.df.reset(w)
+	if r.codec == nil {
+		r.codec = trace.NewDeltaCodec(n)
+	} else {
+		r.codec.Reset()
 	}
+	t.cond.L = &t.mu
+	t.n, t.dynamic = n, w.dynamic
+	w.SnapshotInto(&t.snap)
+	t.data, t.steps, t.records = t.data[:0], 0, 0
+	t.publish(false, nil)
+	r.t, r.start, r.gap = t, w.step, 0
+	r.prevInjected, r.prevRecovered = 0, 0
 	if f := w.flt; f != nil {
 		r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
 	}
-	return r
 }
 
 // sortPairs returns the edges (us[i], vs[i]) sorted by (u, v), written
@@ -147,13 +232,20 @@ func (r *TrajectoryRecorder) sortPairs(us, vs []NodeID, du, dv []int32) ([]int32
 }
 
 // AfterStep records the delta between the world's previous and current
-// state; the edge churn is the world's WatchTopology stream for the step.
-// Call immediately after every World.Step.
+// state, the edge churn being the world's WatchTopology stream for the
+// step, and publishes it to readers. Call immediately after every
+// World.Step.
 func (r *TrajectoryRecorder) AfterStep() {
-	r.steps++
-	if w := r.df.w; w.step != r.start+r.steps {
+	r.record()
+	r.t.publish(false, nil)
+}
+
+func (r *TrajectoryRecorder) record() {
+	t := r.t
+	t.steps++
+	if w := r.df.w; w.step != r.start+t.steps {
 		panic(fmt.Sprintf("network: TrajectoryRecorder.AfterStep call %d follows world step %d: it must follow every Step",
-			r.steps, w.step-r.start))
+			t.steps, w.step-r.start))
 	}
 	// The topology is a function of positions, ranges and fault state, so
 	// a step that changed none of them changed no edge either.
@@ -164,7 +256,7 @@ func (r *TrajectoryRecorder) AfterStep() {
 	e := &r.df.w.deltas
 	r.addU, r.addV = r.sortPairs(e.AddU, e.AddV, r.addU, r.addV)
 	r.remU, r.remV = r.sortPairs(e.RemU, e.RemV, r.remU, r.remV)
-	t, d := r.t, &r.df.d
+	d := &r.df.d
 	t.data = binary.AppendUvarint(t.data, uint64(r.gap))
 	r.gap = 0
 	t.data = r.codec.Append(t.data, *d)
@@ -186,8 +278,14 @@ func (r *TrajectoryRecorder) AfterStep() {
 // Finish seals and returns the trajectory. The recorder must not be used
 // afterwards.
 func (r *TrajectoryRecorder) Finish() *Trajectory {
-	r.t.steps = r.steps
+	r.t.publish(true, nil)
 	return r.t
+}
+
+// fail seals the tape at the steps recorded so far and makes every reader
+// that needs a later step fail with err instead of waiting for it.
+func (r *TrajectoryRecorder) fail(err error) {
+	r.t.publish(true, err)
 }
 
 // RecordTrajectory steps w `steps` times, recording every delta, and
@@ -258,9 +356,8 @@ func (s *TrajectorySource) WorldFor(int) (*World, error) {
 
 // stepFromTrajectory advances a replay world one step by applying the next
 // recorded delta — O(changes), no mobility RNG, no disc scans, no grid.
-// Step dispatches here for worlds built by Trajectory.World and panics
-// past the recorded horizon (the harness contract is steps <=
-// Trajectory.Steps()).
+// Step dispatches here for worlds built by Trajectory.World, once the
+// cursor's await has made sure the tape covers the step.
 func (w *World) stepFromTrajectory() {
 	c := w.traj
 	has, err := c.next()
@@ -296,13 +393,14 @@ func (w *World) stepFromTrajectory() {
 	}
 }
 
-// TrajectoryRemaining returns how many recorded steps are left to replay;
-// 0 for worlds without an attached trajectory.
+// TrajectoryRemaining returns how many recorded steps are left to replay —
+// on a tape still being recorded, how many are published and not yet
+// replayed; 0 for worlds without an attached trajectory.
 func (w *World) TrajectoryRemaining() int {
 	if w.traj == nil {
 		return 0
 	}
-	return w.traj.t.steps - w.traj.rel
+	return w.traj.t.Steps() - w.traj.rel
 }
 
 // applyTrajFault installs one recorded fault-epoch transition: the full
@@ -329,13 +427,15 @@ func (w *World) applyTrajFault(d *trace.WorldDelta, injected, recovered uint64) 
 
 // trajDecoder is a replay world's cursor over the delta stream: it walks
 // the records one step at a time, decoding bodies with its own
-// trace.DeltaCodec.
+// trace.DeltaCodec, and reads only the part of the tape it has seen
+// published.
 type trajDecoder struct {
 	t    *Trajectory
-	pos  int
-	rel  int  // steps consumed so far
-	gap  int  // empty steps remaining before the next record; -1 = unloaded
-	rest bool // no more records: every remaining step is empty
+	view tapeView // the tape as last published to this cursor
+	pos  int      // read offset into view.data
+	rel  int      // steps consumed so far
+	at   int      // step of the next record once its gap is read; 0 = unread
+	last int      // step of the last decoded record; 0 before the first
 
 	codec               *trace.DeltaCodec
 	d                   trace.WorldDelta
@@ -344,37 +444,67 @@ type trajDecoder struct {
 	injected, recovered uint64
 }
 
-// next consumes one step: it reports whether this step carries a record
-// (decoded into the cursor's fields) or is empty.
+// reset points the cursor at the start of t, keeping its buffers.
+func (d *trajDecoder) reset(t *Trajectory) {
+	d.t, d.view = t, t.view()
+	d.pos, d.rel, d.at, d.last = 0, 0, 0, 0
+	if d.codec == nil {
+		d.codec = trace.NewDeltaCodec(t.n)
+	} else {
+		d.codec.Reset()
+	}
+}
+
+// await makes sure the tape covers the next step, waiting for the
+// recorder when this cursor has caught up with it. It fails when the tape
+// ends first.
+func (d *trajDecoder) await() error {
+	if d.rel < d.view.steps {
+		return nil
+	}
+	d.view = d.t.await(d.rel + 1)
+	if d.rel < d.view.steps {
+		return nil
+	}
+	if d.view.err != nil {
+		return d.view.err
+	}
+	return fmt.Errorf("trajectory exhausted: world stepped past the %d recorded steps", d.view.steps)
+}
+
+// next consumes one step, which await has shown the tape covers: it
+// reports whether this step carries a record (decoded into the cursor's
+// fields) or is empty.
 func (d *trajDecoder) next() (bool, error) {
 	d.rel++
-	if d.gap < 0 {
-		if d.pos >= len(d.t.data) {
-			d.rest = true
-		} else {
-			g, err := d.uvarint()
-			if err != nil {
-				return false, err
-			}
-			if g > uint64(d.t.steps) {
-				return false, trajCorrupt("step gap %d exceeds the %d-step horizon", g, d.t.steps)
-			}
-			d.gap = int(g)
+	if d.at == 0 {
+		if d.pos >= len(d.view.data) {
+			// Every published record is decoded and the published part
+			// covers this step, so the step is empty. (A gap is written
+			// only with the record that ends it: an unfinished tape
+			// whose bytes run out may still hold a record for a later
+			// step, so this holds for covered steps only.)
+			return false, nil
 		}
+		g, err := d.uvarint()
+		if err != nil {
+			return false, err
+		}
+		// The record must fall on this step or a later published one.
+		if g >= uint64(d.view.steps) || d.last+int(g)+1 < d.rel || d.last+int(g)+1 > d.view.steps {
+			return false, trajCorrupt("step gap %d after step %d misses the published steps %d..%d", g, d.last, d.rel, d.view.steps)
+		}
+		d.at = d.last + int(g) + 1
 	}
-	if d.rest {
+	if d.rel < d.at {
 		return false, nil
 	}
-	if d.gap > 0 {
-		d.gap--
-		return false, nil
-	}
-	d.gap = -1
+	d.last, d.at = d.at, 0
 	return true, d.decodeRecord()
 }
 
 func (d *trajDecoder) decodeRecord() error {
-	k, err := d.codec.Decode(d.t.data[d.pos:], &d.d)
+	k, err := d.codec.Decode(d.view.data[d.pos:], &d.d)
 	if err != nil {
 		return err
 	}
@@ -401,7 +531,7 @@ func trajCorrupt(format string, args ...any) error {
 }
 
 func (d *trajDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.t.data[d.pos:])
+	v, n := binary.Uvarint(d.view.data[d.pos:])
 	if n <= 0 {
 		return 0, trajCorrupt("truncated varint at byte %d", d.pos)
 	}

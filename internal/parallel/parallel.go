@@ -15,7 +15,9 @@
 // run pool) from oversubscribing the machine: every extra goroutine beyond
 // the caller, which always participates, is claimed from one shared token
 // pool sized to GOMAXPROCS-1, and a pool that finds the budget spent runs
-// its batch sequentially on the caller.
+// its batch sequentially on the caller. Go claims from the same budget for
+// a single helper goroutine (a routing run's world stepping; see
+// network.Lookahead).
 package parallel
 
 import (
@@ -82,6 +84,22 @@ func release(n int) {
 	if n > 0 {
 		inUse.Add(-int64(n))
 	}
+}
+
+// Go runs fn on a new goroutine if the budget has a token free, holds the
+// token until fn returns, and reports whether it started fn. It never
+// blocks: with the budget spent it starts nothing and returns false, and
+// the caller does the work itself — the same degradation a Pool makes.
+// Waiting for fn is the caller's business.
+func Go(fn func()) bool {
+	if tryAcquire(1) == 0 {
+		return false
+	}
+	go func() {
+		defer release(1)
+		fn()
+	}()
+	return true
 }
 
 // Pool executes batches of independent work items on up to Workers

@@ -3,6 +3,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,6 +141,43 @@ func TestPoolExhaustedBudgetDegradesSequential(t *testing.T) {
 		}
 		if maxConcurrent.Load() != 1 {
 			t.Fatalf("spent budget still ran %d items concurrently", maxConcurrent.Load())
+		}
+	})
+}
+
+// waitIdle waits until every token is back: Go returns a helper's token
+// as the helper's goroutine exits, just after fn returns.
+func waitIdle() {
+	for inUse.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// TestGoHoldsOneToken pins Go's budget use: it starts fn only when a
+// token is free, holds that token until fn returns — so a second Go finds
+// the budget spent meanwhile — and gives it back afterwards.
+func TestGoHoldsOneToken(t *testing.T) {
+	withBudget(t, 1, func() {
+		gate, done := make(chan struct{}), make(chan struct{})
+		if !Go(func() { <-gate; close(done) }) {
+			t.Fatal("Go declined with a token free")
+		}
+		if Go(func() { t.Error("second helper ran on a spent budget") }) {
+			t.Fatal("Go started a second helper on a one-token budget")
+		}
+		close(gate)
+		<-done
+		waitIdle()
+		ran := make(chan struct{})
+		if !Go(func() { close(ran) }) {
+			t.Fatal("Go declined after the first helper returned its token")
+		}
+		<-ran
+		waitIdle()
+	})
+	withBudget(t, 0, func() {
+		if Go(func() { t.Error("helper ran on a zero budget") }) {
+			t.Fatal("Go started a helper on a zero budget")
 		}
 	})
 }

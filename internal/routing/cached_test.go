@@ -18,7 +18,7 @@ func cachedBuild(seed uint64) func() (*network.World, error) {
 
 // TestRunManyCachedMatchesLive is the tentpole acceptance gate at the
 // routing-harness level: a record-once/replay-many batch must produce an
-// aggregate bit-identical to live per-run stepping, clean and under the
+// aggregate bit-identical to live, inline per-run stepping, clean and under the
 // blackout preset, at every RunWorkers in {1,2,4}. The grid also sets the
 // deprecated ShardWorkers field to {1,2,4}: callers still set it, and the
 // aggregate must not depend on it.
@@ -37,7 +37,11 @@ func TestRunManyCachedMatchesLive(t *testing.T) {
 			if faulted {
 				sc.Faults = testFaultSchedule(t, steps)
 			}
-			base, err := RunMany(freshWorld(11), sc, runs, 31)
+			// The live side steps every world inline: with a budget token
+			// free, a live run would replay a helper's recording instead.
+			var base Aggregate
+			var err error
+			withBudget(t, 0, func() { base, err = RunMany(freshWorld(11), sc, runs, 31) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -493,13 +493,14 @@ func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 }
 
 // runState carries the per-run buffers a replication worker reuses from
-// run to run: the decided-move slice, the meeting grouper, the node
-// tables and the measurement meter. Pooling it keeps the
+// run to run: the agents, the decided-move slice, the meeting grouper, the
+// node tables and the measurement meter. Pooling it keeps the
 // zero-allocation property of a single run intact across a whole RunMany
 // batch, sequential or parallel — each worker drains and refills the pool
 // instead of reallocating per run. The zero value is ready; reset
 // prepares it for a world of n nodes.
 type runState struct {
+	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
 	grouper *core.Grouper
 	tables  Tables
@@ -527,8 +528,69 @@ func (st *runState) reset(n, agents, capacity int) {
 	st.nbrs.Reset(n)
 }
 
+// lookaheads is a free list of idle world-stepping helpers. A helper
+// holds a budget token while it runs, so at most parallel.Budget() are
+// busy at once and the list never needs to keep more; unlike a sync.Pool,
+// a garbage collection cannot empty it, so a helper's tape and codecs
+// grow once per process instead of once per collection.
+var lookaheads struct {
+	sync.Mutex
+	free []*network.Lookahead
+}
+
+// startLookahead steps w on a helper goroutine when a processor is free
+// and returns the helper and the replay world the run should step
+// instead; a nil world keeps the run inline on w. Runs with a Tracer, an
+// Observer or a metrics registry stay inline: a tracer's world recorder
+// and an observer read the world the run steps, and the phase timers
+// split one goroutine's wall time, so world stepping must stay on it to
+// be timed.
+func startLookahead(w *network.World, sc Scenario) (*network.Lookahead, *network.World, error) {
+	if sc.Tracer != nil || sc.Observer != nil || sc.Metrics != nil {
+		return nil, nil, nil
+	}
+	lookaheads.Lock()
+	var a *network.Lookahead
+	if k := len(lookaheads.free); k > 0 {
+		a = lookaheads.free[k-1]
+		lookaheads.free = lookaheads.free[:k-1]
+	}
+	lookaheads.Unlock()
+	if a == nil {
+		a = new(network.Lookahead)
+	}
+	replay, err := a.Start(w, sc.Steps, parallel.Go)
+	if replay == nil {
+		putLookahead(a)
+		if err != nil {
+			return nil, nil, fmt.Errorf("routing: %w", err)
+		}
+		return nil, nil, nil
+	}
+	return a, replay, nil
+}
+
+// stopLookahead waits for the helper to exit and returns it to the free
+// list.
+func stopLookahead(a *network.Lookahead) {
+	a.Stop()
+	putLookahead(a)
+}
+
+func putLookahead(a *network.Lookahead) {
+	lookaheads.Lock()
+	if len(lookaheads.free) < max(1, parallel.Budget()) {
+		lookaheads.free = append(lookaheads.free, a)
+	}
+	lookaheads.Unlock()
+}
+
 // Run executes one routing run on w. The world is consumed (stepped); use
-// a fresh world per run. Agent placement is drawn from seed.
+// a fresh world per run. Agent placement is drawn from seed. When a
+// processor is free, a live dynamic world is stepped on a helper
+// goroutine ahead of the agents, which replay its recording (see
+// startLookahead and network.Lookahead); the result is identical, and
+// when Run returns, w stands where stepping it inline would have left it.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
 	st := statePool.Get().(*runState)
 	res, err := run(w, sc, seed, st)
@@ -551,9 +613,18 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		w.SetFaults(sc.Faults)
 	}
 	root := rng.New(seed).Named("routing")
-	agents, err := placeAgents(w, sc, root)
+	agents, err := placeAgents(w, sc, root, st)
 	if err != nil {
 		return Result{}, err
+	}
+	// From here on the run cannot fail, so the world may run ahead.
+	ahead, replay, err := startLookahead(w, sc)
+	if err != nil {
+		return Result{}, err
+	}
+	if replay != nil {
+		defer stopLookahead(ahead)
+		w = replay
 	}
 	st.reset(w.N(), len(agents), tableCapacity)
 	tables := &st.tables
@@ -809,11 +880,18 @@ func reactToFaults(w *network.World, sc Scenario, step int, tables *Tables, aliv
 	return alive
 }
 
-func placeAgents(w *network.World, sc Scenario, root *rng.Stream) ([]*core.Agent, error) {
+// placeAgents injects the run's agents, recycling the previous run's
+// agents from st in place (core.Agent.Reset makes each indistinguishable
+// from a fresh one).
+func placeAgents(w *network.World, sc Scenario, root *rng.Stream, st *runState) ([]*core.Agent, error) {
 	place := root.Named("placement")
-	agents := make([]*core.Agent, sc.Agents)
-	for i := range agents {
-		a, err := core.New(core.Config{
+	streams := root.Named("agent")
+	for len(st.agents) < sc.Agents {
+		st.agents = append(st.agents, new(core.Agent))
+	}
+	agents := st.agents[:sc.Agents]
+	for i, a := range agents {
+		err := a.Reset(core.Config{
 			ID:            i,
 			Start:         NodeID(place.Intn(w.N())),
 			Kind:          sc.Kind,
@@ -822,7 +900,7 @@ func placeAgents(w *network.World, sc Scenario, root *rng.Stream) ([]*core.Agent
 			ShareRoutes:   sc.Communicate,
 			VisitCapacity: sc.HistorySize,
 			TrailCapacity: sc.HistorySize,
-			Stream:        root.Named("agent").Child(uint64(i)),
+			Stream:        streams.Child(uint64(i)),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("routing: %w", err)
@@ -836,7 +914,6 @@ func placeAgents(w *network.World, sc Scenario, root *rng.Stream) ([]*core.Agent
 		if w.IsGateway(a.At) {
 			a.Trail.ResetAt(a.At)
 		}
-		agents[i] = a
 	}
 	return agents, nil
 }

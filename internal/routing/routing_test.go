@@ -9,6 +9,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/netgen"
 	"repro/internal/network"
+	"repro/internal/parallel"
 	"repro/internal/radio"
 	"repro/internal/trace"
 )
@@ -213,7 +214,11 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestEngineEquivalence(t *testing.T) {
 	// The deprecated Workers field is still set by callers; a run must be
-	// bit-identical whatever it holds.
+	// bit-identical whatever it holds. The budget is spent so both runs
+	// step their live world inline, not through a world-stepping helper.
+	old := parallel.Budget()
+	parallel.SetBudget(0)
+	defer parallel.SetBudget(old)
 	for _, base := range []Scenario{
 		{Agents: 20, Kind: core.PolicyOldestNode, Communicate: true, Steps: 80},
 		{Agents: 20, Kind: core.PolicyRandom, Stigmergy: true, Steps: 80},

@@ -55,7 +55,11 @@ func TestRoutingBatchParallelEquivalence(t *testing.T) {
 	sc := agentmesh.RoutingScenario{
 		Agents: 100, Kind: agentmesh.PolicyOldestNode, Communicate: true, Steps: 120,
 	}
-	base, err := agentmesh.RunRoutingBatch(worldFor, sc, 4, 7)
+	// The sequential baseline steps every live world inline: with a budget
+	// token free, each run would replay a world-stepping helper instead.
+	var base agentmesh.RoutingBatch
+	var err error
+	withBudget(t, 0, func() { base, err = agentmesh.RunRoutingBatch(worldFor, sc, 4, 7) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,10 @@ mkdir -p "$out"
   echo "# host: $(nproc) CPU(s), $(go version | cut -d' ' -f3-)"
   echo "# benchtime: $benchtime"
   echo "#"
-  echo "# NOTE: the parallel variant grants the executor budget NumCPU-1 extra"
+  echo "# NOTE: the sequential variant spends the executor budget (one goroutine,"
+  echo "# worlds stepped inline); sequential+helper runs one run at a time, each"
+  echo "# with a helper goroutine stepping its live world ahead of it."
+  echo "# The parallel variant grants the executor budget NumCPU-1 extra"
   echo "# workers, so on a single-core host it degrades to the sequential path"
   echo "# and the recorded speedup is honestly ~1x. Replication is"
   echo "# embarrassingly parallel (independent runs, ordered reduction), so an"
@@ -58,8 +61,8 @@ END {
   for (i = 0; i < n; i++) {
     nm = order[i]
     base = nm
-    sub(/\/parallel$/, "/sequential", base)
-    sp = (nm ~ /\/parallel$/ && ns[base] + 0 > 0) ? ns[base] / ns[nm] : 1.0
+    sub(/\/(parallel|sequential\+helper)$/, "/sequential", base)
+    sp = (base != nm && ns[base] + 0 > 0) ? ns[base] / ns[nm] : 1.0
     printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"speedup_vs_sequential\": %.3f}%s\n", \
       nm, ns[nm], allocs[nm], sp, (i < n - 1 ? "," : "")
   }

@@ -27,10 +27,17 @@ echo "== parallel determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
 # executor equivalence and pinned-batch tests at a forced 2 so a many-core
 # host also exercises the constrained-budget schedule (and a 1-core host
 # exercises a parallel one).
-GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate' \
+# The world-stepping helper (network.Lookahead, a routing run's live world
+# stepped on a budget token) gets the same two settings: aggregates and
+# registry counters identical with the helper forced off and on, no
+# goroutine left after a failing run, and the streaming tape's reader
+# waiting at step gaps, matching live stepping and a RecordTrajectory tape.
+GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic' \
   . ./internal/routing ./internal/mapping ./internal/parallel
-go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate' \
+go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic' \
   . ./internal/routing ./internal/mapping ./internal/parallel
+GOMAXPROCS=2 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
+go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
 
 echo "== incremental-vs-rebuild topology equivalence gate (GOMAXPROCS=2 and NumCPU, -race)"
 # The full -race suite above already runs these, but the equivalence of the
