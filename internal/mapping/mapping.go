@@ -44,6 +44,7 @@ type Scenario struct {
 	// Team, when non-empty, overrides Agents/Kind with a mixed
 	// population — the paper's "diversity of the agent types" dimension.
 	// Agents are created in slice order, so agent IDs are deterministic.
+	// Counts must be non-negative and sum to at least one.
 	Team []TeamSpec
 	// Stigmergy enables footprints.
 	Stigmergy bool
@@ -213,12 +214,15 @@ func (m *runMetrics) syncCounts(agents []*core.Agent) {
 }
 
 // runState carries the per-run buffers a replication worker reuses from
-// run to run: the decided-move slice and the meeting grouper. Pooling it
-// keeps the zero-allocation property of a single run intact across a
-// whole RunMany batch, sequential or parallel.
+// run to run: the agents, the decided-move slice, the meeting grouper and
+// the footprint board. Pooling it keeps the zero-allocation property of a
+// single run intact across a whole RunMany batch, sequential or parallel.
+// The zero value is ready.
 type runState struct {
+	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
 	grouper *core.Grouper
+	board   stigmergy.Board // reset by each stigmergic run
 }
 
 // statePool recycles runState across runs and executor workers.
@@ -254,15 +258,16 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		w.SetFaults(sc.Faults)
 	}
 	root := rng.New(seed).Named("mapping")
-	agents, err := placeAgents(w, sc, root)
+	agents, err := placeAgents(w, sc, root, st)
 	if err != nil {
 		return Result{}, err
 	}
+	st.reset(w.N(), len(agents))
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), stigPerNode)
+		board = &st.board
+		board.Reset(w.N(), stigPerNode)
 	}
-	st.reset(w.N(), len(agents))
 	next := st.next
 	grouper := st.grouper
 	res := Result{
@@ -408,24 +413,38 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	return res, nil
 }
 
-// placeAgents builds and randomly places the team.
-func placeAgents(w *network.World, sc Scenario, root *rng.Stream) ([]*core.Agent, error) {
-	place := root.Named("placement")
-	kinds := make([]core.PolicyKind, 0, sc.Agents)
+// placeAgents builds and randomly places the team, recycling the previous
+// run's agents from st in place (core.Agent.Reset makes each
+// indistinguishable from a fresh one). Agent i takes the kind of the Team
+// slice that holds index i, in slice order, or sc.Kind without a Team.
+func placeAgents(w *network.World, sc Scenario, root *rng.Stream, st *runState) ([]*core.Agent, error) {
 	if len(sc.Team) > 0 {
+		total := 0
 		for _, t := range sc.Team {
-			for i := 0; i < t.Count; i++ {
-				kinds = append(kinds, t.Kind)
+			if t.Count < 0 {
+				return nil, fmt.Errorf("mapping: team count %d is negative", t.Count)
 			}
+			total += t.Count
 		}
-	} else {
-		for i := 0; i < sc.Agents; i++ {
-			kinds = append(kinds, sc.Kind)
+		if total == 0 {
+			return nil, fmt.Errorf("mapping: team has no agents")
 		}
 	}
-	agents := make([]*core.Agent, len(kinds))
-	for i, kind := range kinds {
-		a, err := core.New(core.Config{
+	place := root.Named("placement")
+	streams := root.Named("agent")
+	for len(st.agents) < sc.Agents {
+		st.agents = append(st.agents, new(core.Agent))
+	}
+	agents := st.agents[:sc.Agents]
+	kind, team, left := sc.Kind, sc.Team, 0
+	for i, a := range agents {
+		if len(sc.Team) > 0 {
+			for left == 0 {
+				kind, left, team = team[0].Kind, team[0].Count, team[1:]
+			}
+			left--
+		}
+		err := a.Reset(core.Config{
 			ID:            i,
 			Start:         NodeID(place.Intn(w.N())),
 			Kind:          kind,
@@ -434,12 +453,11 @@ func placeAgents(w *network.World, sc Scenario, root *rng.Stream) ([]*core.Agent
 			ShareTopology: sc.Cooperate,
 			VisitCapacity: sc.VisitCapacity,
 			Epsilon:       sc.Epsilon,
-			Stream:        root.Named("agent").Child(uint64(i)),
+			Stream:        streams.Child(uint64(i)),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("mapping: %w", err)
 		}
-		agents[i] = a
 	}
 	return agents, nil
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,14 +17,19 @@ var (
 	testWorld *network.World
 )
 
+// smallSpec is a 60-node strongly connected static network.
+func smallSpec() netgen.Spec {
+	return netgen.Spec{
+		N: 60, TargetEdges: 400, ArenaSide: 50, RangeSpread: 0.25,
+		RequireStrong: true,
+	}
+}
+
 // smallWorld returns a shared 60-node strongly connected static network.
 func smallWorld(t *testing.T) *network.World {
 	t.Helper()
 	worldOnce.Do(func() {
-		w, err := netgen.Generate(netgen.Spec{
-			N: 60, TargetEdges: 400, ArenaSide: 50, RangeSpread: 0.25,
-			RequireStrong: true,
-		}, 1234)
+		w, err := netgen.Generate(smallSpec(), 1234)
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
@@ -419,6 +425,31 @@ func TestMixedTeam(t *testing.T) {
 	if res2.Overhead.Moves > res2.FinishStep*2 {
 		t.Fatalf("Team did not override Agents: %d moves in %d steps",
 			res2.Overhead.Moves, res2.FinishStep)
+	}
+}
+
+// TestTeamKinds pins how a Team becomes agents: agent i takes the kind of
+// the slice holding index i, in slice order, skipping empty slices; a
+// negative count or a team without agents is an error.
+func TestTeamKinds(t *testing.T) {
+	w := smallWorld(t)
+	c, r, s := core.PolicyConscientious, core.PolicyRandom, core.PolicySuperConscientious
+	sc := Scenario{Team: []TeamSpec{{c, 2}, {r, 0}, {s, 1}, {r, 2}}}.withDefaults()
+	agents, err := placeAgents(w, sc, rng.New(1), new(runState))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []core.PolicyKind
+	for _, a := range agents {
+		got = append(got, a.Kind())
+	}
+	if want := []core.PolicyKind{c, c, s, r, r}; !slices.Equal(got, want) {
+		t.Fatalf("team kinds %v, want %v", got, want)
+	}
+	for _, team := range [][]TeamSpec{{{c, 2}, {r, -1}}, {{c, 0}}} {
+		if _, err := Run(w, Scenario{Team: team}, 1); err == nil {
+			t.Errorf("team %v accepted", team)
+		}
 	}
 }
 

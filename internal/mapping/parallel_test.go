@@ -26,35 +26,40 @@ func withBudget(t *testing.T, n int, fn func()) {
 // replication requires instead of the shared staticFactory world.
 func freshFactory() func(int) (*network.World, error) {
 	return func(int) (*network.World, error) {
-		return netgen.Generate(netgen.Spec{
-			N: 60, TargetEdges: 400, ArenaSide: 50, RangeSpread: 0.25,
-			RequireStrong: true,
-		}, 1234)
+		return netgen.Generate(smallSpec(), 1234)
 	}
 }
 
 // TestRunManyParallelEquivalence pins the determinism contract of the
 // replication executor on the mapping scenario: bit-identical aggregates
-// at every RunWorkers value.
+// at every RunWorkers value, also when concurrent workers recycle pooled
+// mixed teams and footprint boards.
 func TestRunManyParallelEquivalence(t *testing.T) {
-	sc := Scenario{Agents: 8, Kind: core.PolicyConscientious, Cooperate: true}
-	const runs, seed = 5, 99
-	base, err := RunMany(freshFactory(), sc, runs, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, runtime.NumCPU(), runs + 3} {
-		withBudget(t, 8, func() {
-			psc := sc
-			psc.RunWorkers = workers
-			got, err := RunMany(freshFactory(), psc, runs, seed)
-			if err != nil {
-				t.Fatalf("RunWorkers=%d: %v", workers, err)
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("RunWorkers=%d: aggregate differs from sequential", workers)
-			}
-		})
+	for _, sc := range []Scenario{
+		{Agents: 8, Kind: core.PolicyConscientious, Cooperate: true},
+		{Team: []TeamSpec{
+			{Kind: core.PolicySuperConscientious, Count: 5},
+			{Kind: core.PolicyConscientious, Count: 3},
+		}, Cooperate: true, Stigmergy: true},
+	} {
+		const runs, seed = 5, 99
+		base, err := RunMany(freshFactory(), sc, runs, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, runtime.NumCPU(), runs + 3} {
+			withBudget(t, 8, func() {
+				psc := sc
+				psc.RunWorkers = workers
+				got, err := RunMany(freshFactory(), psc, runs, seed)
+				if err != nil {
+					t.Fatalf("RunWorkers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(base, got) {
+					t.Errorf("stigmergy=%v RunWorkers=%d: aggregate differs from sequential", sc.Stigmergy, workers)
+				}
+			})
+		}
 	}
 }
 

@@ -494,11 +494,11 @@ func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 
 // runState carries the per-run buffers a replication worker reuses from
 // run to run: the agents, the decided-move slice, the meeting grouper, the
-// node tables and the measurement meter. Pooling it keeps the
-// zero-allocation property of a single run intact across a whole RunMany
-// batch, sequential or parallel — each worker drains and refills the pool
-// instead of reallocating per run. The zero value is ready; reset
-// prepares it for a world of n nodes.
+// node tables, the measurement meter and the footprint board. Pooling it
+// keeps the zero-allocation property of a single run intact across a
+// whole RunMany batch, sequential or parallel — each worker drains and
+// refills the pool instead of reallocating per run. The zero value is
+// ready; reset prepares it for a world of n nodes.
 type runState struct {
 	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
@@ -506,6 +506,7 @@ type runState struct {
 	tables  Tables
 	meter   Meter
 	nbrs    core.NeighborMarks // deposit phase: the current node's out-list
+	board   stigmergy.Board    // reset by each stigmergic run
 }
 
 // statePool recycles runState across runs and executor workers.
@@ -630,7 +631,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	tables := &st.tables
 	var board *stigmergy.Board
 	if sc.Stigmergy {
-		board = stigmergy.NewBoard(w.N(), stigPerNode)
+		board = &st.board
+		board.Reset(w.N(), stigPerNode)
 	}
 	next := st.next
 	grouper := st.grouper

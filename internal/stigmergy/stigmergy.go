@@ -6,7 +6,11 @@
 // attract — and costs one table write per agent step.
 package stigmergy
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // NodeID aliases graph.NodeID.
 type NodeID = graph.NodeID
@@ -19,7 +23,7 @@ type Mark struct {
 
 // Board stores the footprints for every node in the network. Marks never
 // expire: displacement by newer marks is the only forgetting. Construct
-// with NewBoard.
+// with NewBoard, or Reset a zero Board.
 type Board struct {
 	perNode int
 	marks   [][]Mark
@@ -28,13 +32,9 @@ type Board struct {
 // NewBoard returns a board for an n-node network keeping at most perNode
 // recent marks per node (older marks are displaced).
 func NewBoard(n, perNode int) *Board {
-	if perNode < 1 {
-		perNode = 1
-	}
-	return &Board{
-		perNode: perNode,
-		marks:   make([][]Mark, n),
-	}
+	b := new(Board)
+	b.Reset(n, perNode)
+	return b
 }
 
 // PerNode returns the per-node mark capacity.
@@ -93,8 +93,15 @@ func (b *Board) Marks(node NodeID) []Mark {
 	return append([]Mark(nil), b.marks[node]...)
 }
 
-// Reset clears every mark.
-func (b *Board) Reset() {
+// Reset turns b into the board NewBoard(n, perNode) would build, reusing
+// its per-node storage, so harnesses can recycle one board from run to
+// run. The zero Board is a valid receiver.
+func (b *Board) Reset(n, perNode int) {
+	b.perNode = max(perNode, 1)
+	if n > cap(b.marks) {
+		b.marks = slices.Grow(b.marks[:cap(b.marks)], n-cap(b.marks))
+	}
+	b.marks = b.marks[:n]
 	for i := range b.marks {
 		b.marks[i] = b.marks[i][:0]
 	}

@@ -1,7 +1,10 @@
 package stigmergy
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestLeaveAndIsMarked(t *testing.T) {
@@ -86,9 +89,63 @@ func TestReset(t *testing.T) {
 	b := NewBoard(2, 2)
 	b.Leave(0, 1, 1)
 	b.Leave(1, 0, 1)
-	b.Reset()
+	b.Reset(2, 2)
 	if b.IsMarked(0, 1) || b.IsMarked(1, 0) {
 		t.Fatal("Reset left marks")
+	}
+	// Shrinking and growing again must not resurrect the marks of nodes
+	// that fell off the end.
+	b.Leave(1, 0, 2)
+	b.Reset(1, 2)
+	b.Reset(4, 2)
+	for u := NodeID(0); u < 4; u++ {
+		if got := b.Marks(u); len(got) != 0 {
+			t.Fatalf("node %d holds %v after shrink and grow", u, got)
+		}
+	}
+}
+
+// TestResetMatchesFresh pins that a board reset onto a network of any
+// size and mark capacity behaves exactly like a fresh board of that shape
+// under the same random sequence of marks.
+func TestResetMatchesFresh(t *testing.T) {
+	r := rng.New(5)
+	var recycled Board
+	for trial := 0; trial < 200; trial++ {
+		n, perNode := 1+r.Intn(30), r.Intn(5)
+		recycled.Reset(n, perNode)
+		fresh := NewBoard(n, perNode)
+		if recycled.PerNode() != fresh.PerNode() {
+			t.Fatalf("trial %d: reset board keeps %d marks per node, a fresh one %d", trial, recycled.PerNode(), fresh.PerNode())
+		}
+		for op := 0; op < 60; op++ {
+			node, target, step := NodeID(r.Intn(n)), NodeID(r.Intn(n)), trial*100+op
+			recycled.Leave(node, target, step)
+			fresh.Leave(node, target, step)
+		}
+		for u := NodeID(0); u < NodeID(n); u++ {
+			if got, want := recycled.Marks(u), fresh.Marks(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: node %d holds %v on the reset board, %v on a fresh one", trial, u, got, want)
+			}
+		}
+	}
+}
+
+// TestResetZeroAllocs pins that resetting a board that already holds
+// storage for the network, then refilling it, allocates nothing.
+func TestResetZeroAllocs(t *testing.T) {
+	b := NewBoard(300, 3)
+	fill := func() {
+		for i := 0; i < 3000; i++ {
+			b.Leave(NodeID(i%300), NodeID(i%7), i)
+		}
+	}
+	fill()
+	if avg := testing.AllocsPerRun(20, func() {
+		b.Reset(300, 3)
+		fill()
+	}); avg != 0 {
+		t.Fatalf("reset and refill allocate %.1f times per run, want 0", avg)
 	}
 }
 

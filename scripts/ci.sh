@@ -32,9 +32,13 @@ echo "== parallel determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
 # registry counters identical with the helper forced off and on, no
 # goroutine left after a failing run, and the streaming tape's reader
 # waiting at step gaps, matching live stepping and a RecordTrajectory tape.
-GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic' \
+# Replicated runs draw pooled run state concurrently, so the mapping
+# harness's recycling tests run here too: a recycled state (agents, maps,
+# visit tables, footprint board) must give a fresh state's results, and a
+# warm state must be reused in place.
+GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents' \
   . ./internal/routing ./internal/mapping ./internal/parallel
-go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic' \
+go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents' \
   . ./internal/routing ./internal/mapping ./internal/parallel
 GOMAXPROCS=2 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
