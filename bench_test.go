@@ -122,8 +122,11 @@ func BenchmarkFig11OldestComm(b *testing.B) {
 }
 
 // Instrumented twins of the heaviest figure benchmarks: same workloads
-// with a live metrics registry attached, pinning the cost of the
-// instrumentation layer (budget: <5% over the uninstrumented runs).
+// with a live metrics registry attached. A registry keeps every run
+// inline (its phase timers split one goroutine's wall time), while the
+// plain benchmarks step and measure on a helper when a processor is
+// free, so on a multi-core host the gap is the instrumentation plus the
+// lost overlap; scripts/bench.sh records both in results/bench_parallel.txt.
 
 func BenchmarkFig8PopulationSweepInstrumented(b *testing.B) {
 	benchRouting(b, agentmesh.RoutingScenario{

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/knowledge"
 )
@@ -99,9 +98,10 @@ func GroupByNode(agents []*Agent) [][]*Agent {
 	return NewGrouper(int(maxNode + 1)).Meetings(agents)
 }
 
-// meetScratch holds the buffers a meeting needs. Concurrent runs hold
-// meetings at the same time, so the scratch is pooled rather than shared.
-type meetScratch struct {
+// MeetScratch holds the buffers a meeting needs. A simulation run owns
+// one, next to its Grouper, and holds every meeting through it; runs on
+// other goroutines hold their own. The zero value is ready.
+type MeetScratch struct {
 	sharers []*Agent
 	vs      []*Agent
 	masks   []uint64 // pre-meeting known-mask snapshots + their union
@@ -109,15 +109,24 @@ type meetScratch struct {
 	merge   knowledge.MergeScratch
 }
 
-var meetPool = sync.Pool{New: func() any { return new(meetScratch) }}
-
-// release clears the agent pointers (so pooled scratch does not pin a
-// finished run's agents) and returns the scratch to the pool.
-func (ms *meetScratch) release() {
+// release clears the agent pointers, so a kept scratch does not pin a
+// finished run's agents.
+func (ms *MeetScratch) release() {
 	clear(ms.sharers)
 	clear(ms.vs)
 	clear(ms.mems)
-	meetPool.Put(ms)
+}
+
+// ExchangeTopology is MeetScratch.ExchangeTopology on a scratch of its
+// own, for one-off meetings; simulation loops hold a MeetScratch.
+func ExchangeTopology(group []*Agent) {
+	new(MeetScratch).ExchangeTopology(group)
+}
+
+// ExchangeRoutes is MeetScratch.ExchangeRoutes on a scratch of its own,
+// for one-off meetings; simulation loops hold a MeetScratch.
+func ExchangeRoutes(group []*Agent) {
+	new(MeetScratch).ExchangeRoutes(group)
 }
 
 // ExchangeTopology runs the mapping-scenario meeting for one co-located
@@ -126,8 +135,7 @@ func (ms *meetScratch) release() {
 // participant before any merge, so the outcome does not depend on member
 // order. Agents flagged super-conscientious additionally merge visit
 // histories — that is what lets peer experience steer their movement.
-func ExchangeTopology(group []*Agent) {
-	ms := meetPool.Get().(*meetScratch)
+func (ms *MeetScratch) ExchangeTopology(group []*Agent) {
 	defer ms.release()
 	sharers := ms.sharers[:0]
 	for _, a := range group {
@@ -190,7 +198,7 @@ func ExchangeTopology(group []*Agent) {
 
 // mergeVisitSharers merges the visit histories of the group's
 // visit-sharing members into their union.
-func mergeVisitSharers(group []*Agent, ms *meetScratch) {
+func mergeVisitSharers(group []*Agent, ms *MeetScratch) {
 	vs := ms.vs[:0]
 	for _, a := range group {
 		if a.SharesVisits() {
@@ -242,8 +250,7 @@ func unifySalts(group []*Agent) {
 // gateway trail present, and agents that also share visit histories merge
 // them — the mechanism the paper identifies as making oldest-node agents
 // identical after a meeting, so they chase one another.
-func ExchangeRoutes(group []*Agent) {
-	ms := meetPool.Get().(*meetScratch)
+func (ms *MeetScratch) ExchangeRoutes(group []*Agent) {
 	defer ms.release()
 	sharers := ms.sharers[:0]
 	for _, a := range group {

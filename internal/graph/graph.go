@@ -122,6 +122,24 @@ func (g *Directed) OwnRows(headroom int) {
 	}
 }
 
+// CopyOwned makes g a copy of src, a graph over the same nodes, with
+// node-owned rows as OwnRows leaves them: each out-list is copied into
+// g's own row storage, which is reused when it is big enough and grown
+// with OwnRows' slack otherwise. It is the allocation-free way to reset a
+// surgically maintained graph to another graph's edges; g's rows must be
+// node-owned already (a CSR-aliased row would overwrite its neighbour's).
+func (g *Directed) CopyOwned(src *Directed, headroom int) {
+	for u, adj := range src.out {
+		row := g.out[u][:0]
+		if cap(row) < len(adj) {
+			row = make([]NodeID, 0, len(adj)+len(adj)/2+headroom)
+		}
+		g.out[u] = append(row, adj...)
+	}
+	g.m = src.m
+	g.inOK = false
+}
+
 // N returns the number of nodes.
 func (g *Directed) N() int { return len(g.out) }
 

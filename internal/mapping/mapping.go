@@ -222,7 +222,8 @@ type runState struct {
 	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
 	grouper *core.Grouper
-	board   stigmergy.Board // reset by each stigmergic run
+	meet    core.MeetScratch // every meeting of the run
+	board   stigmergy.Board  // reset by each stigmergic run
 }
 
 // statePool recycles runState across runs and executor workers.
@@ -329,7 +330,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 				}
 			}
 			for _, g := range groups {
-				core.ExchangeTopology(g)
+				st.meet.ExchangeTopology(g)
 			}
 		}
 		sp.Stop()

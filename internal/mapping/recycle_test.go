@@ -109,7 +109,8 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 // bitmask storage. And a run on warm state allocates only the run's four
 // root streams, its two result curves and one RNG stream per agent, on a
 // 60-node world and a 300-node one alike: nothing scales with n, so the
-// maps, visit tables and footprint board are all reused.
+// maps, visit tables and footprint board are all reused. The count holds
+// under the race detector too: meetings run on the state's own scratch.
 func TestRunReusesPooledAgents(t *testing.T) {
 	const perRun = 6 // root, "mapping", "placement" and "agent" streams; Curve and MinCurve
 	small, err := netgen.Generate(smallSpec(), 1234)
@@ -123,16 +124,11 @@ func TestRunReusesPooledAgents(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sc   Scenario
-		// meets reports whether the runs hold meetings. Meetings draw
-		// their scratch from core's sync.Pool, which the race detector
-		// deliberately drains, so under -race their allocation count is
-		// not a property of the code.
-		meets bool
 	}{
 		// Fig 5's shape. MaxSteps keeps the curves within their initial
 		// capacity.
-		{"super40", Scenario{Agents: 40, Kind: core.PolicySuperConscientious, Cooperate: true, MaxSteps: 1000}, true},
-		{"stigmergy", Scenario{Agents: 8, Kind: core.PolicyConscientious, Stigmergy: true, MaxSteps: 1000}, false},
+		{"super40", Scenario{Agents: 40, Kind: core.PolicySuperConscientious, Cooperate: true, MaxSteps: 1000}},
+		{"stigmergy", Scenario{Agents: 8, Kind: core.PolicyConscientious, Stigmergy: true, MaxSteps: 1000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc
@@ -171,10 +167,6 @@ func TestRunReusesPooledAgents(t *testing.T) {
 				if got := (storage{a, a.Topo, a.Visits, a.Trail, &a.Topo.KnownMask()[0]}); got != before[i] {
 					t.Fatalf("agent %d was rebuilt instead of reset in place", i)
 				}
-			}
-			if tc.meets && raceEnabled {
-				t.Log("allocation count not checked: the race detector drains core's meeting scratch pool")
-				return
 			}
 			// AllocsPerRun's warm-up run sizes st for w.
 			for _, w := range []*network.World{small, big} {

@@ -145,44 +145,101 @@ func TestStreamingTapeWriterStopsEarly(t *testing.T) {
 // step, and after Stop the live world the helper stepped ends where the
 // referee does. The runs start from a world already stepped 12 times, so
 // the replay world must also take over the step count and the fault
-// bookkeeping.
+// bookkeeping. One Lookahead serves every case, as routing's free list
+// reuses one: its replay world is rebuilt when the node count changes and
+// reset in place otherwise, also onto a world with other gateways.
 func TestLookaheadMatchesLive(t *testing.T) {
-	const n, steps, warm = 90, 60, 12
-	gateways := []NodeID{0, 30, 60}
-	scheds := faultSchedules(n, gateways, steps+warm)
-	scheds["clean"] = nil
-	var a Lookahead // reused across cases, as routing's free list does
-	for name, sched := range scheds {
+	const steps, warm = 60, 12
+	shapes := []struct {
+		n        int
+		gateways []NodeID
+	}{{90, []NodeID{0, 30, 60}}, {60, []NodeID{0, 20, 45}}, {60, []NodeID{7, 50}}}
+	var a Lookahead
+	for name := range faultSchedules(90, shapes[0].gateways, steps+warm) {
 		t.Run(name, func(t *testing.T) {
-			live, ref := buildFaultWorld(t, n, gateways, 8), buildFaultWorld(t, n, gateways, 8)
-			for _, w := range []*World{live, ref} {
-				w.SetFaults(sched)
-				for i := 0; i < warm; i++ {
-					w.Step()
-				}
-			}
-			rw, err := a.Start(live, steps, goSpawn)
-			if err != nil || rw == nil {
-				t.Fatalf("Start = %v, %v", rw, err)
-			}
-			defer a.Stop()
-			for i := 1; i <= steps; i++ {
-				rw.Step()
-				ref.Step()
-				sameWorldState(t, warm+i, ref, rw)
-				if rw.StepCount() != ref.StepCount() {
-					t.Fatalf("step %d: replay world counts %d steps, live %d", i, rw.StepCount(), ref.StepCount())
-				}
-				if got, want := fmt.Sprint(rw.LastFaultEvents()), fmt.Sprint(ref.LastFaultEvents()); got != want {
-					t.Fatalf("step %d: last fault events %s, live %s", i, got, want)
-				}
-			}
-			a.Stop()
-			sameWorldState(t, warm+steps, ref, live)
-			if live.StepCount() != ref.StepCount() {
-				t.Fatalf("helper left the live world at step %d, want %d", live.StepCount(), ref.StepCount())
+			for _, shape := range shapes {
+				t.Run(fmt.Sprintf("n=%d/gateways=%v", shape.n, shape.gateways), func(t *testing.T) {
+					sched := faultSchedules(shape.n, shape.gateways, steps+warm)[name]
+					lookaheadMatchesLive(t, &a, shape.n, shape.gateways, sched, steps, warm)
+				})
 			}
 		})
+	}
+	t.Run("clean", func(t *testing.T) {
+		for _, shape := range shapes {
+			t.Run(fmt.Sprintf("n=%d/gateways=%v", shape.n, shape.gateways), func(t *testing.T) {
+				lookaheadMatchesLive(t, &a, shape.n, shape.gateways, nil, steps, warm)
+			})
+		}
+	})
+}
+
+// lookaheadMatchesLive runs one TestLookaheadMatchesLive case on a.
+func lookaheadMatchesLive(t *testing.T, a *Lookahead, n int, gateways []NodeID, sched *faults.Schedule, steps, warm int) {
+	live := buildFaultWorld(t, n, gateways, 8)
+	ref := buildFaultWorld(t, n, gateways, 8)
+	for _, w := range []*World{live, ref} {
+		w.SetFaults(sched)
+		for i := 0; i < warm; i++ {
+			w.Step()
+		}
+	}
+	rw, err := a.Start(live, steps, goSpawn, nil)
+	if err != nil || rw == nil {
+		t.Fatalf("Start = %v, %v", rw, err)
+	}
+	defer a.Stop()
+	sameWorldState(t, warm, ref, rw)
+	for i := 1; i <= steps; i++ {
+		rw.Step()
+		ref.Step()
+		sameWorldState(t, warm+i, ref, rw)
+		if rw.StepCount() != ref.StepCount() {
+			t.Fatalf("step %d: replay world counts %d steps, live %d", i, rw.StepCount(), ref.StepCount())
+		}
+		if got, want := fmt.Sprint(rw.LastFaultEvents()), fmt.Sprint(ref.LastFaultEvents()); got != want {
+			t.Fatalf("step %d: last fault events %s, live %s", i, got, want)
+		}
+	}
+	a.Stop()
+	sameWorldState(t, warm+steps, ref, live)
+	if live.StepCount() != ref.StepCount() {
+		t.Fatalf("helper left the live world at step %d, want %d", live.StepCount(), ref.StepCount())
+	}
+}
+
+// TestLookaheadReusesReplayWorld pins what keeping the replay world
+// saves: a warm Start hands out the same world, reset in place, and a
+// whole run on it — start, the helper's stepping and recording, the
+// replay, stop — allocates nothing. (Building the replay world anew from
+// the start snapshot cost every run a world and its adjacency rows.) The
+// helper runs on the caller here, so the count includes no goroutine.
+func TestLookaheadReusesReplayWorld(t *testing.T) {
+	const steps = 20
+	live := buildFaultWorld(t, 80, []NodeID{0, 40}, 5)
+	var a Lookahead
+	inline := func(f func()) bool { f(); return true }
+	run := func() *World {
+		rw, err := a.Start(live, steps, inline, nil)
+		if err != nil || rw == nil {
+			t.Fatalf("Start = %v, %v", rw, err)
+		}
+		for i := 0; i < steps; i++ {
+			rw.Step()
+		}
+		a.Stop()
+		return rw
+	}
+	first := run()
+	for i := 0; i < 50; i++ {
+		run() // let the tape, the rows and the live world's engine reach their high-water marks
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if run() != first {
+			t.Fatal("warm Start built a new replay world")
+		}
+	}); got != 0 {
+		t.Fatalf("a run on a warm Lookahead allocates %.1f times, want 0", got)
 	}
 }
 
@@ -204,7 +261,7 @@ func TestLookaheadTapeMatchesRecordTrajectory(t *testing.T) {
 	}
 	var a Lookahead
 	for pass := 0; pass < 2; pass++ {
-		rw, err := a.Start(build(), steps, goSpawn)
+		rw, err := a.Start(build(), steps, goSpawn, nil)
 		if err != nil || rw == nil {
 			t.Fatalf("pass %d: Start = %v, %v", pass, rw, err)
 		}
@@ -257,7 +314,7 @@ func panickingWorld(t *testing.T, failAt int) *World {
 func TestLookaheadHelperPanicFailsReader(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var a Lookahead
-	rw, err := a.Start(panickingWorld(t, 4), 10, goSpawn)
+	rw, err := a.Start(panickingWorld(t, 4), 10, goSpawn, nil)
 	if err != nil || rw == nil {
 		t.Fatalf("Start = %v, %v", rw, err)
 	}
@@ -298,7 +355,7 @@ func TestLookaheadStopEarly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var a Lookahead
 	live := buildFaultWorld(t, 60, []NodeID{0}, 3)
-	rw, err := a.Start(live, 500, goSpawn)
+	rw, err := a.Start(live, 500, goSpawn, nil)
 	if err != nil || rw == nil {
 		t.Fatalf("Start = %v, %v", rw, err)
 	}
@@ -318,7 +375,7 @@ func TestLookaheadStopEarly(t *testing.T) {
 func TestLookaheadDeclines(t *testing.T) {
 	var a Lookahead
 	dynamic := buildFaultWorld(t, 40, []NodeID{0}, 2)
-	if rw, err := a.Start(dynamic, 20, func(func()) bool { return false }); rw != nil || err != nil {
+	if rw, err := a.Start(dynamic, 20, func(func()) bool { return false }, nil); rw != nil || err != nil {
 		t.Fatalf("declined spawn: Start = %v, %v", rw, err)
 	}
 	if dynamic.StepCount() != 0 {
@@ -334,7 +391,7 @@ func TestLookaheadDeclines(t *testing.T) {
 	}
 	for name, w := range map[string]*World{"static": staticFaultWorld(t, 40, []NodeID{0}, 2), "replay": replay} {
 		asked := false
-		rw, err := a.Start(w, 20, func(func()) bool { asked = true; return true })
+		rw, err := a.Start(w, 20, func(func()) bool { asked = true; return true }, nil)
 		if rw != nil || err != nil || asked {
 			t.Fatalf("%s world: Start = %v, %v (spawn asked: %v)", name, rw, err, asked)
 		}

@@ -71,7 +71,10 @@ func (w *World) SnapshotInto(dst *Snapshot) {
 	dst.Dead, dst.DownGateways = w.appendFaultMasks(dst.Dead[:0], dst.DownGateways[:0])
 	dst.PartitionX = nil
 	if x, ok := w.Partition(); ok {
-		dst.PartitionX = &x
+		// Only the cut escapes: taking x's own address would move x to
+		// the heap on every call, cut or not.
+		cut := x
+		dst.PartitionX = &cut
 	}
 }
 

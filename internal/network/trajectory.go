@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/geom"
@@ -431,11 +432,12 @@ func (w *World) applyTrajFault(d *trace.WorldDelta, injected, recovered uint64) 
 // published.
 type trajDecoder struct {
 	t    *Trajectory
-	view tapeView // the tape as last published to this cursor
-	pos  int      // read offset into view.data
-	rel  int      // steps consumed so far
-	at   int      // step of the next record once its gap is read; 0 = unread
-	last int      // step of the last decoded record; 0 before the first
+	view tapeView      // the tape as last published to this cursor
+	pos  int           // read offset into view.data
+	rel  int           // steps consumed so far
+	read *atomic.Int64 // when set, rel is published here (Lookahead's schedule)
+	at   int           // step of the next record once its gap is read; 0 = unread
+	last int           // step of the last decoded record; 0 before the first
 
 	codec               *trace.DeltaCodec
 	d                   trace.WorldDelta
@@ -477,6 +479,9 @@ func (d *trajDecoder) await() error {
 // fields) or is empty.
 func (d *trajDecoder) next() (bool, error) {
 	d.rel++
+	if d.read != nil {
+		d.read.Store(int64(d.rel))
+	}
 	if d.at == 0 {
 		if d.pos >= len(d.view.data) {
 			// Every published record is decoded and the published part

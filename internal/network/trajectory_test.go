@@ -37,6 +37,11 @@ func sameWorldState(t *testing.T, step int, live, rep *World) {
 		t.Fatalf("step %d: partition (%v,%v) vs (%v,%v)", step, cutA, actA, cutB, actB)
 	}
 	for u := 0; u < live.N(); u++ {
+		id := NodeID(u)
+		if live.IsGateway(id) != rep.IsGateway(id) || live.Alive(id) != rep.Alive(id) || live.NeedsGateway(id) != rep.NeedsGateway(id) {
+			t.Fatalf("step %d: node %d gateway/alive/needs-gateway %v/%v/%v vs %v/%v/%v", step, u,
+				live.IsGateway(id), live.Alive(id), live.NeedsGateway(id), rep.IsGateway(id), rep.Alive(id), rep.NeedsGateway(id))
+		}
 		if live.pos[u] != rep.pos[u] {
 			t.Fatalf("step %d: node %d at %v vs %v", step, u, live.pos[u], rep.pos[u])
 		}

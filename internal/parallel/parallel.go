@@ -56,6 +56,11 @@ func SetBudget(n int) {
 // Budget returns the configured token limit.
 func Budget() int { return int(limit.Load()) }
 
+// Spare reports whether a token is free right now. A claim that follows
+// may still find the budget spent; callers use it to skip preparing work
+// for a helper that would most likely be declined.
+func Spare() bool { return limit.Load() > inUse.Load() }
+
 // tryAcquire claims up to n tokens from the budget and returns how many it
 // got (possibly 0). It never blocks: callers degrade to fewer workers —
 // ultimately to the caller goroutine alone — instead of queueing.

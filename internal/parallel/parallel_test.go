@@ -182,6 +182,34 @@ func TestGoHoldsOneToken(t *testing.T) {
 	})
 }
 
+// TestSpareTracksTokens pins Spare: true while a token is free, false
+// while a helper holds the last one or the budget is zero.
+func TestSpareTracksTokens(t *testing.T) {
+	withBudget(t, 1, func() {
+		if !Spare() {
+			t.Fatal("Spare() = false with a token free")
+		}
+		gate, done := make(chan struct{}), make(chan struct{})
+		if !Go(func() { <-gate; close(done) }) {
+			t.Fatal("Go declined with a token free")
+		}
+		if Spare() {
+			t.Fatal("Spare() = true while a helper holds the only token")
+		}
+		close(gate)
+		<-done
+		waitIdle()
+		if !Spare() {
+			t.Fatal("Spare() = false after the helper returned its token")
+		}
+	})
+	withBudget(t, 0, func() {
+		if Spare() {
+			t.Fatal("Spare() = true on a zero budget")
+		}
+	})
+}
+
 func TestNewPoolNormalises(t *testing.T) {
 	if NewPool(0).Workers() != 1 || NewPool(-3).Workers() != 1 {
 		t.Fatal("workers < 1 must normalise to 1")

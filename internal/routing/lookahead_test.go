@@ -15,34 +15,57 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/netgen"
 	"repro/internal/network"
+	"repro/internal/parallel"
 	"repro/internal/radio"
 )
 
-// emptyLookaheads drops the idle helpers, so a test can tell from the free
+// emptyHelpers drops the idle helpers, so a test can tell from the free
 // list whether its runs used one.
-func emptyLookaheads() {
-	lookaheads.Lock()
-	lookaheads.free = nil
-	lookaheads.Unlock()
+func emptyHelpers() {
+	helpers.Lock()
+	helpers.free = nil
+	helpers.Unlock()
 }
 
-func idleLookaheads() int {
-	lookaheads.Lock()
-	defer lookaheads.Unlock()
-	return len(lookaheads.free)
+func idleHelpers() int {
+	helpers.Lock()
+	defer helpers.Unlock()
+	return len(helpers.free)
 }
 
-// TestRunManyLookaheadEquivalence pins the world-stepping helper to the
-// inline engine: with the budget spent (parallel.SetBudget(0)) every run
-// steps its live world itself, with a token free every run replays the
-// world a helper goroutine steps, and the aggregates must be identical —
-// clean and under churn, blackout and partition faults, with and without
+// runEach runs a RunMany batch's replications one by one and returns
+// every Result, so a test can compare them all, series included.
+func runEach(t *testing.T, worldFor func(int) (*network.World, error), sc Scenario, runs int, base uint64) []Result {
+	t.Helper()
+	out, err := parallel.Replicate(1, runs, base, worldFor, func(w *network.World, seed uint64) (Result, error) {
+		return Run(w, sc, seed)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunManyLookaheadEquivalence pins the helpers to the inline engine.
+// With the budget spent (parallel.SetBudget(0)) every run steps its world
+// and measures it itself. With a token free a live world is stepped ahead
+// on a helper goroutine that also measures one step behind, and a replay
+// (RunManyCached's TrajectorySource) or static world gets a measure-only
+// helper. Every Result must be identical, series included — clean and
+// under churn, blackout and partition faults, with and without
 // communication and stigmergy.
 func TestRunManyLookaheadEquivalence(t *testing.T) {
 	const steps, runs = 90, 2
 	probe, err := netgen.Generate(testSpec(), 21)
 	if err != nil {
 		t.Fatal(err)
+	}
+	static := func(int) (*network.World, error) {
+		w, err := netgen.Generate(testSpec(), 21)
+		if err != nil {
+			return nil, err
+		}
+		return w.Snapshot().World()
 	}
 	for _, preset := range []string{"", "churn", "blackout", "partition"} {
 		var sched *faults.Schedule
@@ -51,6 +74,11 @@ func TestRunManyLookaheadEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		worlds := map[string]func(int) (*network.World, error){
+			"live":   freshWorld(21),
+			"replay": network.NewTrajectorySource(steps, 0, sched, cachedBuild(21)).WorldFor,
+			"static": static,
+		}
 		for _, comm := range []bool{false, true} {
 			for _, stig := range []bool{false, true} {
 				t.Run(fmt.Sprintf("faults=%q/communicate=%v/stigmergy=%v", preset, comm, stig), func(t *testing.T) {
@@ -58,23 +86,24 @@ func TestRunManyLookaheadEquivalence(t *testing.T) {
 						Agents: 25, Kind: core.PolicyOldestNode, Communicate: comm, Stigmergy: stig,
 						Steps: steps, MeasureFrom: 30, Faults: sched,
 					}
-					var inline, ahead Aggregate
-					withBudget(t, 0, func() {
-						if inline, err = RunMany(freshWorld(21), sc, runs, 5); err != nil {
-							t.Fatal(err)
-						}
-					})
-					emptyLookaheads()
-					withBudget(t, 1, func() {
-						if ahead, err = RunMany(freshWorld(21), sc, runs, 5); err != nil {
-							t.Fatal(err)
-						}
-					})
-					if idleLookaheads() == 0 {
-						t.Fatal("no run used a world-stepping helper; the comparison is vacuous")
-					}
-					if !reflect.DeepEqual(inline, ahead) {
-						t.Error("aggregate with the world-stepping helper differs from inline stepping")
+					for _, kind := range []string{"live", "replay", "static"} {
+						t.Run("world="+kind, func(t *testing.T) {
+							var inline, helped []Result
+							emptyHelpers()
+							withBudget(t, 0, func() { inline = runEach(t, worlds[kind], sc, runs, 5) })
+							if idleHelpers() != 0 {
+								t.Fatal("a run took a helper with the budget spent")
+							}
+							withBudget(t, 1, func() { helped = runEach(t, worlds[kind], sc, runs, 5) })
+							if idleHelpers() == 0 {
+								t.Fatal("no run used a helper; the comparison is vacuous")
+							}
+							for r := range inline {
+								if !reflect.DeepEqual(inline[r], helped[r]) {
+									t.Fatalf("run %d differs with the helper:\ninline %+v\nhelper %+v", r, inline[r], helped[r])
+								}
+							}
+						})
 					}
 				})
 			}
@@ -136,9 +165,9 @@ func TestRunLookaheadMetricsMatch(t *testing.T) {
 				return counterValues(reg)
 			}
 			inline := counts(0)
-			emptyLookaheads()
+			emptyHelpers()
 			ahead := counts(1)
-			if used := idleLookaheads() > 0; used != onWorld {
+			if used := idleHelpers() > 0; used != onWorld {
 				t.Fatalf("helper used = %v, want %v", used, onWorld)
 			}
 			if len(inline) == 0 {
@@ -186,7 +215,7 @@ func TestRunLookaheadPanicStopsHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptyLookaheads()
+	emptyHelpers()
 	var msg string
 	withBudget(t, 1, func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -195,8 +224,8 @@ func TestRunLookaheadPanicStopsHelper(t *testing.T) {
 	if !strings.Contains(msg, "mover broke") {
 		t.Fatalf("run ended with %q, want the live world's panic", msg)
 	}
-	if idleLookaheads() != 1 {
-		t.Fatalf("%d idle helpers after the panic, want the one the run used", idleLookaheads())
+	if idleHelpers() != 1 {
+		t.Fatalf("%d idle helpers after the panic, want the one the run used", idleHelpers())
 	}
 	noGateways, err := netgen.Generate(netgen.Spec{N: 20, TargetEdges: 100, ArenaSide: 20, Mobility: netgen.MobilityRandom, MobileFraction: 1, MaxSpeed: 1}, 1)
 	if err != nil {

@@ -503,6 +503,7 @@ type runState struct {
 	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
 	grouper *core.Grouper
+	meet    core.MeetScratch // every meeting of the run
 	tables  Tables
 	meter   Meter
 	nbrs    core.NeighborMarks // deposit phase: the current node's out-list
@@ -529,69 +530,14 @@ func (st *runState) reset(n, agents, capacity int) {
 	st.nbrs.Reset(n)
 }
 
-// lookaheads is a free list of idle world-stepping helpers. A helper
-// holds a budget token while it runs, so at most parallel.Budget() are
-// busy at once and the list never needs to keep more; unlike a sync.Pool,
-// a garbage collection cannot empty it, so a helper's tape and codecs
-// grow once per process instead of once per collection.
-var lookaheads struct {
-	sync.Mutex
-	free []*network.Lookahead
-}
-
-// startLookahead steps w on a helper goroutine when a processor is free
-// and returns the helper and the replay world the run should step
-// instead; a nil world keeps the run inline on w. Runs with a Tracer, an
-// Observer or a metrics registry stay inline: a tracer's world recorder
-// and an observer read the world the run steps, and the phase timers
-// split one goroutine's wall time, so world stepping must stay on it to
-// be timed.
-func startLookahead(w *network.World, sc Scenario) (*network.Lookahead, *network.World, error) {
-	if sc.Tracer != nil || sc.Observer != nil || sc.Metrics != nil {
-		return nil, nil, nil
-	}
-	lookaheads.Lock()
-	var a *network.Lookahead
-	if k := len(lookaheads.free); k > 0 {
-		a = lookaheads.free[k-1]
-		lookaheads.free = lookaheads.free[:k-1]
-	}
-	lookaheads.Unlock()
-	if a == nil {
-		a = new(network.Lookahead)
-	}
-	replay, err := a.Start(w, sc.Steps, parallel.Go)
-	if replay == nil {
-		putLookahead(a)
-		if err != nil {
-			return nil, nil, fmt.Errorf("routing: %w", err)
-		}
-		return nil, nil, nil
-	}
-	return a, replay, nil
-}
-
-// stopLookahead waits for the helper to exit and returns it to the free
-// list.
-func stopLookahead(a *network.Lookahead) {
-	a.Stop()
-	putLookahead(a)
-}
-
-func putLookahead(a *network.Lookahead) {
-	lookaheads.Lock()
-	if len(lookaheads.free) < max(1, parallel.Budget()) {
-		lookaheads.free = append(lookaheads.free, a)
-	}
-	lookaheads.Unlock()
-}
-
 // Run executes one routing run on w. The world is consumed (stepped); use
 // a fresh world per run. Agent placement is drawn from seed. When a
 // processor is free, a live dynamic world is stepped on a helper
-// goroutine ahead of the agents, which replay its recording (see
-// startLookahead and network.Lookahead); the result is identical, and
-// when Run returns, w stands where stepping it inline would have left it.
+// goroutine ahead of the agents, which replay its recording, and the
+// measurement follows one step behind on the same goroutine; other worlds
+// get a measure-only helper (see startHelper, pipeline.go). The result is
+// identical, and when Run returns, w stands where stepping it inline would
+// have left it.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
 	st := statePool.Get().(*runState)
 	res, err := run(w, sc, seed, st)
@@ -618,14 +564,28 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	if err != nil {
 		return Result{}, err
 	}
-	// From here on the run cannot fail, so the world may run ahead.
-	ahead, replay, err := startLookahead(w, sc)
+	// The series are written by step index, inline or by the helper.
+	res := Result{
+		Connectivity: make([]float64, sc.Steps),
+		EndToEnd:     make([]float64, sc.Steps),
+		Ideal:        make([]float64, sc.Steps),
+		Staleness:    make([]float64, sc.Steps),
+	}
+	out := series{res.Connectivity, res.EndToEnd, res.Ideal, res.Staleness}
+	meter := &st.meter
+	// From here on the run cannot fail, so the world may run ahead and the
+	// measurement may trail.
+	h, replay, err := startHelper(w, sc, meter, out)
 	if err != nil {
 		return Result{}, err
 	}
-	if replay != nil {
-		defer stopLookahead(ahead)
-		w = replay
+	var pipe *measurePipe
+	if h != nil {
+		defer h.stop()
+		pipe = &h.pipe
+		if replay != nil {
+			w = replay
+		}
 	}
 	st.reset(w.N(), len(agents), tableCapacity)
 	tables := &st.tables
@@ -638,16 +598,9 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	grouper := st.grouper
 	nbrs := &st.nbrs
 	// The meter measures incrementally, bit-identical to the scratch
-	// functions (pinned by the differential tests), fed by the tables'
-	// dirty list.
-	meter := &st.meter
+	// functions (pinned by the differential tests), fed by the world's
+	// edge stream and the tables' dirty list.
 	meter.Reset(w, tables)
-	res := Result{
-		Connectivity: make([]float64, 0, sc.Steps),
-		EndToEnd:     make([]float64, 0, sc.Steps),
-		Ideal:        make([]float64, 0, sc.Steps),
-		Staleness:    make([]float64, 0, sc.Steps),
-	}
 	m := newRunMetrics(sc.Metrics)
 	w.Instrument(sc.Metrics)
 	m.runs.Inc()
@@ -705,7 +658,7 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 				}
 			}
 			for _, g := range groups {
-				core.ExchangeRoutes(g)
+				st.meet.ExchangeRoutes(g)
 			}
 		}
 		sp.Stop()
@@ -751,30 +704,11 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		sp.Stop()
 		m.syncCounts(agents, tables)
 		// Measure, then let the world move.
-		sp = m.measure.Start()
-		mm := meter.Measure(step)
-		res.Connectivity = append(res.Connectivity, mm.Local)
-		res.EndToEnd = append(res.EndToEnd, mm.EndToEnd)
-		res.Ideal = append(res.Ideal, mm.Ideal)
-		res.Staleness = append(res.Staleness, mm.Staleness)
-		sp.Stop()
-		m.connLocal.Set(mm.Local)
-		m.connE2E.Set(mm.EndToEnd)
-		m.connIdeal.Set(mm.Ideal)
-		m.staleness.Set(mm.Staleness)
-		if sc.Tracer != nil {
-			sc.Tracer.Emit(trace.Event{
-				Step: step, Kind: trace.KindMeasure,
-				Value: mm.Local, Extra: "connectivity",
-			})
-			sc.Tracer.Emit(trace.Event{
-				Step: step, Kind: trace.KindMeasure,
-				Value: mm.EndToEnd, Extra: "end-to-end",
-			})
-			sc.Tracer.Emit(trace.Event{
-				Step: step, Kind: trace.KindMeasure,
-				Value: mm.Ideal, Extra: "ideal",
-			})
+		if pipe != nil {
+			// The helper measures this step while the agents decide the next.
+			pipe.capture(step)
+		} else {
+			measureInline(meter, step, out, &m, sc.Tracer)
 		}
 		if sc.Observer != nil {
 			sc.Observer(step, w, tables)
@@ -783,6 +717,9 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		rec.AfterWorldStep()
 	}
 
+	if pipe != nil {
+		pipe.join()
+	}
 	m.measResyncs.Add(uint64(meter.Resyncs()))
 	res.Mean = stats.WindowMean(res.Connectivity, sc.MeasureFrom, sc.Steps)
 	res.Std = stats.WindowStd(res.Connectivity, sc.MeasureFrom, sc.Steps)
@@ -804,6 +741,33 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 		res.Overhead.Add(a.Overhead)
 	}
 	return res, nil
+}
+
+// measureInline measures a step on the run goroutine: timed, published to
+// the gauges and traced in step order.
+func measureInline(meter *Meter, step int, out series, m *runMetrics, tr trace.Tracer) {
+	sp := m.measure.Start()
+	mm := meter.Measure(step)
+	out.set(step, mm)
+	sp.Stop()
+	m.connLocal.Set(mm.Local)
+	m.connE2E.Set(mm.EndToEnd)
+	m.connIdeal.Set(mm.Ideal)
+	m.staleness.Set(mm.Staleness)
+	if tr != nil {
+		tr.Emit(trace.Event{
+			Step: step, Kind: trace.KindMeasure,
+			Value: mm.Local, Extra: "connectivity",
+		})
+		tr.Emit(trace.Event{
+			Step: step, Kind: trace.KindMeasure,
+			Value: mm.EndToEnd, Extra: "end-to-end",
+		})
+		tr.Emit(trace.Event{
+			Step: step, Kind: trace.KindMeasure,
+			Value: mm.Ideal, Extra: "ideal",
+		})
+	}
 }
 
 // reactToFaults is the harness's response to a fault epoch advance: routes

@@ -36,8 +36,12 @@ mkdir -p "$out"
   echo "# benchtime: $benchtime"
   echo "#"
   echo "# NOTE: the sequential variant spends the executor budget (one goroutine,"
-  echo "# worlds stepped inline); sequential+helper runs one run at a time, each"
-  echo "# with a helper goroutine stepping its live world ahead of it."
+  echo "# worlds stepped and measured inline); sequential+helper runs one run at a"
+  echo "# time, each with a helper goroutine stepping its live world ahead of it"
+  echo "# and measuring one step behind it. The Fig 8/Fig 11 benchmarks take the"
+  echo "# helper when a token is free; their Instrumented twins attach a metrics"
+  echo "# registry, which keeps every run inline, so the gap between a twin and"
+  echo "# its plain benchmark is the instrumentation plus the lost overlap."
   echo "# The parallel variant grants the executor budget NumCPU-1 extra"
   echo "# workers, so on a single-core host it degrades to the sequential path"
   echo "# and the recorded speedup is honestly ~1x. Replication is"
@@ -45,7 +49,7 @@ mkdir -p "$out"
   echo "# 8-core host runs the 8-run batches in ~ceil(8/8)=1 run-times instead"
   echo "# of 8 — i.e. the >=4x target engages once >=4 cores grant tokens."
   go test -run '^$' -benchtime "$benchtime" -benchmem \
-    -bench 'Fig8PopulationSweep$|Fig11OldestComm$|MappingBatch|RoutingBatch' .
+    -bench 'Fig8PopulationSweep(Instrumented)?$|Fig11OldestComm(Instrumented)?$|MappingBatch|RoutingBatch' .
 } | tee "$raw"
 
 awk '

@@ -31,14 +31,21 @@ echo "== parallel determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
 # stepped on a budget token) gets the same two settings: aggregates and
 # registry counters identical with the helper forced off and on, no
 # goroutine left after a failing run, and the streaming tape's reader
-# waiting at step gaps, matching live stepping and a RecordTrajectory tape.
+# waiting at step gaps, matching live stepping and a RecordTrajectory tape,
+# from a kept replay world reset in place without allocating.
 # Replicated runs draw pooled run state concurrently, so the mapping
 # harness's recycling tests run here too: a recycled state (agents, maps,
 # visit tables, footprint board) must give a fresh state's results, and a
-# warm state must be reused in place.
-GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents' \
+# warm state must be reused in place (allocation pin included: meetings
+# run on the state's own scratch, so it holds under -race).
+# Measurement trails the run on the helper (or on a measure-only helper
+# for replay and static worlds): every Result identical with helpers off
+# and on over live, replay and static worlds, a Meter fed only logged
+# change records equal to the inline Meter and the scratch referee, and
+# no goroutine left after a run or a measurement that panics.
+GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
   . ./internal/routing ./internal/mapping ./internal/parallel
-go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents' \
+go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
   . ./internal/routing ./internal/mapping ./internal/parallel
 GOMAXPROCS=2 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
