@@ -134,6 +134,12 @@ type RoutingBatch = routing.Aggregate
 // RoutingTables is the per-node routing state the agents maintain.
 type RoutingTables = routing.Tables
 
+// RoutingMeasurement is one step's routing metrics: local (next-hop
+// liveness), end-to-end and ideal connectivity, and route staleness. A
+// RoutingScenario.Observer receives it every step, and the AntColony and
+// DistanceVector baselines return it from Measure.
+type RoutingMeasurement = routing.Measurement
+
 // RunRouting performs one routing run on w (the world is consumed — use a
 // fresh one per run) with agent placement drawn from seed.
 func RunRouting(w *World, sc RoutingScenario, seed uint64) (RoutingResult, error) {
@@ -204,7 +210,8 @@ type TrafficStats = traffic.Stats
 // TrafficGen injects packets at random nodes and forwards them one hop
 // per step over the agents' routing tables. Plug its Step method into
 // RoutingScenario.Observer to measure real deliverability alongside the
-// connectivity metric.
+// connectivity metric; it reads only the tables and ignores the step's
+// RoutingMeasurement and reach view.
 type TrafficGen = traffic.Gen
 
 // NewTrafficGen returns a generator injecting perStep packets per step
@@ -275,7 +282,8 @@ func ChartSeries(names []string, series [][]float64, width, height int) string {
 // AntColony is an AntHocNet-style pheromone router (the nature-inspired
 // comparator from the paper's related work): forward ants explore, a
 // backward ant reinforces the trail when a gateway is found, pheromone
-// evaporates, packets follow the strongest trail.
+// evaporates, packets follow the strongest trail. Call Step once per world
+// step and Measure(step) for the same metrics the agents' runs report.
 type AntColony = baseline.AntColony
 
 // NewAntColony creates a pheromone-routing colony over w. evaporation is
@@ -285,7 +293,9 @@ func NewAntColony(w *World, ants int, evaporation float64, ttl int, seed uint64)
 }
 
 // DistanceVector is the DSDV-style protocol baseline: every node
-// exchanges gateway-distance vectors with its neighbours each step.
+// exchanges gateway-distance vectors with its neighbours each step. Call
+// Step once per world step and Measure(step) for the same metrics the
+// agents' runs report.
 type DistanceVector = baseline.DistanceVector
 
 // NewDistanceVector initialises the protocol baseline over w; maxAge is

@@ -17,7 +17,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/radio"
 	"repro/internal/rng"
-	"repro/internal/routing"
 )
 
 // mapWorld returns the shared canonical mapping network.
@@ -457,145 +456,4 @@ func BenchmarkWorldStep(b *testing.B) {
 	b.Run(fmt.Sprintf("n=%d/mode=replay", big), func(b *testing.B) {
 		benchWorldStepReplay(b, big, 256)
 	})
-}
-
-// benchConnectivityTables seeds realistic routing state for the
-// measurement benchmarks: every node that can reach a gateway over the
-// current topology gets one shortest-path entry pointing at its BFS
-// parent, like a converged agent fleet would leave behind.
-func benchConnectivityTables(b *testing.B, w *network.World) *routing.Tables {
-	b.Helper()
-	n := w.N()
-	ts := routing.NewTables(n, 2)
-	topo := w.Topology()
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, n)
-	parent := make([]network.NodeID, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	for _, g := range w.Gateways() {
-		dist[g] = 0
-	}
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < n; u++ {
-			for _, v := range topo.Out(network.NodeID(u)) {
-				if dist[v] != inf && dist[v]+1 < dist[u] {
-					dist[u] = dist[v] + 1
-					parent[u] = v
-					changed = true
-				}
-			}
-		}
-	}
-	gw := w.Gateways()[0]
-	for u := 0; u < n; u++ {
-		if dist[u] != inf && dist[u] > 0 {
-			ts.Update(network.NodeID(u), routing.Entry{
-				Gateway: gw, NextHop: parent[u], Hops: dist[u], Updated: 0,
-			})
-		}
-	}
-	return ts
-}
-
-// BenchmarkConnectivity measures the per-step cost of the routing
-// harness's measurement phase — LocalConnectivity, end-to-end
-// Connectivity, ConnectivityToGateways, and Staleness — over pre-seeded
-// tables on a stepping world with a steady trickle of table writes.
-// mode=full computes all four from scratch each step (the pre-incremental
-// behaviour); mode=incr is the churn-proportional Meter, fed by the
-// topology delta stream and the tables' dirty list. The two are
-// bit-identical at every step (pinned by the equivalence, property, and
-// fuzz tests in internal/routing), so the ratio is pure measurement cost.
-// World stepping and the writes happen with the timer stopped; only the
-// measurement is timed. Acceptance floor: >=3x at n=8000 with 0 allocs/op
-// in steady state.
-func BenchmarkConnectivity(b *testing.B) {
-	benchConn := func(b *testing.B, n int, incr bool) {
-		w := benchStepWorld(b, n)
-		for i := 0; i < 150; i++ {
-			w.Step()
-		}
-		ts := benchConnectivityTables(b, w)
-		gws := w.Gateways()
-		s := rng.New(uint64(n) + 1)
-		var scratch routing.Scratch
-		var meter *routing.Meter
-		if incr {
-			meter = routing.NewMeter(w, ts)
-		}
-		step := 0
-		iter := func(timed bool) {
-			if timed {
-				b.StopTimer()
-			}
-			w.Step()
-			step++
-			// The write mix mirrors a converged fleet: agents mostly refresh
-			// the route a node already holds (freshest-wins timestamps), and
-			// occasionally rewire a node through a different current
-			// neighbour — deposits always name real links.
-			for k := 0; k < 32; k++ {
-				u := network.NodeID(s.Intn(n))
-				e, ok := ts.Best(u)
-				if !ok || k%8 == 0 {
-					nbrs := w.Topology().Out(u)
-					if len(nbrs) == 0 {
-						continue
-					}
-					e = routing.Entry{
-						Gateway: gws[s.Intn(len(gws))], NextHop: nbrs[s.Intn(len(nbrs))],
-						Hops: 1 + s.Intn(9),
-					}
-				}
-				e.Updated = step
-				ts.Update(u, e)
-			}
-			if timed {
-				b.StartTimer()
-			}
-			if incr {
-				meter.Measure(step)
-			} else {
-				routing.LocalConnectivity(w, ts)
-				scratch.Connectivity(w, ts)
-				w.ConnectivityToGateways()
-				routing.Staleness(w, ts, step)
-			}
-		}
-		// Warm-up: let every mirror, scratch, and reach buffer grow to its
-		// steady-state footprint before timing starts. The meter on the
-		// large worlds needs far longer: mirror-row capacities ratchet to
-		// each node's in-degree high-water mark, and the movers take a few
-		// thousand steps to sweep enough of the field for those marks to
-		// plateau. New marks keep arriving, about 0.2·n/t per step at step
-		// t, so at n=8000 3000 steps bring the timed loop under one
-		// allocation per op (the floor scripts/bench.sh gates); at n=100000
-		// they bring it to a few, and under one would take ~20000 steps.
-		// Row growth costs microseconds against a measure of tens of
-		// milliseconds, so the timings hold either way. A one-iteration
-		// pass (the framework's probe, or a -benchtime=1x smoke) is not
-		// read for numbers, so it keeps the short warm-up.
-		warm := 300
-		if incr && n >= 8000 && b.N > 1 {
-			warm = 3000
-		}
-		for i := 0; i < warm; i++ {
-			iter(false)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			iter(true)
-		}
-	}
-	for _, n := range []int{500, 8000, 100000} {
-		for _, mode := range []string{"full", "incr"} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				benchConn(b, n, mode == "incr")
-			})
-		}
-	}
 }

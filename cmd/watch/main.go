@@ -81,15 +81,14 @@ func main() {
 		Steps:       *steps,
 		Faults:      sched,
 		Metrics:     reg,
-		Observer: func(step int, w *network.World, tables *routing.Tables) {
-			series = append(series, routing.LocalConnectivity(w, tables))
+		Observer: func(step int, w *network.World, tables *routing.Tables, mm routing.Measurement, reached func(network.NodeID) bool) {
+			series = append(series, mm.Local)
 			if step%*every != 0 {
 				return
 			}
-			reach := routing.ReachSet(w, tables)
 			values := make([]float64, w.N())
 			for u := range values {
-				if reach[u] {
+				if reached(network.NodeID(u)) {
 					values[u] = 1
 				} else if len(tables.Entries(network.NodeID(u))) > 0 {
 					values[u] = 0.4 // has a route, but it no longer reaches

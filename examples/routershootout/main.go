@@ -43,8 +43,9 @@ func main() {
 	for step := 0; step < steps; step++ {
 		colony.Step()
 		if step >= steps/2 {
-			antLocal += colony.LocalConnectivity(step)
-			antE2E += colony.Connectivity(step)
+			mm := colony.Measure(step)
+			antLocal += mm.Local
+			antE2E += mm.EndToEnd
 			samples++
 		}
 		w2.Step()
@@ -63,7 +64,7 @@ func main() {
 	for step := 0; step < steps; step++ {
 		dv.Step()
 		if step >= steps/2 {
-			dvConn += dv.Connectivity(step)
+			dvConn += dv.Measure(step).EndToEnd
 			samples++
 		}
 		w3.Step()

@@ -27,6 +27,11 @@ type AntColony struct {
 	gwHint []map[network.NodeID]network.NodeID
 	ants   []ant
 
+	// tables holds the strongest trails as routing entries, rewritten in
+	// place by Tables and Measure; meter measures them.
+	tables *routing.Tables
+	meter  *routing.Meter
+
 	// Messages counts ant hops (forward and backward), the protocol's
 	// traffic unit.
 	Messages int
@@ -53,7 +58,9 @@ func NewAntColony(w *network.World, ants int, evaporation float64, ttl int, stre
 		pher:        make([]map[network.NodeID]float64, w.N()),
 		gwHint:      make([]map[network.NodeID]network.NodeID, w.N()),
 		ants:        make([]ant, ants),
+		tables:      routing.NewTables(w.N(), 1),
 	}
+	c.meter = routing.NewMeter(w, c.tables)
 	for i := range c.pher {
 		c.pher[i] = make(map[network.NodeID]float64)
 		c.gwHint[i] = make(map[network.NodeID]network.NodeID)
@@ -152,41 +159,48 @@ func (c *AntColony) retrace(path []network.NodeID, gw network.NodeID) {
 }
 
 // Tables exports the colony's strongest trails as routing tables so the
-// same connectivity metrics apply to ants and agents alike. Each node
-// contributes its highest-pheromone next hop.
+// same connectivity metrics apply to ants and agents alike. Each non-gateway
+// node holds its highest-pheromone next hop, stamped with step. The tables
+// are the colony's own, rewritten in place by the next Tables or Measure.
 func (c *AntColony) Tables(step int) *routing.Tables {
-	ts := routing.NewTables(c.w.N(), 1)
 	for u := range c.pher {
-		if c.w.IsGateway(network.NodeID(u)) {
-			continue
+		var row [1]routing.Entry
+		want := row[:0]
+		if best, ok := c.strongest(network.NodeID(u)); ok {
+			want = append(want, routing.Entry{
+				Gateway: c.gwHint[u][best],
+				NextHop: best,
+				Hops:    1, // pheromone does not encode distance; hops are nominal
+				Updated: step,
+			})
 		}
-		best := network.NodeID(-1)
-		bestTau := 0.0
-		for v, tau := range c.pher[u] {
-			if tau > bestTau || (tau == bestTau && best >= 0 && v < best) {
-				best, bestTau = v, tau
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		ts.Update(network.NodeID(u), routing.Entry{
-			Gateway: c.gwHint[u][best],
-			NextHop: best,
-			Hops:    1, // pheromone does not encode distance; hops are nominal
-			Updated: step,
-		})
+		setRow(c.tables, network.NodeID(u), want)
 	}
-	return ts
+	return c.tables
 }
 
-// Connectivity returns end-to-end connectivity over the colony's tables.
-func (c *AntColony) Connectivity(step int) float64 {
-	return routing.Connectivity(c.w, c.Tables(step))
+// strongest returns non-gateway node u's highest-pheromone next hop (ties
+// to the lower node ID); ok is false for a gateway or a node without
+// pheromone.
+func (c *AntColony) strongest(u network.NodeID) (network.NodeID, bool) {
+	if c.w.IsGateway(u) {
+		return 0, false
+	}
+	best := network.NodeID(-1)
+	bestTau := 0.0
+	for v, tau := range c.pher[u] {
+		if tau > bestTau || (tau == bestTau && best >= 0 && v < best) {
+			best, bestTau = v, tau
+		}
+	}
+	return best, best >= 0
 }
 
-// LocalConnectivity returns next-hop-liveness connectivity over the
-// colony's tables.
-func (c *AntColony) LocalConnectivity(step int) float64 {
-	return routing.LocalConnectivity(c.w, c.Tables(step))
+// Measure exports the colony's tables at step and measures them with the
+// routing harness's Meter: local (next-hop liveness), end-to-end and ideal
+// connectivity, and staleness. Measuring once per world step keeps the
+// meter incremental; after skipped steps it recomputes.
+func (c *AntColony) Measure(step int) routing.Measurement {
+	c.Tables(step)
+	return c.meter.Measure(step)
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/network"
 	"repro/internal/rng"
-	"repro/internal/routing"
 )
 
 func TestAntColonyChainConverges(t *testing.T) {
@@ -15,7 +14,7 @@ func TestAntColonyChainConverges(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		c.Step()
 	}
-	if got := c.Connectivity(300); got < 0.8 {
+	if got := c.Measure(300).EndToEnd; got < 0.8 {
 		t.Fatalf("ant connectivity on chain = %v", got)
 	}
 	if c.Messages == 0 {
@@ -58,7 +57,7 @@ func TestAntColonyEvaporationForgetsDeadTrails(t *testing.T) {
 			t.Fatalf("pheromone survived evaporation at node %d: %v", u, c.pher[u])
 		}
 	}
-	if got := c.Connectivity(200); got != 0 {
+	if got := c.Measure(200).EndToEnd; got != 0 {
 		t.Fatalf("connectivity after full evaporation = %v", got)
 	}
 }
@@ -74,7 +73,7 @@ func TestAntColonyDeterministic(t *testing.T) {
 			c.Step()
 			w.Step()
 		}
-		return c.Connectivity(100), c.Messages
+		return c.Measure(100).EndToEnd, c.Messages
 	}
 	c1, m1 := run()
 	c2, m2 := run()
@@ -93,7 +92,7 @@ func TestAntColonyOnMANET(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		c.Step()
 		if i >= 150 {
-			conn = append(conn, c.LocalConnectivity(i))
+			conn = append(conn, c.Measure(i).Local)
 		}
 		w.Step()
 	}
@@ -129,8 +128,17 @@ func TestAntColonyTablesUsableByTraffic(t *testing.T) {
 		c.Step()
 	}
 	ts := c.Tables(300)
-	visited := make([]bool, w.N())
-	if !routing.Reaches(w, ts, 4, 10, visited) {
+	// Forward from the far end along the best entries, as a packet would:
+	// every hop must be a current link, within the chain's length.
+	at := network.NodeID(4)
+	for hop := 0; hop < w.N() && !w.IsGateway(at); hop++ {
+		e, ok := ts.Best(at)
+		if !ok || !w.Topology().HasEdge(at, e.NextHop) {
+			t.Fatalf("node %d has no usable entry", at)
+		}
+		at = e.NextHop
+	}
+	if !w.IsGateway(at) {
 		t.Fatal("strongest trails do not carry a walk to the gateway")
 	}
 }

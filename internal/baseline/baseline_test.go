@@ -122,7 +122,7 @@ func TestDistanceVectorChainConverges(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		dv.Step()
 	}
-	if got := dv.Connectivity(6); got != 1 {
+	if got := dv.Measure(6).EndToEnd; got != 1 {
 		t.Fatalf("DV connectivity on chain = %v, want 1", got)
 	}
 	ts := dv.Tables(6)
@@ -140,11 +140,11 @@ func TestDistanceVectorConvergesGradually(t *testing.T) {
 	w := chain(t, 8)
 	dv := NewDistanceVector(w, 3)
 	dv.Step()
-	early := dv.Connectivity(1)
+	early := dv.Measure(1).EndToEnd
 	for i := 0; i < 7; i++ {
 		dv.Step()
 	}
-	late := dv.Connectivity(8)
+	late := dv.Measure(8).EndToEnd
 	if early >= late {
 		t.Fatalf("DV should converge gradually: early %v, late %v", early, late)
 	}
@@ -166,7 +166,7 @@ func TestDistanceVectorExpiry(t *testing.T) {
 	}
 	dv := NewDistanceVector(w, 2)
 	dv.Step()
-	if got := dv.Connectivity(0); got != 1 {
+	if got := dv.Measure(0).EndToEnd; got != 1 {
 		t.Fatalf("initial DV connectivity = %v", got)
 	}
 	// Decay until the 1→0 link is gone (range 10·0.85 < 9 after 3 steps),
@@ -175,7 +175,7 @@ func TestDistanceVectorExpiry(t *testing.T) {
 		w.Step()
 		dv.Step()
 	}
-	if got := dv.Connectivity(6); got != 0 {
+	if got := dv.Measure(6).EndToEnd; got != 0 {
 		t.Fatalf("expired route still counted: %v", got)
 	}
 }
@@ -190,7 +190,7 @@ func TestDistanceVectorOnMANET(t *testing.T) {
 		dv.Step()
 		w.Step()
 	}
-	got := dv.Connectivity(30)
+	got := dv.Measure(30).EndToEnd
 	ideal := w.ConnectivityToGateways()
 	if got < ideal-0.15 {
 		t.Fatalf("DV connectivity %v too far below ideal %v", got, ideal)

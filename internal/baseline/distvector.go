@@ -20,6 +20,13 @@ type DistanceVector struct {
 	age     [][]int32  // node → gateway index → steps since refreshed
 	gateIdx map[NodeID]int
 
+	// tables holds the protocol state as routing entries, rewritten in
+	// place by Tables and Measure; meter measures them; row is the
+	// per-node scratch the rewrite fills.
+	tables *routing.Tables
+	meter  *routing.Meter
+	row    []routing.Entry
+
 	// Messages counts vector transmissions over links so far.
 	Messages int
 }
@@ -39,7 +46,9 @@ func NewDistanceVector(w *network.World, maxAge int) *DistanceVector {
 		via:     make([][]NodeID, w.N()),
 		age:     make([][]int32, w.N()),
 		gateIdx: make(map[NodeID]int, g),
+		tables:  routing.NewTables(w.N(), g),
 	}
+	dv.meter = routing.NewMeter(w, dv.tables)
 	for i, gw := range w.Gateways() {
 		dv.gateIdx[gw] = i
 	}
@@ -127,27 +136,34 @@ func (dv *DistanceVector) Step() {
 }
 
 // Tables exports the protocol state as routing tables so the same
-// connectivity metrics apply to baseline and agents alike.
+// connectivity metrics apply to baseline and agents alike: one entry per
+// gateway a non-gateway node knows a route to. The tables are the
+// protocol's own, rewritten in place by the next Tables or Measure.
 func (dv *DistanceVector) Tables(step int) *routing.Tables {
-	ts := routing.NewTables(dv.w.N(), len(dv.w.Gateways()))
 	for u := 0; u < dv.w.N(); u++ {
+		want := dv.row[:0]
 		for k, gw := range dv.w.Gateways() {
 			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) {
 				continue
 			}
-			ts.Update(NodeID(u), routing.Entry{
+			want = append(want, routing.Entry{
 				Gateway: gw,
 				NextHop: dv.via[u][k],
 				Hops:    int(dv.dist[u][k]),
 				Updated: step - int(dv.age[u][k]),
 			})
 		}
+		setRow(dv.tables, NodeID(u), want)
+		dv.row = want
 	}
-	return ts
+	return dv.tables
 }
 
-// Connectivity returns the end-to-end connectivity of the current
-// distance-vector tables.
-func (dv *DistanceVector) Connectivity(step int) float64 {
-	return routing.Connectivity(dv.w, dv.Tables(step))
+// Measure exports the protocol's tables at step and measures them with the
+// routing harness's Meter: local (next-hop liveness), end-to-end and ideal
+// connectivity, and staleness. Measuring once per world step keeps the
+// meter incremental; after skipped steps it recomputes.
+func (dv *DistanceVector) Measure(step int) routing.Measurement {
+	dv.Tables(step)
+	return dv.meter.Measure(step)
 }

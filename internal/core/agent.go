@@ -158,10 +158,6 @@ func saltFor(id int) uint64 {
 	return x ^ x>>31
 }
 
-// TieSalt returns the agent's current tie-break salt. Salts start unique
-// per agent and are unified when visit histories merge.
-func (a *Agent) TieSalt() uint64 { return a.tieSalt }
-
 // Kind returns the agent's movement policy.
 func (a *Agent) Kind() PolicyKind { return a.kind }
 

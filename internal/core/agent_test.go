@@ -165,18 +165,18 @@ func TestDecideConscientiousTieBreaks(t *testing.T) {
 func TestSaltUnifiedOnVisitMerge(t *testing.T) {
 	a := newAgent(t, Config{ID: 1, Kind: PolicySuperConscientious, ShareTopology: true})
 	b := newAgent(t, Config{ID: 2, Kind: PolicySuperConscientious, ShareTopology: true})
-	if a.TieSalt() == b.TieSalt() {
+	if a.tieSalt == b.tieSalt {
 		t.Fatal("fresh agents should have distinct salts")
 	}
 	ExchangeTopology([]*Agent{a, b})
-	if a.TieSalt() != b.TieSalt() {
+	if a.tieSalt != b.tieSalt {
 		t.Fatal("visit merge must unify salts")
 	}
 	// Conscientious (non-visit-sharing) agents keep their own salts.
 	c := newAgent(t, Config{ID: 3, Kind: PolicyConscientious, ShareTopology: true})
 	d := newAgent(t, Config{ID: 4, Kind: PolicyConscientious, ShareTopology: true})
 	ExchangeTopology([]*Agent{c, d})
-	if c.TieSalt() == d.TieSalt() {
+	if c.tieSalt == d.tieSalt {
 		t.Fatal("non-visit-sharers must keep private salts")
 	}
 }

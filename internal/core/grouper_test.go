@@ -6,6 +6,19 @@ import (
 	"repro/internal/rng"
 )
 
+// GroupByNode is the one-shot form of Grouper.Meetings: a Grouper sized
+// for the agents' highest node and used once. It is the referee of a
+// reused Grouper.
+func GroupByNode(agents []*Agent) [][]*Agent {
+	maxNode := NodeID(-1)
+	for _, a := range agents {
+		if a.At > maxNode {
+			maxNode = a.At
+		}
+	}
+	return NewGrouper(int(maxNode + 1)).Meetings(agents)
+}
+
 // TestGrouperMatchesGroupByNode drives one reused Grouper over many random
 // agent placements and checks Meetings against the convenience form.
 func TestGrouperMatchesGroupByNode(t *testing.T) {

@@ -43,9 +43,10 @@ func (gr *Grouper) Reset(n int) {
 	}
 }
 
-// Meetings returns the groups with at least two members, ordered by node
-// ID with members in input order — the same deterministic contract as
-// GroupByNode.
+// Meetings partitions agents by the node they currently occupy and
+// returns the groups with at least two members — the meetings. Groups are
+// ordered by node ID and members keep the order of the input slice, so
+// meeting processing is deterministic.
 func (gr *Grouper) Meetings(agents []*Agent) [][]*Agent {
 	gr.touched = gr.touched[:0]
 	for _, a := range agents {
@@ -81,21 +82,6 @@ func (gr *Grouper) Meetings(agents []*Agent) [][]*Agent {
 		gr.count[node] = 0
 	}
 	return gr.groups
-}
-
-// GroupByNode partitions agents by the node they currently occupy and
-// returns only the groups with at least two members — the meetings.
-// Groups are ordered by node ID and members keep the order of the input
-// slice, so meeting processing is deterministic. Simulation loops should
-// hold a Grouper instead; this convenience form sizes one per call.
-func GroupByNode(agents []*Agent) [][]*Agent {
-	maxNode := NodeID(-1)
-	for _, a := range agents {
-		if a.At > maxNode {
-			maxNode = a.At
-		}
-	}
-	return NewGrouper(int(maxNode + 1)).Meetings(agents)
 }
 
 // MeetScratch holds the buffers a meeting needs. A simulation run owns

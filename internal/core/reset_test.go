@@ -107,7 +107,7 @@ func (w *agentWorld) step(ops *rng.Stream, step, n int) string {
 // sameAgent compares everything an agent exposes.
 func sameAgent(t *testing.T, when string, a, b *Agent, n int) {
 	t.Helper()
-	if a.ID != b.ID || a.At != b.At || a.Overhead != b.Overhead || a.TieSalt() != b.TieSalt() ||
+	if a.ID != b.ID || a.At != b.At || a.Overhead != b.Overhead || a.tieSalt != b.tieSalt ||
 		a.Kind() != b.Kind() || a.SharesTopology() != b.SharesTopology() ||
 		a.SharesVisits() != b.SharesVisits() || a.SharesRoutes() != b.SharesRoutes() {
 		t.Fatalf("%s: agent state differs: %+v vs %+v", when, a, b)

@@ -321,7 +321,7 @@ func extC(cfg Config) (Report, error) {
 	for step := 0; step < 300; step++ {
 		dv.Step()
 		if step >= 150 {
-			dvConn = append(dvConn, dv.Connectivity(step))
+			dvConn = append(dvConn, dv.Measure(step).EndToEnd)
 		}
 		dvWorld.Step()
 	}
@@ -449,8 +449,9 @@ func extJ(cfg Config) (Report, error) {
 		for step := 0; step < 300; step++ {
 			colony.Step()
 			if step >= 150 {
-				local = append(local, colony.LocalConnectivity(step))
-				e2e = append(e2e, colony.Connectivity(step))
+				mm := colony.Measure(step)
+				local = append(local, mm.Local)
+				e2e = append(e2e, mm.EndToEnd)
 			}
 			w.Step()
 		}
@@ -470,7 +471,7 @@ func extJ(cfg Config) (Report, error) {
 	for step := 0; step < 300; step++ {
 		dv.Step()
 		if step >= 150 {
-			dvConn = append(dvConn, dv.Connectivity(step))
+			dvConn = append(dvConn, dv.Measure(step).EndToEnd)
 		}
 		dvWorld.Step()
 	}

@@ -3,7 +3,6 @@ package knowledge
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -120,23 +119,6 @@ func TestMergeFromZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReconstructIntoZeroAllocs enforces the scratch-reconstruction
-// budget: rebuilding the believed graph into a warmed caller-owned
-// graph.Directed allocates nothing.
-func TestReconstructIntoZeroAllocs(t *testing.T) {
-	k := learnTape(200, 1, 0)
-	g := graph.New(k.N())
-	k.ReconstructInto(g) // warm the flat edge array
-	avg := testing.AllocsPerRun(200, func() {
-		if k.ReconstructInto(g).M() != 2*k.N() {
-			t.Fatal("reconstruction lost edges")
-		}
-	})
-	if avg > 0 {
-		t.Fatalf("ReconstructInto allocates %v per call, want 0", avg)
-	}
-}
-
 // TestCloneAllocBudget pins the flat-backed Clone cost: five allocations
 // (struct, sources, mask, adjacency index, one packed edge array) no
 // matter how many nodes are known.
@@ -157,14 +139,14 @@ func TestCloneAllocBudget(t *testing.T) {
 // TestTopologyNeighborIndexAllocatedOnFirstLearn checks the lazily
 // allocated neighbour-list index: a topology that never learns (a routing
 // agent's) costs only its source tags and mask, and every operation on it
-// — Neighbors, Reconstruct, Clone, Reset, MergeFrom in either direction —
+// — Neighbors, Clone, Reset, MergeFrom in either direction —
 // behaves as on a topology whose index exists.
 func TestTopologyNeighborIndexAllocatedOnFirstLearn(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { _ = NewTopology(1000) }); avg > 3 {
 		t.Fatalf("NewTopology allocates %v times, want <= 3 (struct, sources, mask)", avg)
 	}
 	empty := NewTopology(10)
-	if empty.Neighbors(3) != nil || empty.Reconstruct().M() != 0 {
+	if empty.Neighbors(3) != nil {
 		t.Fatal("empty topology reports neighbours")
 	}
 	if empty.MergeFrom(NewTopology(10)) != 0 {

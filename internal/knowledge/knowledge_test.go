@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -121,21 +120,6 @@ func TestTopologyMergeCommutativeOnKnownSets(t *testing.T) {
 		if a1.Knows(NodeID(i)) != b2.Knows(NodeID(i)) {
 			t.Fatalf("union membership differs at %d", i)
 		}
-	}
-}
-
-func TestTopologyReconstruct(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
-	k := NewTopology(4)
-	for u := 0; u < 4; u++ {
-		k.LearnFirstHand(NodeID(u), g.Out(NodeID(u)))
-	}
-	if !k.Reconstruct().Equal(g) {
-		t.Fatal("reconstructed graph differs from source")
 	}
 }
 

@@ -178,26 +178,6 @@ func (t *Topology) Neighbors(u NodeID) []NodeID {
 	return t.adj[u]
 }
 
-// Reconstruct builds the directed graph this agent believes in. Unknown
-// nodes contribute no edges.
-func (t *Topology) Reconstruct() *graph.Directed {
-	return t.ReconstructInto(graph.New(len(t.source)))
-}
-
-// ReconstructInto rebuilds the believed graph into g, reusing its storage
-// (graph.Reset + SetOut), and returns g. A caller that reconstructs every
-// measurement step can hold one scratch graph and pay zero steady-state
-// allocations. Adjacency comes out in canonical sorted order.
-func (t *Topology) ReconstructInto(g *graph.Directed) *graph.Directed {
-	g.Reset(len(t.source))
-	for u := range t.adj {
-		if len(t.adj[u]) > 0 {
-			g.SetOut(NodeID(u), t.adj[u])
-		}
-	}
-	return g
-}
-
 // Clone returns a deep copy. All neighbour lists are packed into one flat
 // backing array, so a clone costs at most five allocations however many
 // nodes are known; the clone remains fully mutable (learning a longer list

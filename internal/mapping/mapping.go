@@ -577,26 +577,6 @@ func Accuracy(a *core.Agent, w *network.World) float64 {
 	return float64(match) / float64(n)
 }
 
-// MovesPerNode returns the team's exploration redundancy: agent
-// migrations per network node. A perfect division of labour with perfect
-// coordination would approach 1; Minar et al. frame this as the "work"
-// the system spends for its map.
-func (r Result) MovesPerNode(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(r.Overhead.Moves) / float64(n)
-}
-
-// MeetingRate returns meetings per agent migration — how social the run
-// was. Cooperation effects (good and pathological) scale with it.
-func (r Result) MeetingRate() float64 {
-	if r.Overhead.Moves == 0 {
-		return 0
-	}
-	return float64(r.Overhead.Meetings) / float64(r.Overhead.Moves)
-}
-
 // respawnStranded teleports every agent standing on a dead node to a
 // uniformly random alive node, drawn from the run's dedicated fault
 // stream over the ascending alive-node list, and returns how many agents

@@ -517,29 +517,6 @@ func TestTracedRun(t *testing.T) {
 	}
 }
 
-func TestResultEfficiencyMetrics(t *testing.T) {
-	w := smallWorld(t)
-	res, err := Run(w, Scenario{Agents: 6, Kind: core.PolicyConscientious, Cooperate: true}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpn := res.MovesPerNode(w.N())
-	if mpn <= 0 {
-		t.Fatalf("MovesPerNode = %v", mpn)
-	}
-	// A cooperating conscientious team should need only a few visits per
-	// node on this small world.
-	if mpn > 50 {
-		t.Fatalf("implausible redundancy %v", mpn)
-	}
-	if res.MeetingRate() <= 0 {
-		t.Fatalf("MeetingRate = %v", res.MeetingRate())
-	}
-	if (Result{}).MovesPerNode(0) != 0 || (Result{}).MeetingRate() != 0 {
-		t.Fatal("degenerate metrics should be 0")
-	}
-}
-
 // TestFig5ShapeRobustAcrossWorlds guards the Fig 5 surprise against
 // seed-overfitting: super-conscientious must lose at a large population
 // on freshly drawn networks too.

@@ -3,8 +3,8 @@
 // Registry. Every instrument is preallocated at registration time and
 // addressed through a small value handle, so the steady-state operations —
 // Counter.Inc, Gauge.Set, Histogram.Observe, Timer spans — cost no
-// allocations and no map lookups, mirroring how routing.Scratch keeps the
-// per-step metric sweeps allocation-free.
+// allocations and no map lookups, mirroring how routing.Meter keeps the
+// per-step measurement allocation-free.
 //
 // The layer is nil-safe end to end: registering on a nil *Registry returns
 // a zero handle, and every operation on a zero handle is a cheap no-op.

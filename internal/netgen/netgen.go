@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/mobility"
 	"repro/internal/network"
 	"repro/internal/radio"
@@ -528,13 +527,4 @@ func Describe(w *network.World) string {
 	}
 	return fmt.Sprintf("nodes=%d edges=%d outdeg[min=%d mean=%.1f max=%d] largestSCC=%d diameter=%s gateways=%d dynamic=%v",
 		w.N(), g.M(), st.Min, st.Mean, st.Max, scc, diamStr, len(w.Gateways()), w.Dynamic())
-}
-
-// LargestSCCCoverage returns the fraction of nodes inside the largest
-// strongly connected component.
-func LargestSCCCoverage(g *graph.Directed) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return float64(len(g.LargestSCC())) / float64(g.N())
 }

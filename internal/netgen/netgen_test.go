@@ -224,16 +224,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestLargestSCCCoverage(t *testing.T) {
-	w, err := Generate(Mapping300(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := LargestSCCCoverage(w.Topology()); c != 1 {
-		t.Fatalf("strongly connected world coverage = %v", c)
-	}
-}
-
 func BenchmarkGenerateMapping300(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(Mapping300(), uint64(i)); err != nil {

@@ -159,16 +159,6 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Pick returns a uniformly chosen element of xs. It panics on an empty
 // slice.
 func Pick[T any](s *Stream, xs []T) T {

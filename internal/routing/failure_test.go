@@ -112,9 +112,9 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 	}
 	var steps []int
 	sc := Scenario{Agents: 10, Kind: core.PolicyOldestNode, Steps: 50,
-		Observer: func(step int, w *network.World, ts *Tables) {
+		Observer: func(step int, w *network.World, ts *Tables, _ Measurement, reached func(NodeID) bool) {
 			steps = append(steps, step)
-			if ts == nil || w == nil {
+			if ts == nil || w == nil || reached == nil {
 				t.Fatal("nil observer arguments")
 			}
 		}}

@@ -5,11 +5,13 @@ import (
 	"repro/internal/network"
 )
 
-// This file implements the incremental measurement engine: a Meter
-// maintains the harness's four per-step metrics — LocalConnectivity,
-// end-to-end Connectivity, ConnectivityToGateways, and Staleness — in
-// O(changes) per step instead of the three full graph traversals the
-// scratch path pays. It is fed one change record per measured step
+// This file implements the measurement engine: a Meter maintains the four
+// per-step routing metrics — local (next-hop liveness) connectivity,
+// end-to-end connectivity, the ideal bound (World.ConnectivityToGateways)
+// and staleness — in O(changes) per step instead of the three full graph
+// traversals a from-scratch measure pays. It is the one measurement in
+// production: the routing harness, the baselines and every Observer read
+// it. It is fed one change record per measured step
 // (record.go), built from two change streams: the world's per-step
 // topology deltas (network.TopoDeltas) and the routing tables' dirty list
 // (Update and DropIf, the tables' only mutators, mark every node they
@@ -25,20 +27,21 @@ import (
 // Every stepping path reports its exact edge edits, full rebuilds
 // included. Steps the streams cannot cover — fault epochs (alive/gateway
 // masks moved) or a missed step — carry full state, and the Meter
-// recomputes from it, which costs exactly what the scratch path pays
-// every step. Every value the Meter emits is bit-identical to the scratch
-// functions' across all of it, pinned by the equivalence, property, and
-// fuzz tests in this package.
+// recomputes from it, which costs what a from-scratch measure pays every
+// step. Every value the Meter emits is bit-identical to the scratch
+// referee's (referee_test.go) across all of it, pinned by the equivalence,
+// property, and fuzz tests in this package.
 
 // Measurement is one step's metric values, as emitted by Meter.Measure.
 type Measurement struct {
-	// Local is LocalConnectivity: the fraction of eligible nodes holding
-	// at least one entry whose next hop is currently a live link.
+	// Local is next-hop liveness: the fraction of eligible (alive,
+	// non-gateway) nodes holding at least one entry whose next hop is
+	// currently a live link.
 	Local float64
-	// EndToEnd is Connectivity: the fraction of eligible nodes whose
-	// table chains reach a gateway over the current topology.
+	// EndToEnd is the fraction of eligible nodes whose table chains reach
+	// a gateway over the current topology.
 	EndToEnd float64
-	// Ideal is ConnectivityToGateways: the omniscient-routing bound.
+	// Ideal is World.ConnectivityToGateways: the omniscient-routing bound.
 	Ideal float64
 	// Staleness is the mean age of eligible nodes' freshest entries.
 	Staleness float64
@@ -150,9 +153,15 @@ func (m *Meter) bindOracles() {
 // Reset (the first Measure included).
 func (m *Meter) Resyncs() int { return m.resyncs }
 
+// Reached reports whether u's table chains reached a gateway over the
+// topology as of the last measured step: the per-node set EndToEnd counts,
+// in-service gateways included. It reads the meter's end-to-end forest, so
+// it is valid only between measurements, on the goroutine that measures.
+func (m *Meter) Reached(u NodeID) bool { return m.dr.Reached(u) }
+
 // Measure brings the meter up to date with the world and tables and
 // returns the step's metrics. step is the harness step used for entry
-// ages (the same value the scratch Staleness takes). It captures the
+// ages. It captures the
 // step's change record as views into the world and tables, consumes it,
 // and clears the tables' dirty list: no copy is made.
 func (m *Meter) Measure(step int) Measurement {
@@ -197,7 +206,7 @@ func (m *Meter) consume(r *changeRecord) Measurement {
 }
 
 // resync rebuilds every mirror and aggregate from a full record — the
-// full-recompute fallback, one scratch-path step's worth of work.
+// full-recompute fallback, one from-scratch measure's worth of work.
 func (m *Meter) resync(r *changeRecord) {
 	topo := r.topo
 	n := topo.N()

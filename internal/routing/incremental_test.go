@@ -58,13 +58,24 @@ func scratchQuad(w *network.World, ts *Tables, s *Scratch, step int) Measurement
 // runChecked runs sc on w with an Observer that recomputes the scratch
 // quadruple right after every step's measurement, and fails unless the
 // run's four series match it bit for bit: a per-step referee that does not
-// depend on the Meter.
+// depend on the Meter. The Observer also checks what it is handed: the
+// step's Measurement must equal the quadruple, and the reach view must
+// equal the scratch ReachSet at every node.
 func runChecked(t *testing.T, w *network.World, sc Scenario, seed uint64) Result {
 	t.Helper()
 	var scratch Scratch
 	var want []Measurement
-	sc.Observer = func(step int, w *network.World, ts *Tables) {
-		want = append(want, scratchQuad(w, ts, &scratch, step))
+	sc.Observer = func(step int, w *network.World, ts *Tables, mm Measurement, reached func(NodeID) bool) {
+		q := scratchQuad(w, ts, &scratch, step)
+		if mm != q {
+			t.Fatalf("step %d: observer got %+v, scratch %+v", step, mm, q)
+		}
+		for u, ok := range scratch.ReachSet(w, ts) {
+			if reached(NodeID(u)) != ok {
+				t.Fatalf("step %d: reach view at node %d is %v, scratch ReachSet %v", step, u, !ok, ok)
+			}
+		}
+		want = append(want, q)
 	}
 	res, err := Run(w, sc, seed)
 	if err != nil {
@@ -421,32 +432,6 @@ func TestMeterSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, iter); avg != 0 {
 		t.Fatalf("measure step allocates %.1f times in steady state, want 0", avg)
-	}
-}
-
-// TestReachSetCallerOwned pins the pooled package helper's contract: the
-// returned slice is the caller's copy, untouched by later calls.
-func TestReachSetCallerOwned(t *testing.T) {
-	w, err := netgen.Generate(testSpec(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTables(w.N(), 2)
-	for u := 0; u < w.N(); u++ {
-		for _, v := range w.Topology().Out(NodeID(u)) {
-			if w.IsGateway(v) {
-				ts.Update(NodeID(u), Entry{Gateway: v, NextHop: v, Hops: 1, Updated: 0})
-			}
-		}
-	}
-	first := ReachSet(w, ts)
-	snapshot := make([]bool, len(first))
-	copy(snapshot, first)
-	for i := 0; i < 3; i++ {
-		ReachSet(w, ts) // reuses the pooled scratch; must not alias first
-	}
-	if !reflect.DeepEqual(first, snapshot) {
-		t.Fatal("ReachSet result mutated by subsequent calls — pooled scratch leaked to the caller")
 	}
 }
 

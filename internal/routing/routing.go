@@ -9,9 +9,13 @@
 // co-located agents (optionally adopting the best gateway route and, for
 // oldest-node agents, merging visit histories), (3) moves, learning the
 // edge it travels, and (4) updates the routing table of the node it now
-// occupies. The metric is connectivity: the fraction of non-gateway nodes
-// whose routing-table forwarding chain actually reaches a gateway over the
-// current topology, averaged over the post-convergence window.
+// occupies. The headline metric is connectivity as route liveness: the
+// fraction of alive non-gateway nodes holding an entry whose next hop is
+// currently a live link, averaged over the post-convergence window
+// (Result.Connectivity). The stricter end-to-end reading — the node's
+// forwarding chain actually reaches a gateway over the current topology —
+// is reported alongside it (Result.EndToEnd). A Meter measures both, and
+// the ideal bound, incrementally every step.
 package routing
 
 import (
@@ -81,10 +85,13 @@ type Scenario struct {
 	StrandedPolicy StrandedPolicy
 	// Observer, if set, is called once per step after deposits and
 	// measurement, before the world moves — the hook the packet-level
-	// traffic harness uses to forward packets against live tables. The
-	// *Tables passed to it is recycled after the run ends; observers must
-	// not retain it.
-	Observer func(step int, w *network.World, tables *Tables)
+	// traffic harness uses to forward packets against live tables. It also
+	// receives the step's Measurement and reached, the per-node reach view:
+	// reached(u) reports whether u's table chains reach a gateway over the
+	// current topology (the set EndToEnd counts; gateways included). The
+	// *Tables and reached read the run's recycled state; observers must
+	// not retain them past the call.
+	Observer func(step int, w *network.World, tables *Tables, mm Measurement, reached func(NodeID) bool)
 	// Tracer, if set, receives structured events (moves, meetings,
 	// deposits, per-step connectivity). Events are emitted in a fixed
 	// order, so traces are reproducible. A Tracer that also implements
@@ -153,13 +160,13 @@ func (sc Scenario) withDefaults() Scenario {
 // Result reports one routing run.
 type Result struct {
 	// Connectivity is the per-step fraction of non-gateway nodes holding
-	// a route entry whose next hop is currently alive (LocalConnectivity)
+	// a route entry whose next hop is currently alive (Measurement.Local)
 	// — the headline metric, matching what the paper's agents are tasked
 	// with maintaining.
 	Connectivity []float64
 	// EndToEnd is the stricter per-step fraction whose table chains
-	// actually reach a gateway over the current topology (Connectivity
-	// function). Always ≤ Ideal.
+	// actually reach a gateway over the current topology
+	// (Measurement.EndToEnd). Always ≤ Ideal.
 	EndToEnd []float64
 	// Ideal is the per-step physical upper bound (omniscient routing).
 	Ideal []float64
@@ -187,221 +194,6 @@ type Result struct {
 	Stranded int
 	// Overhead aggregates all agents' cost counters.
 	Overhead core.Overhead
-}
-
-// Reaches reports whether forwarding from u along the tables' best entries
-// arrives at any gateway over the current topology within maxWalk hops.
-// This is the honest validity check: every hop must exist right now, and
-// loops or empty tables fail the packet.
-func Reaches(w *network.World, ts *Tables, u NodeID, maxWalk int, visited []bool) bool {
-	for i := range visited {
-		visited[i] = false
-	}
-	cur := u
-	for hop := 0; hop <= maxWalk; hop++ {
-		if w.IsGateway(cur) {
-			return true
-		}
-		if visited[cur] {
-			return false // forwarding loop
-		}
-		visited[cur] = true
-		e, ok := ts.Best(cur)
-		if !ok {
-			return false
-		}
-		if !w.Topology().HasEdgeSorted(cur, e.NextHop) {
-			return false // link gone
-		}
-		cur = e.NextHop
-	}
-	return false
-}
-
-// ReachSet returns, for every node, whether some chain of routing-table
-// entries whose links all exist right now leads to a gateway. A node may
-// switch target gateway mid-path (any entry counts — "a valid route to at
-// least one gateway"), which matches nodes retrying their table entries.
-// One reverse BFS from the gateway set makes this O(N + entries).
-func ReachSet(w *network.World, ts *Tables) []bool {
-	s := scratchPool.Get().(*Scratch)
-	seen := s.ReachSet(w, ts)
-	// The scratch's seen buffer goes back into the pool; hand the caller
-	// its own copy (the documented package-level contract).
-	out := make([]bool, len(seen))
-	copy(out, seen)
-	scratchPool.Put(s)
-	return out
-}
-
-// scratchPool recycles the package-level helpers' BFS scratch, so casual
-// ReachSet/Connectivity callers (baselines, traffic harness, tests) stop
-// re-growing CSR buffers on every call.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// Scratch carries the reusable buffers of the per-step connectivity
-// metrics: the table-induced reverse adjacency in CSR form, the BFS seen
-// set, and the BFS queue (drained by head index, so the backing array is
-// reused instead of re-sliced away). One Scratch serves a whole run; the
-// zero value is ready. Results returned by its methods alias the scratch
-// and are valid until the next call.
-type Scratch struct {
-	revOff []int32  // n+1 CSR offsets into revDst
-	revCur []int32  // per-node fill cursors
-	revDst []NodeID // flat reverse edges
-	seen   []bool
-	queue  []NodeID
-}
-
-// ReachSet is the scratch-buffered form of the package-level ReachSet:
-// identical results, zero steady-state allocations.
-func (s *Scratch) ReachSet(w *network.World, ts *Tables) []bool {
-	n := w.N()
-	topo := w.Topology()
-	if cap(s.revOff) < n+1 {
-		s.revOff = make([]int32, n+1)
-		s.revCur = make([]int32, n+1)
-		s.seen = make([]bool, n)
-		s.queue = make([]NodeID, 0, n)
-	}
-	s.revOff = s.revOff[:n+1]
-	s.revCur = s.revCur[:n+1]
-	s.seen = s.seen[:n]
-	for i := range s.revOff {
-		s.revOff[i] = 0
-	}
-	// Reverse adjacency over live table entries: an edge v←u for every
-	// entry at u whose next hop v is currently a real link. Built in CSR
-	// form with a counting pass so the flat buffer is reused across steps.
-	// World topologies keep canonically sorted out-lists on both stepping
-	// paths, so the liveness probe can binary-search.
-	for u := 0; u < n; u++ {
-		for _, e := range ts.rows[u] {
-			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
-				s.revOff[e.NextHop+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		s.revOff[v+1] += s.revOff[v]
-	}
-	total := int(s.revOff[n])
-	if cap(s.revDst) < total {
-		s.revDst = make([]NodeID, total)
-	}
-	s.revDst = s.revDst[:total]
-	copy(s.revCur, s.revOff)
-	for u := 0; u < n; u++ {
-		for _, e := range ts.rows[u] {
-			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
-				s.revDst[s.revCur[e.NextHop]] = NodeID(u)
-				s.revCur[e.NextHop]++
-			}
-		}
-	}
-	for i := range s.seen {
-		s.seen[i] = false
-	}
-	queue := s.queue[:0]
-	for _, g := range w.Gateways() {
-		s.seen[g] = true
-		queue = append(queue, g)
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range s.revDst[s.revOff[v]:s.revOff[v+1]] {
-			if !s.seen[u] {
-				s.seen[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	s.queue = queue
-	return s.seen
-}
-
-// Connectivity is the scratch-buffered form of the package-level
-// Connectivity.
-func (s *Scratch) Connectivity(w *network.World, ts *Tables) float64 {
-	reach := s.ReachSet(w, ts)
-	reached, total := 0, 0
-	for u := 0; u < w.N(); u++ {
-		if w.IsGateway(NodeID(u)) || !w.Alive(NodeID(u)) {
-			continue
-		}
-		total++
-		if reach[u] {
-			reached++
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(reached) / float64(total)
-}
-
-// LocalConnectivity returns the fraction of non-gateway nodes holding at
-// least one route entry whose next hop is currently a live neighbour.
-// This is the per-node view a deployed node actually has of its own
-// connectivity (it can verify its next hop, not the whole path), and it
-// rewards exactly what the agents are tasked with: covering every node
-// with fresh table updates.
-func LocalConnectivity(w *network.World, ts *Tables) float64 {
-	topo := w.Topology()
-	ok, total := 0, 0
-	for u := 0; u < w.N(); u++ {
-		if w.IsGateway(NodeID(u)) || !w.Alive(NodeID(u)) {
-			continue
-		}
-		total++
-		for _, e := range ts.rows[u] {
-			if topo.HasEdgeSorted(NodeID(u), e.NextHop) {
-				ok++
-				break
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(ok) / float64(total)
-}
-
-// Staleness returns the mean route age at the current step: for every
-// alive non-gateway node holding at least one entry, the age in steps of
-// its freshest entry. Nodes with empty tables do not dilute the mean —
-// they are a coverage problem (connectivity), not a freshness one. Returns
-// 0 when no node holds a route.
-func Staleness(w *network.World, ts *Tables, step int) float64 {
-	sum, cnt := 0, 0
-	for u := 0; u < w.N(); u++ {
-		if w.IsGateway(NodeID(u)) || !w.Alive(NodeID(u)) {
-			continue
-		}
-		freshest := -1
-		for _, e := range ts.rows[u] {
-			if e.Updated > freshest {
-				freshest = e.Updated
-			}
-		}
-		if freshest >= 0 {
-			sum += step - freshest
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
-}
-
-// Connectivity returns the fraction of non-gateway nodes that currently
-// reach a gateway through the tables (see ReachSet).
-func Connectivity(w *network.World, ts *Tables) float64 {
-	s := scratchPool.Get().(*Scratch)
-	v := s.Connectivity(w, ts)
-	scratchPool.Put(s)
-	return v
 }
 
 // runMetrics bundles the routing harness's instrument handles. The zero
@@ -598,9 +390,15 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	grouper := st.grouper
 	nbrs := &st.nbrs
 	// The meter measures incrementally, bit-identical to the scratch
-	// functions (pinned by the differential tests), fed by the world's
-	// edge stream and the tables' dirty list.
+	// referee (pinned by the differential tests), fed by the world's edge
+	// stream and the tables' dirty list.
 	meter.Reset(w, tables)
+	// An Observer run measures inline (startHelper), so the meter is
+	// current whenever the Observer reads its reach view.
+	var reached func(NodeID) bool
+	if sc.Observer != nil {
+		reached = meter.Reached
+	}
 	m := newRunMetrics(sc.Metrics)
 	w.Instrument(sc.Metrics)
 	m.runs.Inc()
@@ -708,10 +506,10 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 			// The helper measures this step while the agents decide the next.
 			pipe.capture(step)
 		} else {
-			measureInline(meter, step, out, &m, sc.Tracer)
-		}
-		if sc.Observer != nil {
-			sc.Observer(step, w, tables)
+			mm := measureInline(meter, step, out, &m, sc.Tracer)
+			if sc.Observer != nil {
+				sc.Observer(step, w, tables, mm, reached)
+			}
 		}
 		w.Step()
 		rec.AfterWorldStep()
@@ -744,8 +542,8 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 }
 
 // measureInline measures a step on the run goroutine: timed, published to
-// the gauges and traced in step order.
-func measureInline(meter *Meter, step int, out series, m *runMetrics, tr trace.Tracer) {
+// the gauges and traced in step order. It returns the step's measurement.
+func measureInline(meter *Meter, step int, out series, m *runMetrics, tr trace.Tracer) Measurement {
 	sp := m.measure.Start()
 	mm := meter.Measure(step)
 	out.set(step, mm)
@@ -768,6 +566,7 @@ func measureInline(meter *Meter, step int, out series, m *runMetrics, tr trace.T
 			Value: mm.Ideal, Extra: "ideal",
 		})
 	}
+	return mm
 }
 
 // reactToFaults is the harness's response to a fault epoch advance: routes

@@ -57,14 +57,6 @@ func (s Stats) MeanHops() float64 {
 	return float64(s.HopsSum) / float64(s.Delivered)
 }
 
-// MeanLatency returns the average steps-in-flight of delivered packets.
-func (s Stats) MeanLatency() float64 {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return float64(s.AgeSum) / float64(s.Delivered)
-}
-
 type packet struct {
 	at      NodeID
 	hops    int
@@ -107,13 +99,11 @@ func NewGen(perStep, ttl, warmup int, stream *rng.Stream) *Gen {
 // Stats returns the accumulated outcomes so far.
 func (g *Gen) Stats() Stats { return g.stats }
 
-// InFlight returns the number of packets still travelling.
-func (g *Gen) InFlight() int { return len(g.flight) }
-
 // Step injects new packets and forwards every in-flight packet one hop
 // along the node's best table entry. It is shaped to be used as a
-// routing.Scenario Observer.
-func (g *Gen) Step(step int, w *network.World, tables *routing.Tables) {
+// routing.Scenario Observer; packets read only the tables, so it ignores
+// the step's measurement and reach view.
+func (g *Gen) Step(step int, w *network.World, tables *routing.Tables, _ routing.Measurement, _ func(NodeID) bool) {
 	// Forward first so a packet needs at least one step per hop.
 	g.scratch = g.scratch[:0]
 	for _, p := range g.flight {

@@ -53,14 +53,14 @@ func TestDeliveryOnPerfectTables(t *testing.T) {
 	ts := chainTables(w)
 	g := NewGen(2, 0, 0, rng.New(1))
 	for step := 0; step < 30; step++ {
-		g.Step(step, w, ts)
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	// Drain in-flight packets.
 	gDrain := *g
 	_ = gDrain
 	g.PerStep = 0
 	for step := 30; step < 45; step++ {
-		g.Step(step, w, ts)
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	st := g.Stats()
 	if st.Injected == 0 {
@@ -72,8 +72,8 @@ func TestDeliveryOnPerfectTables(t *testing.T) {
 	if st.DeliveryRatio() != 1 {
 		t.Fatalf("ratio = %v", st.DeliveryRatio())
 	}
-	if st.MeanHops() <= 0 || st.MeanLatency() < st.MeanHops() {
-		t.Fatalf("hops/latency implausible: hops=%v latency=%v", st.MeanHops(), st.MeanLatency())
+	if st.MeanHops() <= 0 || st.AgeSum < st.HopsSum {
+		t.Fatalf("hops/latency implausible: hops=%d steps in flight=%d", st.HopsSum, st.AgeSum)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestNoRouteDrops(t *testing.T) {
 	ts := routing.NewTables(w.N(), 1) // empty tables
 	g := NewGen(1, 0, 0, rng.New(2))
 	for step := 0; step < 10; step++ {
-		g.Step(step, w, ts)
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	st := g.Stats()
 	if st.Delivered != 0 {
@@ -104,7 +104,7 @@ func TestDeadLinkDrops(t *testing.T) {
 	g := NewGen(0, 0, 0, rng.New(3))
 	g.flight = append(g.flight, packet{at: 3, ttl: 10, visited: map[NodeID]bool{3: true}})
 	g.stats.Injected++
-	g.Step(0, w, ts)
+	g.Step(0, w, ts, routing.Measurement{}, nil)
 	if g.Stats().Dropped[DropDeadLink] != 1 {
 		t.Fatalf("dead link not detected: %+v", g.Stats().Dropped)
 	}
@@ -119,8 +119,8 @@ func TestLoopDrops(t *testing.T) {
 	g := NewGen(0, 0, 0, rng.New(4))
 	g.flight = append(g.flight, packet{at: 2, ttl: 50, visited: map[NodeID]bool{2: true}})
 	g.stats.Injected++
-	for step := 0; step < 5 && g.InFlight() > 0; step++ {
-		g.Step(step, w, ts)
+	for step := 0; step < 5 && len(g.flight) > 0; step++ {
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	if g.Stats().Dropped[DropLoop] != 1 {
 		t.Fatalf("loop not detected: %+v", g.Stats().Dropped)
@@ -133,8 +133,8 @@ func TestTTLDrops(t *testing.T) {
 	g := NewGen(0, 2, 0, rng.New(5)) // TTL 2: far nodes can't make it
 	g.flight = append(g.flight, packet{at: 7, ttl: 2, visited: map[NodeID]bool{7: true}})
 	g.stats.Injected++
-	for step := 0; step < 10 && g.InFlight() > 0; step++ {
-		g.Step(step, w, ts)
+	for step := 0; step < 10 && len(g.flight) > 0; step++ {
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	if g.Stats().Dropped[DropTTL] != 1 {
 		t.Fatalf("TTL not enforced: %+v", g.Stats().Dropped)
@@ -146,12 +146,12 @@ func TestWarmupSuppressesInjection(t *testing.T) {
 	ts := chainTables(w)
 	g := NewGen(3, 0, 5, rng.New(6))
 	for step := 0; step < 5; step++ {
-		g.Step(step, w, ts)
+		g.Step(step, w, ts, routing.Measurement{}, nil)
 	}
 	if g.Stats().Injected != 0 {
 		t.Fatal("injected during warmup")
 	}
-	g.Step(5, w, ts)
+	g.Step(5, w, ts, routing.Measurement{}, nil)
 	if g.Stats().Injected == 0 {
 		t.Fatal("no injection after warmup")
 	}

@@ -33,27 +33,6 @@ func Sparkline(xs []float64, width int) string {
 	return b.String()
 }
 
-// SparklineScaled renders a series scaled to its own min/max range, for
-// quantities that are not fractions (finishing times, counts).
-func SparklineScaled(xs []float64, width int) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if hi == lo {
-		return Sparkline(make([]float64, len(xs)), width)
-	}
-	scaled := make([]float64, len(xs))
-	for i, x := range xs {
-		scaled[i] = (x - lo) / (hi - lo)
-	}
-	return Sparkline(scaled, width)
-}
-
 // Heatmap renders per-node values over the world's arena as a character
 // grid: each cell shows the maximum value of the nodes inside it, using a
 // density ramp. Gateways are drawn as 'G' regardless of value. values is

@@ -51,24 +51,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestSparklineScaled(t *testing.T) {
-	s := SparklineScaled([]float64{100, 200, 300}, 10)
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[2] != '█' {
-		t.Fatalf("scaling wrong: %q", s)
-	}
-	// Constant series renders all-low, not a panic.
-	s = SparklineScaled([]float64{5, 5, 5}, 10)
-	for _, r := range s {
-		if r != '▁' {
-			t.Fatalf("constant series wrong: %q", s)
-		}
-	}
-	if SparklineScaled(nil, 10) != "" {
-		t.Fatal("empty input should render empty")
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	w := testWorld(t)
 	out := Heatmap(w, []float64{1, 0.5, 0}, 20, 10)

@@ -13,7 +13,8 @@
 # >=2x replay floor at n=8000. The connectivity tier
 # (results/BENCH_connectivity.json) compares the full-scratch measurement
 # phase against the incremental meter at n=500/8000/100000, with >=3x and
-# 0 allocs/op floors at n=8000. The trace tier (results/BENCH_trace.json)
+# 0 allocs/op floors at n=8000 (BenchmarkConnectivity lives in
+# internal/routing, next to the scratch referee it times). The trace tier (results/BENCH_trace.json)
 # enforces a >=5x size floor for the binary log over JSONL.
 # Usage: scripts/bench.sh [benchtime]   (default 5x; `scripts/bench.sh 1x`
 # is the CI smoke run, which skips the sweep timing). The world-step
@@ -279,7 +280,7 @@ fi
 # --- connectivity measurement: full scratch recompute vs incremental meter ---
 # mode=full recomputes LocalConnectivity, end-to-end Connectivity,
 # ConnectivityToGateways, and Staleness from scratch every step (the
-# pre-incremental measurement phase); mode=incr is the churn-proportional
+# scratch referee, test code in internal/routing); mode=incr is the churn-proportional
 # Meter fed by the topology delta stream and table write tracking. The two
 # are bit-identical at every step (equivalence, property, and fuzz tests in
 # internal/routing), so the ratio is pure measurement cost. Acceptance
@@ -297,7 +298,7 @@ cjson="$out/BENCH_connectivity.json"
   echo "# host: $(nproc) CPU(s), $(go version | cut -d' ' -f3-)"
   echo "# benchtime: $conn_benchtime"
   go test -run '^$' -benchtime "$conn_benchtime" -benchmem \
-    -bench 'BenchmarkConnectivity/' .
+    -bench 'BenchmarkConnectivity/' ./internal/routing
 } | tee "$craw"
 
 awk '

@@ -161,8 +161,10 @@ echo "== incremental-measurement equivalence gate (-race)"
 # table mutations, skipped measures, and a reset onto a differently sized
 # world. These run in the full -race suite above too, but the meter is the
 # only measurement path of every routing run (its ideal-connectivity
-# forest included), so they get an explicit named gate that fails loudly
-# on its own. DynReach is the witness-forest engine under both forests.
+# forest included) and of the ant-colony and distance-vector baselines
+# (BaselineMeasureMatchesReferee), so they get an explicit named gate that
+# fails loudly on its own. The referee is the scratch measure kept in
+# internal/routing/referee_test.go. DynReach is the witness-forest engine under both forests.
 # MeterPartitionStaysIncremental pins that partition-active steps, whose
 # edge edits the world reports exactly, cost no resync. The meter's table
 # feed is routing.Tables' dirty list: TablesEveryWriteTracked pins that
@@ -171,7 +173,7 @@ echo "== incremental-measurement equivalence gate (-race)"
 # semantics (freshest-wins, stalest-first eviction, the O(1) eviction
 # total, allocation-free reset).
 go test -race -count=1 \
-  -run 'MeterMatchesFullMeasure|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental|MeterPartitionStaysIncremental|TablesEveryWriteTracked|TablesEvictionsTotal|TableUpdateAndLookup|TableEviction|TableUnbounded|TableEntries|TableResetZeroAllocs|FuzzTableUpdate' \
+  -run 'MeterMatchesFullMeasure|BaselineMeasureMatchesReferee|MeterRunManyGrids|MeterPropertyRandomMutations|MeterSteadyStateAllocs|FuzzMeterEquivalence|MeterIdealReplay|MeterResetRebinds|MeterSkippedStepsResync|MeterStaysIncremental|MeterPartitionStaysIncremental|TablesEveryWriteTracked|TablesEvictionsTotal|TableUpdateAndLookup|TableEviction|TableUnbounded|TableEntries|TableResetZeroAllocs|FuzzTableUpdate' \
   ./internal/routing
 go test -race -count=1 -run 'ConnTracker|DynReach' ./internal/network ./internal/graph
 
