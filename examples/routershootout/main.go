@@ -59,17 +59,20 @@ func main() {
 		log.Fatal(err)
 	}
 	dv := agentmesh.NewDistanceVector(w3, 3)
-	var dvConn float64
+	var dvLocal, dvE2E float64
 	samples = 0
 	for step := 0; step < steps; step++ {
 		dv.Step()
 		if step >= steps/2 {
-			dvConn += dv.Measure(step).EndToEnd
+			mm := dv.Measure(step)
+			dvLocal += mm.Local
+			dvE2E += mm.EndToEnd
 			samples++
 		}
 		w3.Step()
 	}
-	dvConn /= float64(samples)
+	dvLocal /= float64(samples)
+	dvE2E /= float64(samples)
 
 	fmt.Println("same 250-node MANET, same movements, three routers:")
 	fmt.Println()
@@ -79,7 +82,7 @@ func main() {
 	fmt.Printf("%-28s %-14.3f %-12.3f %d ant hops\n",
 		"ant colony (related work)", antLocal, antE2E, colony.Messages)
 	fmt.Printf("%-28s %-14.3f %-12.3f %d vector messages\n",
-		"distance-vector protocol", dvConn, dvConn, dv.Messages)
+		"distance-vector protocol", dvLocal, dvE2E, dv.Messages)
 	fmt.Println()
 	fmt.Printf("the protocol is near-perfect but costs %.0fx the agents' traffic;\n",
 		float64(dv.Messages)/float64(res.Overhead.Moves))
