@@ -14,9 +14,10 @@ import (
 // TestBaselineMeasureMatchesReferee pins the baselines' measurement: at
 // every step of a 300-step Routing250 run, clean and under churn, the
 // ant colony's and the distance-vector protocol's Measure must equal the
-// scratch referee run over a fresh copy of their tables, built the way
-// the baselines built tables before they kept their own (NewTables at the
-// same capacity, then Update entry by entry).
+// scratch referee run over a freshly built copy of their tables (NewTables
+// at the same capacity, then Update entry by entry). The baselines'
+// in-place rewrite is pinned against a build from their protocol state by
+// TestKeptTablesMatchFreshBuild in internal/baseline.
 func TestBaselineMeasureMatchesReferee(t *testing.T) {
 	const steps = 300
 	type router interface {
