@@ -154,8 +154,8 @@ func (m *Meter) bindOracles() {
 func (m *Meter) Resyncs() int { return m.resyncs }
 
 // Reached reports whether u's table chains reached a gateway over the
-// topology as of the last measured step: the per-node set EndToEnd counts,
-// in-service gateways included. It reads the meter's end-to-end forest, so
+// topology as of the last measured step; in-service gateways read true.
+// EndToEnd is the share of eligible nodes in this set. It reads the meter's end-to-end forest, so
 // it is valid only between measurements, on the goroutine that measures.
 func (m *Meter) Reached(u NodeID) bool { return m.dr.Reached(u) }
 

@@ -88,7 +88,8 @@ type Scenario struct {
 	// traffic harness uses to forward packets against live tables. It also
 	// receives the step's Measurement and reached, the per-node reach view:
 	// reached(u) reports whether u's table chains reach a gateway over the
-	// current topology (the set EndToEnd counts; gateways included). The
+	// current topology (EndToEnd is the share of eligible nodes for which
+	// it is true; in-service gateways read true). The
 	// *Tables and reached read the run's recycled state; observers must
 	// not retain them past the call.
 	Observer func(step int, w *network.World, tables *Tables, mm Measurement, reached func(NodeID) bool)
