@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/netgen"
@@ -194,5 +195,74 @@ func TestDistanceVectorOnMANET(t *testing.T) {
 	ideal := w.ConnectivityToGateways()
 	if got < ideal-0.15 {
 		t.Fatalf("DV connectivity %v too far below ideal %v", got, ideal)
+	}
+}
+
+// TestDistanceVectorGatewayFailure pins the distance vector's columns
+// under gateway failure (the gwfail preset on Routing250): at every step
+// every exported entry names the gateway of the column it comes from —
+// next hop, hop count and age are that column's — and no entry names a
+// gateway out of service. Every column keeps propagating while others'
+// gateways are down, so each gateway still in service is named somewhere.
+func TestDistanceVectorGatewayFailure(t *testing.T) {
+	const steps = 300
+	w, err := netgen.Generate(netgen.Routing250(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.Preset("gwfail", w.N(), w.Gateways(), steps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetFaults(sched)
+	dv := NewDistanceVector(w, 3)
+	column := make(map[NodeID]int, len(dv.gateways))
+	for k, gw := range dv.gateways {
+		column[gw] = k
+	}
+	downSteps := 0
+	for step := 0; step < steps; step++ {
+		dv.Step()
+		ts := dv.Tables(step)
+		named := make(map[NodeID]bool)
+		for u := 0; u < w.N(); u++ {
+			for _, e := range ts.Entries(NodeID(u)) {
+				k, ok := column[e.Gateway]
+				if !ok || !w.IsGateway(e.Gateway) {
+					t.Fatalf("step %d node %d: entry %+v names no gateway in service", step, u, e)
+				}
+				if e.NextHop != dv.via[u][k] || e.Hops != int(dv.dist[u][k]) || e.Updated != step-int(dv.age[u][k]) {
+					t.Fatalf("step %d node %d: entry %+v is not column %d's (gateway %d): via %d, %d hops, age %d",
+						step, u, e, k, e.Gateway, dv.via[u][k], dv.dist[u][k], dv.age[u][k])
+				}
+				named[e.Gateway] = true
+			}
+		}
+		if len(w.Gateways()) < len(dv.gateways) {
+			downSteps++
+			for _, gw := range w.Gateways() {
+				if !named[gw] {
+					t.Fatalf("step %d: no entry names gateway %d, in service", step, gw)
+				}
+			}
+		}
+		w.Step()
+	}
+	if downSteps == 0 {
+		t.Fatal("no gateway went out of service; the failure path is untested")
+	}
+}
+
+// TestDistanceVectorStepZeroAllocs pins that a warm exchange round
+// allocates nothing: its offers table is kept from round to round.
+func TestDistanceVectorStepZeroAllocs(t *testing.T) {
+	w, err := netgen.Generate(netgen.Routing250(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv := NewDistanceVector(w, 3)
+	dv.Step()
+	if got := testing.AllocsPerRun(20, dv.Step); got != 0 {
+		t.Fatalf("a warm DistanceVector.Step allocates %.1f times, want 0", got)
 	}
 }

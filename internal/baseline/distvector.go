@@ -15,10 +15,13 @@ type DistanceVector struct {
 	w      *network.World
 	maxAge int
 
-	dist    [][]int32  // node → gateway index → hop distance (-1 unknown)
-	via     [][]NodeID // node → gateway index → next hop
-	age     [][]int32  // node → gateway index → steps since refreshed
-	gateIdx map[NodeID]int
+	// gateways is the world's gateway set at construction, in service
+	// then; column k of dist, via and age tracks gateways[k].
+	gateways []NodeID
+	dist     [][]int32  // node → column → hop distance (-1 unknown)
+	via      [][]NodeID // node → column → next hop
+	age      [][]int32  // node → column → steps since refreshed
+	offers   []dvOffer  // Step's scratch: node v's best offer for column k at v*len(gateways)+k
 
 	// tables holds the protocol state as routing entries, rewritten in
 	// place by Tables and Measure; meter measures them; row is the
@@ -31,6 +34,12 @@ type DistanceVector struct {
 	Messages int
 }
 
+// dvOffer is the best route to one gateway a node hears in a round.
+type dvOffer struct {
+	dist int32
+	via  NodeID
+}
+
 // NewDistanceVector initialises the protocol over w.
 // maxAge is the route expiry in steps (entries not re-confirmed within it
 // are dropped); <= 0 means 3.
@@ -38,21 +47,19 @@ func NewDistanceVector(w *network.World, maxAge int) *DistanceVector {
 	if maxAge <= 0 {
 		maxAge = 3
 	}
-	g := len(w.Gateways())
+	n, g := w.N(), len(w.Gateways())
 	dv := &DistanceVector{
-		w:       w,
-		maxAge:  maxAge,
-		dist:    make([][]int32, w.N()),
-		via:     make([][]NodeID, w.N()),
-		age:     make([][]int32, w.N()),
-		gateIdx: make(map[NodeID]int, g),
-		tables:  routing.NewTables(w.N(), g),
+		w:        w,
+		maxAge:   maxAge,
+		gateways: append([]NodeID(nil), w.Gateways()...),
+		dist:     make([][]int32, n),
+		via:      make([][]NodeID, n),
+		age:      make([][]int32, n),
+		offers:   make([]dvOffer, n*g),
+		tables:   routing.NewTables(n, g),
 	}
 	dv.meter = routing.NewMeter(w, dv.tables)
-	for i, gw := range w.Gateways() {
-		dv.gateIdx[gw] = i
-	}
-	for u := 0; u < w.N(); u++ {
+	for u := 0; u < n; u++ {
 		dv.dist[u] = make([]int32, g)
 		dv.via[u] = make([]NodeID, g)
 		dv.age[u] = make([]int32, g)
@@ -68,9 +75,9 @@ func NewDistanceVector(w *network.World, maxAge int) *DistanceVector {
 func (dv *DistanceVector) Step() {
 	n := dv.w.N()
 	topo := dv.w.Topology()
-	g := len(dv.w.Gateways())
+	g := len(dv.gateways)
 
-	// Age out stale routes; gateways always know themselves.
+	// Age out stale routes; gateways in service always know themselves.
 	for u := 0; u < n; u++ {
 		for k := 0; k < g; k++ {
 			if dv.dist[u][k] >= 0 {
@@ -81,25 +88,21 @@ func (dv *DistanceVector) Step() {
 			}
 		}
 	}
-	for _, gw := range dv.w.Gateways() {
-		k := dv.gateIdx[gw]
-		dv.dist[gw][k] = 0
-		dv.age[gw][k] = 0
-		dv.via[gw][k] = gw
+	for k, gw := range dv.gateways {
+		if dv.w.IsGateway(gw) {
+			dv.dist[gw][k] = 0
+			dv.age[gw][k] = 0
+			dv.via[gw][k] = gw
+		}
 	}
 
 	// Synchronous exchange: node v learns from neighbour u when the link
 	// is bidirectional (v needs v→u to forward and u→v to hear the
 	// advertisement). Offers are computed against the pre-step snapshot.
-	type cell struct {
-		dist int32
-		via  NodeID
-	}
-	offers := make([][]cell, n)
 	for v := 0; v < n; v++ {
-		offers[v] = make([]cell, g)
-		for k := range offers[v] {
-			offers[v][k] = cell{dist: -1}
+		offers := dv.offers[v*g : (v+1)*g]
+		for k := range offers {
+			offers[k] = dvOffer{dist: -1}
 		}
 		for _, u := range topo.Out(NodeID(v)) {
 			if !topo.HasEdge(u, NodeID(v)) {
@@ -111,8 +114,8 @@ func (dv *DistanceVector) Step() {
 					continue
 				}
 				d := dv.dist[u][k] + 1
-				if offers[v][k].dist < 0 || d < offers[v][k].dist {
-					offers[v][k] = cell{dist: d, via: u}
+				if offers[k].dist < 0 || d < offers[k].dist {
+					offers[k] = dvOffer{dist: d, via: u}
 				}
 			}
 		}
@@ -121,8 +124,7 @@ func (dv *DistanceVector) Step() {
 		if dv.w.IsGateway(NodeID(v)) {
 			continue
 		}
-		for k := 0; k < g; k++ {
-			o := offers[v][k]
+		for k, o := range dv.offers[v*g : (v+1)*g] {
 			if o.dist < 0 {
 				continue
 			}
@@ -137,13 +139,15 @@ func (dv *DistanceVector) Step() {
 
 // Tables exports the protocol state as routing tables so the same
 // connectivity metrics apply to baseline and agents alike: one entry per
-// gateway a non-gateway node knows a route to. The tables are the
-// protocol's own, rewritten in place by the next Tables or Measure.
+// in-service gateway a non-gateway node knows a route to. Routes to a
+// gateway out of service are left out, as the agents' harness purges
+// them. The tables are the protocol's own, rewritten in place by the next
+// Tables or Measure.
 func (dv *DistanceVector) Tables(step int) *routing.Tables {
 	for u := 0; u < dv.w.N(); u++ {
 		want := dv.row[:0]
-		for k, gw := range dv.w.Gateways() {
-			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) {
+		for k, gw := range dv.gateways {
+			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) || !dv.w.IsGateway(gw) {
 				continue
 			}
 			want = append(want, routing.Entry{

@@ -39,10 +39,10 @@ func freshAntTables(c *AntColony, step int) *routing.Tables {
 // freshDVTables builds the protocol's tables afresh from its vectors, as
 // a new Tables per call: the referee of the kept tables.
 func freshDVTables(dv *DistanceVector, step int) *routing.Tables {
-	ts := routing.NewTables(dv.w.N(), len(dv.w.Gateways()))
+	ts := routing.NewTables(dv.w.N(), len(dv.gateways))
 	for u := 0; u < dv.w.N(); u++ {
-		for k, gw := range dv.w.Gateways() {
-			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) {
+		for k, gw := range dv.gateways {
+			if dv.dist[u][k] < 0 || dv.w.IsGateway(NodeID(u)) || !dv.w.IsGateway(gw) {
 				continue
 			}
 			ts.Update(NodeID(u), routing.Entry{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,9 +185,9 @@ func lookaheadMatchesLive(t *testing.T, a *Lookahead, n int, gateways []NodeID, 
 			w.Step()
 		}
 	}
-	rw, err := a.Start(live, steps, goSpawn, nil)
-	if err != nil || rw == nil {
-		t.Fatalf("Start = %v, %v", rw, err)
+	rw, started := a.Start(live, steps, goSpawn, nil)
+	if !started || rw == nil {
+		t.Fatalf("Start = %v, %v", rw, started)
 	}
 	defer a.Stop()
 	sameWorldState(t, warm, ref, rw)
@@ -220,9 +221,9 @@ func TestLookaheadReusesReplayWorld(t *testing.T) {
 	var a Lookahead
 	inline := func(f func()) bool { f(); return true }
 	run := func() *World {
-		rw, err := a.Start(live, steps, inline, nil)
-		if err != nil || rw == nil {
-			t.Fatalf("Start = %v, %v", rw, err)
+		rw, started := a.Start(live, steps, inline, nil)
+		if !started || rw == nil {
+			t.Fatalf("Start = %v, %v", rw, started)
 		}
 		for i := 0; i < steps; i++ {
 			rw.Step()
@@ -261,9 +262,9 @@ func TestLookaheadTapeMatchesRecordTrajectory(t *testing.T) {
 	}
 	var a Lookahead
 	for pass := 0; pass < 2; pass++ {
-		rw, err := a.Start(build(), steps, goSpawn, nil)
-		if err != nil || rw == nil {
-			t.Fatalf("pass %d: Start = %v, %v", pass, rw, err)
+		rw, started := a.Start(build(), steps, goSpawn, nil)
+		if !started || rw == nil {
+			t.Fatalf("pass %d: Start = %v, %v", pass, rw, started)
 		}
 		for i := 0; i < steps; i++ {
 			rw.Step()
@@ -314,9 +315,9 @@ func panickingWorld(t *testing.T, failAt int) *World {
 func TestLookaheadHelperPanicFailsReader(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var a Lookahead
-	rw, err := a.Start(panickingWorld(t, 4), 10, goSpawn, nil)
-	if err != nil || rw == nil {
-		t.Fatalf("Start = %v, %v", rw, err)
+	rw, started := a.Start(panickingWorld(t, 4), 10, goSpawn, nil)
+	if !started || rw == nil {
+		t.Fatalf("Start = %v, %v", rw, started)
 	}
 	msg := func() (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -355,9 +356,9 @@ func TestLookaheadStopEarly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var a Lookahead
 	live := buildFaultWorld(t, 60, []NodeID{0}, 3)
-	rw, err := a.Start(live, 500, goSpawn, nil)
-	if err != nil || rw == nil {
-		t.Fatalf("Start = %v, %v", rw, err)
+	rw, started := a.Start(live, 500, goSpawn, nil)
+	if !started || rw == nil {
+		t.Fatalf("Start = %v, %v", rw, started)
 	}
 	for i := 0; i < 3; i++ {
 		rw.Step()
@@ -369,18 +370,31 @@ func TestLookaheadStopEarly(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestLookaheadDeclines pins when Start hands out no replay world and
-// leaves the live world untouched: when spawn declines (no free
-// processor), and without asking spawn for static or replay worlds.
+// TestLookaheadDeclines pins when Start starts no helper and leaves the
+// live world untouched: when spawn declines (no free processor), and
+// without asking spawn for static or replay worlds with no side work.
 func TestLookaheadDeclines(t *testing.T) {
 	var a Lookahead
 	dynamic := buildFaultWorld(t, 40, []NodeID{0}, 2)
-	if rw, err := a.Start(dynamic, 20, func(func()) bool { return false }, nil); rw != nil || err != nil {
-		t.Fatalf("declined spawn: Start = %v, %v", rw, err)
+	if rw, started := a.Start(dynamic, 20, func(func()) bool { return false }, nil); rw != nil || started {
+		t.Fatalf("declined spawn: Start = %v, %v", rw, started)
 	}
 	if dynamic.StepCount() != 0 {
 		t.Fatal("declined spawn stepped the live world")
 	}
+	for name, w := range sideWorkOnlyWorlds(t) {
+		asked := false
+		rw, started := a.Start(w, 20, func(func()) bool { asked = true; return true }, nil)
+		if rw != nil || started || asked {
+			t.Fatalf("%s world: Start = %v, %v (spawn asked: %v)", name, rw, started, asked)
+		}
+	}
+}
+
+// sideWorkOnlyWorlds returns a static and a replay world: worlds a
+// Lookahead does not run ahead.
+func sideWorkOnlyWorlds(t *testing.T) map[string]*World {
+	t.Helper()
 	traj, err := RecordTrajectory(buildFaultWorld(t, 40, []NodeID{0}, 2), 20)
 	if err != nil {
 		t.Fatal(err)
@@ -389,11 +403,42 @@ func TestLookaheadDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, w := range map[string]*World{"static": staticFaultWorld(t, 40, []NodeID{0}, 2), "replay": replay} {
-		asked := false
-		rw, err := a.Start(w, 20, func(func()) bool { asked = true; return true }, nil)
-		if rw != nil || err != nil || asked {
-			t.Fatalf("%s world: Start = %v, %v (spawn asked: %v)", name, rw, err, asked)
+	return map[string]*World{"static": staticFaultWorld(t, 40, []NodeID{0}, 2), "replay": replay}
+}
+
+// drainCount is side work that has nothing to do but counts its drains.
+type drainCount struct{ drained atomic.Int32 }
+
+func (d *drainCount) TryOne() bool { return false }
+func (d *drainCount) Drain()       { d.drained.Add(1) }
+
+// TestLookaheadSideWorkOnly pins the helper of a world Start does not run
+// ahead: with side work, a static or a replay world gets a helper that
+// drains that work, no replay world, and is left unstepped; a declined
+// spawn starts nothing and drains nothing.
+func TestLookaheadSideWorkOnly(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var a Lookahead
+	for name, w := range sideWorkOnlyWorlds(t) {
+		var side drainCount
+		rw, started := a.Start(w, 20, goSpawn, &side)
+		if rw != nil || !started {
+			t.Fatalf("%s world: Start = %v, %v, want no replay world and a helper", name, rw, started)
+		}
+		a.Stop()
+		if got := side.drained.Load(); got != 1 {
+			t.Fatalf("%s world: side work drained %d times, want once", name, got)
+		}
+		if w.StepCount() != 0 {
+			t.Fatalf("%s world: the helper stepped it to step %d", name, w.StepCount())
+		}
+		var declined drainCount
+		if rw, started := a.Start(w, 20, func(func()) bool { return false }, &declined); rw != nil || started {
+			t.Fatalf("%s world, declined spawn: Start = %v, %v", name, rw, started)
+		}
+		if declined.drained.Load() != 0 {
+			t.Fatalf("%s world: a declined spawn drained the side work", name)
 		}
 	}
+	waitGoroutines(t, before)
 }

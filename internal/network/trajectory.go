@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/trace"
 )
@@ -61,7 +62,14 @@ import (
 type Trajectory struct {
 	n       int
 	dynamic bool
-	snap    Snapshot // start state
+
+	// The start state, taken by TrajectoryRecorder.reset: the world's step
+	// count, a snapshot of its geometry and fault masks, an owned copy of
+	// its links, and the fault bookkeeping the snapshot leaves out.
+	start  int
+	snap   Snapshot
+	links  *graph.Directed
+	faults startFaults
 
 	// Written by the recorder alone; readers see them through pub.
 	data    []byte
@@ -71,6 +79,17 @@ type Trajectory struct {
 	mu   sync.Mutex
 	cond sync.Cond // broadcast on every publish; L is &mu
 	pub  tapeView  // guarded by mu
+}
+
+// startFaults is the fault bookkeeping at a tape's start beyond the masks
+// its snapshot holds, so that a replay world reports FaultEpoch,
+// LastFaultEvents and the fault counters as the recorded world did.
+type startFaults struct {
+	on                  bool // the recorded world had fault state
+	sched               *faults.Schedule
+	epoch               int
+	lastEvents          []faults.Event
+	injected, recovered uint64
 }
 
 // tapeView is what readers see of a tape: a prefix of its bytes that ends
@@ -134,28 +153,64 @@ func (t *Trajectory) Records() int { return t.view().records }
 // mobility, decay, or topology maintenance; a Step the recorder has not
 // published yet waits for it, and stepping past a finished tape panics.
 // Worlds from the same Trajectory are independent (the shared data is read
-// only), so concurrent replications are race-free.
+// only), so concurrent replications are race-free. The error is always
+// nil: the tape's start was taken from a well-formed world.
 func (t *Trajectory) World() (*World, error) {
-	return t.world(&trajDecoder{})
+	return t.replayInto(nil, new(trajDecoder)), nil
 }
 
-// world is World with a caller-owned cursor, whose buffers it reuses.
-func (t *Trajectory) world(dec *trajDecoder) (*World, error) {
-	w, err := t.snap.World()
-	if err != nil {
-		return nil, err
+// replayInto makes w the replay world at the tape's start, reading the
+// tape through dec, and returns it. A replay world of the tape's size is
+// reset in place, reusing its storage; for any other w, nil included, a
+// bare one is allocated. A replay world never rebuilds its topology, so it
+// has no grid, mover fleet, second topology buffer or incremental engine
+// state.
+func (t *Trajectory) replayInto(w *World, dec *trajDecoder) *World {
+	n := t.n
+	if w == nil || w.traj == nil || w.N() != n {
+		w = &World{
+			pos:       make([]geom.Point, n),
+			radios:    make([]radio.Radio, n),
+			isGateway: make([]bool, n),
+			topo:      graph.New(n),
+		}
 	}
-	// The snapshot build aliases adjacency rows in one flat CSR array;
-	// replay mutates rows surgically, so migrate them to owned storage
-	// once, exactly as the incremental engine does.
-	w.topo.OwnRows(8)
-	// Replay worlds observe like the recorded one: Dynamic() must agree so
-	// callers (and re-recording) see the same world shape. The dispatch in
-	// Step routes every call to the trajectory before any dynamic branch.
-	w.dynamic = t.dynamic
+	s := &t.snap
+	w.arena, w.step, w.dynamic = s.Arena, t.start, t.dynamic
+	copy(w.pos, s.Positions)
+	for i, r := range s.Ranges {
+		w.radios[i] = radio.New(r)
+	}
+	// The snapshot lists the recorded world's gateways, each once.
+	clear(w.isGateway)
+	w.gateways = append(w.gateways[:0], s.Gateways...)
+	for _, g := range s.Gateways {
+		w.isGateway[g] = true
+	}
+	// Replay edits rows surgically, so they are node-owned (with slack), as
+	// the incremental engine keeps its own.
+	w.topo.CopyOwned(t.links, 8)
+	if f := &t.faults; !f.on {
+		w.flt = nil
+	} else {
+		// setFaultMasks reuses the masks a reset world kept.
+		partX := 0.0
+		if s.PartitionX != nil {
+			partX = *s.PartitionX
+		}
+		if err := w.setFaultMasks(s.Dead, s.DownGateways, s.PartitionX != nil, partX); err != nil {
+			// The snapshot was taken from a world of this size.
+			panic(fmt.Sprintf("network: %v starting a replay world", err))
+		}
+		wf := w.flt
+		wf.sched, wf.epoch, wf.lastEvents = f.sched, f.epoch, f.lastEvents
+		wf.injectedTotal, wf.recoveredTotal = f.injected, f.recovered
+	}
+	w.deltas.reset(0)
+	w.m = worldMetrics{}
 	dec.reset(t)
 	w.traj = dec
-	return w, nil
+	return w
 }
 
 // ---------------------------------------------------------------------------
@@ -176,8 +231,7 @@ type TrajectoryRecorder struct {
 	codec *trace.DeltaCodec
 	t     *Trajectory
 
-	start int // world step the recording starts from
-	gap   int // empty steps since the last emitted record
+	gap int // empty steps since the last emitted record
 
 	prevInjected, prevRecovered uint64
 
@@ -205,15 +259,21 @@ func (r *TrajectoryRecorder) reset(w *World, t *Trajectory) {
 		r.codec.Reset()
 	}
 	t.cond.L = &t.mu
-	t.n, t.dynamic = n, w.dynamic
+	t.n, t.dynamic, t.start = n, w.dynamic, w.step
 	w.SnapshotInto(&t.snap)
+	if t.links == nil || t.links.N() != n {
+		t.links = graph.New(n)
+	}
+	t.links.CopyOwned(w.topo, 8)
+	t.faults = startFaults{}
+	if f := w.flt; f != nil {
+		t.faults = startFaults{on: true, sched: f.sched, epoch: f.epoch, lastEvents: f.lastEvents,
+			injected: f.injectedTotal, recovered: f.recoveredTotal}
+	}
 	t.data, t.steps, t.records = t.data[:0], 0, 0
 	t.publish(false, nil)
-	r.t, r.start, r.gap = t, w.step, 0
-	r.prevInjected, r.prevRecovered = 0, 0
-	if f := w.flt; f != nil {
-		r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
-	}
+	r.t, r.gap = t, 0
+	r.prevInjected, r.prevRecovered = t.faults.injected, t.faults.recovered
 }
 
 // sortPairs returns the edges (us[i], vs[i]) sorted by (u, v), written
@@ -244,9 +304,9 @@ func (r *TrajectoryRecorder) AfterStep() {
 func (r *TrajectoryRecorder) record() {
 	t := r.t
 	t.steps++
-	if w := r.df.w; w.step != r.start+t.steps {
+	if w := r.df.w; w.step != t.start+t.steps {
 		panic(fmt.Sprintf("network: TrajectoryRecorder.AfterStep call %d follows world step %d: it must follow every Step",
-			t.steps, w.step-r.start))
+			t.steps, w.step-t.start))
 	}
 	// The topology is a function of positions, ranges and fault state, so
 	// a step that changed none of them changed no edge either.

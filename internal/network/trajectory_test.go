@@ -486,3 +486,100 @@ func TestStepRecorderAnchorEveryOne(t *testing.T) {
 		}
 	}
 }
+
+// sameStart compares a replay world with the world its tape started from:
+// everything sameWorldState compares, plus the step count, the fault
+// masks, the last fault events and the fault counters.
+func sameStart(t *testing.T, name string, live, rep *World) {
+	t.Helper()
+	if live.StepCount() != rep.StepCount() {
+		t.Fatalf("%s: replay world at step %d, recorded world at %d", name, rep.StepCount(), live.StepCount())
+	}
+	sameWorldState(t, live.StepCount(), live, rep)
+	lf, rf := live.flt, rep.flt
+	if !reflect.DeepEqual(lf.dead, rf.dead) || !reflect.DeepEqual(lf.gwDown, rf.gwDown) {
+		t.Fatalf("%s: fault masks differ from the recorded world's", name)
+	}
+	if got, want := fmt.Sprint(rep.LastFaultEvents()), fmt.Sprint(live.LastFaultEvents()); got != want {
+		t.Fatalf("%s: last fault events %s, recorded %s", name, got, want)
+	}
+	if rf.injectedTotal != lf.injectedTotal || rf.recoveredTotal != lf.recoveredTotal {
+		t.Fatalf("%s: fault counters %d/%d, recorded %d/%d", name,
+			rf.injectedTotal, rf.recoveredTotal, lf.injectedTotal, lf.recoveredTotal)
+	}
+}
+
+// TestTrajectoryWorldMatchesRecordedStart pins the one way replay worlds
+// are made: a fresh one from Trajectory.World and one a warm Lookahead
+// resets in place both equal the recorded world at the tape's start. The
+// tapes start mid-run, on a step where faults fired: on a churn-faulted
+// world with nodes down, and on one whose partition is active, so the
+// step count, masks, epoch, last events and counters are none of them the
+// zero state.
+func TestTrajectoryWorldMatchesRecordedStart(t *testing.T) {
+	const n = 90
+	gateways := []NodeID{0, 30, 60}
+	schedules := faultSchedules(n, gateways, 200)
+	for _, tc := range []struct {
+		name  string
+		sched *faults.Schedule
+		ready func(w *World) bool
+	}{
+		{"churn", schedules["preset-churn"], func(w *World) bool {
+			return w.AliveCount() < n && len(w.LastFaultEvents()) > 0 && w.flt.recoveredTotal > 0
+		}},
+		{"partition", schedules["preset-partition"], func(w *World) bool {
+			_, active := w.Partition()
+			return active && len(w.LastFaultEvents()) > 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Three twins stepped alike: the referee, the world a tape is
+			// recorded from, and the world a Lookahead runs ahead.
+			var twins [3]*World
+			for i := range twins {
+				twins[i] = buildFaultWorld(t, n, gateways, 8)
+				twins[i].SetFaults(tc.sched)
+			}
+			ref, recorded, live := twins[0], twins[1], twins[2]
+			for !tc.ready(ref) {
+				if ref.StepCount() == 200 {
+					t.Fatal("the schedule never reached the state the tape should start from")
+				}
+				for _, w := range twins {
+					w.Step()
+				}
+			}
+			traj, err := RecordTrajectory(recorded, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := traj.World()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStart(t, "fresh replay world", ref, fresh)
+
+			// A run on a clean world of the same size warms the Lookahead;
+			// the next Start resets its replay world in place. The helper
+			// is held back until the comparison is done.
+			var a Lookahead
+			first, started := a.Start(buildFaultWorld(t, n, gateways, 3), 5, goSpawn, nil)
+			if !started {
+				t.Fatal("the warm-up run started no helper")
+			}
+			for i := 0; i < 5; i++ {
+				first.Step()
+			}
+			a.Stop()
+			var helper func()
+			reused, started := a.Start(live, 1, func(f func()) bool { helper = f; return true }, nil)
+			if !started || reused != first {
+				t.Fatalf("Start = %p, %v, want the kept replay world %p", reused, started, first)
+			}
+			sameStart(t, "reused replay world", ref, reused)
+			helper()
+			a.Stop()
+		})
+	}
+}

@@ -19,18 +19,35 @@ import (
 	"repro/internal/radio"
 )
 
-// emptyHelpers drops the idle helpers, so a test can tell from the free
-// list whether its runs used one.
-func emptyHelpers() {
-	helpers.Lock()
-	helpers.free = nil
-	helpers.Unlock()
+// emptyStates drops the idle run states, so a test can tell from the
+// free list whether its runs used a helper.
+func emptyStates() {
+	states.Lock()
+	states.free = nil
+	states.Unlock()
 }
 
-func idleHelpers() int {
-	helpers.Lock()
-	defer helpers.Unlock()
-	return len(helpers.free)
+// idleStates counts the run states on the free list.
+func idleStates() int {
+	states.Lock()
+	defer states.Unlock()
+	return len(states.free)
+}
+
+// helpedStates counts the idle run states whose helper has been started.
+// startHelper binds a helper's pipe only once a run may start it (no
+// tracer, observer or registry, and a token spare), and the runs of these
+// tests find the spare token free when they ask for it.
+func helpedStates() int {
+	states.Lock()
+	defer states.Unlock()
+	k := 0
+	for _, st := range states.free {
+		if st.helper.pipe.cond.L != nil {
+			k++
+		}
+	}
+	return k
 }
 
 // runEach runs a RunMany batch's replications one by one and returns
@@ -50,9 +67,9 @@ func runEach(t *testing.T, worldFor func(int) (*network.World, error), sc Scenar
 // With the budget spent (parallel.SetBudget(0)) every run steps its world
 // and measures it itself. With a token free a live world is stepped ahead
 // on a helper goroutine that also measures one step behind, and a replay
-// (RunManyCached's TrajectorySource) or static world gets a measure-only
-// helper. Every Result must be identical, series included — clean and
-// under churn, blackout and partition faults, with and without
+// (RunManyCached's TrajectorySource) or static world gets a helper that
+// only measures. Every Result must be identical, series included — clean
+// and under churn, blackout and partition faults, with and without
 // communication and stigmergy.
 func TestRunManyLookaheadEquivalence(t *testing.T) {
 	const steps, runs = 90, 2
@@ -89,13 +106,13 @@ func TestRunManyLookaheadEquivalence(t *testing.T) {
 					for _, kind := range []string{"live", "replay", "static"} {
 						t.Run("world="+kind, func(t *testing.T) {
 							var inline, helped []Result
-							emptyHelpers()
+							emptyStates()
 							withBudget(t, 0, func() { inline = runEach(t, worlds[kind], sc, runs, 5) })
-							if idleHelpers() != 0 {
+							if helpedStates() != 0 {
 								t.Fatal("a run took a helper with the budget spent")
 							}
 							withBudget(t, 1, func() { helped = runEach(t, worlds[kind], sc, runs, 5) })
-							if idleHelpers() == 0 {
+							if helpedStates() == 0 {
 								t.Fatal("no run used a helper; the comparison is vacuous")
 							}
 							for r := range inline {
@@ -165,9 +182,9 @@ func TestRunLookaheadMetricsMatch(t *testing.T) {
 				return counterValues(reg)
 			}
 			inline := counts(0)
-			emptyHelpers()
+			emptyStates()
 			ahead := counts(1)
-			if used := idleHelpers() > 0; used != onWorld {
+			if used := helpedStates() > 0; used != onWorld {
 				t.Fatalf("helper used = %v, want %v", used, onWorld)
 			}
 			if len(inline) == 0 {
@@ -192,10 +209,10 @@ func (m *panicMover) Step(p geom.Point) geom.Point {
 
 // TestRunLookaheadPanicStopsHelper pins the failure path of a run whose
 // world runs ahead: when the live world panics on the helper goroutine,
-// the run panics with it on its own goroutine, and by the time the panic
-// reaches the caller the helper has exited and is back on the free list —
-// no goroutine is left behind. A run that fails before stepping starts no
-// helper at all.
+// the run panics with it on its own goroutine, the helper exits — no
+// goroutine is left behind — and the panicked run's state, which may be
+// half-updated, is dropped instead of going back on the free list. A run
+// that fails before stepping starts no helper at all.
 func TestRunLookaheadPanicStopsHelper(t *testing.T) {
 	before := runtime.NumGoroutine()
 	n := 12
@@ -215,7 +232,7 @@ func TestRunLookaheadPanicStopsHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptyHelpers()
+	emptyStates()
 	var msg string
 	withBudget(t, 1, func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -224,8 +241,8 @@ func TestRunLookaheadPanicStopsHelper(t *testing.T) {
 	if !strings.Contains(msg, "mover broke") {
 		t.Fatalf("run ended with %q, want the live world's panic", msg)
 	}
-	if idleHelpers() != 1 {
-		t.Fatalf("%d idle helpers after the panic, want the one the run used", idleHelpers())
+	if idle := idleStates(); idle != 0 {
+		t.Fatalf("%d idle run states after the panic, want the panicked run's dropped", idle)
 	}
 	noGateways, err := netgen.Generate(netgen.Spec{N: 20, TargetEdges: 100, ArenaSide: 20, Mobility: netgen.MobilityRandom, MobileFraction: 1, MaxSpeed: 1}, 1)
 	if err != nil {

@@ -98,38 +98,29 @@ func TestRunManyTracerForcesSequential(t *testing.T) {
 }
 
 // TestRunReusesPooledState pins the zero-allocation property of the
-// pooled per-worker scratch: after a warm-up run has populated the state
-// pool, further runs must not rebuild tables, groupers, or the decided-
-// move slice from scratch. Whole-run allocations (agents, result curves)
-// remain, so the budget is a coarse ceiling calibrated against the
+// kept per-worker scratch: after a warm-up run has put its state on the
+// free list, further runs must not rebuild tables, groupers, or the
+// decided-move slice from scratch. Whole-run allocations (agents, result
+// curves) remain, so the budget is a coarse ceiling calibrated against the
 // warm-up run rather than zero.
 func TestRunReusesPooledState(t *testing.T) {
-	// Under the race detector sync.Pool deliberately drops a fraction of
-	// Puts, so any single Run→Get round-trip can come back with a fresh
-	// zero-cap state instead of the warm one; retry until a warm state
-	// survives the pool.
 	sc := Scenario{Agents: 10, Kind: core.PolicyOldestNode, Steps: 40}
-	var st *runState
-	var n int
-	for attempt := 0; st == nil && attempt < 20; attempt++ {
-		w, err := netgen.Generate(testSpec(), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n = w.N()
-		if _, err := Run(w, sc, 7); err != nil {
-			t.Fatal(err)
-		}
-		if got := statePool.Get().(*runState); cap(got.tables.rows) >= n {
-			st = got
-		}
+	w, err := netgen.Generate(testSpec(), 42)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st == nil {
-		t.Fatalf("no pooled state with >= %d tables survived 20 runs", n)
+	n := w.N()
+	emptyStates()
+	if _, err := Run(w, sc, 7); err != nil {
+		t.Fatal(err)
 	}
+	st := getState()
 	tablesCap, nextCap := cap(st.tables.rows), cap(st.next)
+	if tablesCap < n {
+		t.Fatalf("kept tables cap at %d rows, want >= %d", tablesCap, n)
+	}
 	if nextCap < sc.Agents {
-		t.Fatalf("pooled next slice caps at %d, want >= %d", nextCap, sc.Agents)
+		t.Fatalf("kept next slice caps at %d, want >= %d", nextCap, sc.Agents)
 	}
 	// A second run on an equally sized world must reuse that storage:
 	// every table survives reset with entries dropped and evictions
@@ -145,5 +136,49 @@ func TestRunReusesPooledState(t *testing.T) {
 	if cap(st.tables.rows) != tablesCap {
 		t.Fatalf("reset reallocated table storage: cap %d → %d", tablesCap, cap(st.tables.rows))
 	}
-	statePool.Put(st)
+	putState(st)
+}
+
+// TestRunStateSurvivesCollection pins the free list's point: a garbage
+// collection does not empty it, so a run after one allocates no more than
+// a warm run does — tables, meter mirrors and helper storage are not
+// grown afresh. It collects twice, as a sync.Pool would keep one
+// collection's worth in its victim cache. Runs replay one tape, whose
+// replay worlds all cost the same, with the helper off and on.
+func TestRunStateSurvivesCollection(t *testing.T) {
+	const steps = 60
+	src := network.NewTrajectorySource(steps, 0, nil, cachedBuild(3))
+	sc := Scenario{Agents: 20, Kind: core.PolicyOldestNode, Communicate: true, Steps: steps}
+	run := func() {
+		w, err := src.WorldFor(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(w, sc, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range []int{0, 1} {
+		withBudget(t, budget, func() {
+			emptyStates()
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			warm := testing.AllocsPerRun(5, run)
+			collect := func() {
+				runtime.GC()
+				runtime.GC()
+			}
+			// The collections' own allocations (the runtime's cleanups)
+			// are not the run's.
+			gc := testing.AllocsPerRun(5, collect)
+			collected := testing.AllocsPerRun(5, func() {
+				collect()
+				run()
+			})
+			if collected > warm+gc {
+				t.Errorf("budget %d: a run after a collection allocates %.1f times, a warm run %.1f (the collections %.1f)", budget, collected, warm, gc)
+			}
+		})
+	}
 }

@@ -15,10 +15,10 @@ import (
 // the deposits (record.go) into a bounded log, and the helper feeds the
 // records to the Meter in step order while the agents decide the next
 // step, writing each measurement into the Result series by step index.
-// The run joins the helper before it reads the series. The helper is the
-// one stepping a live world ahead of the run (network.Lookahead, which
-// measures in the gaps of live stepping) or, for replay and static worlds,
-// a measure-only goroutine. One goroutine measures at a time: when an
+// The run joins the helper before it reads the series. The helper is a
+// network.Lookahead's goroutine: for a live world it steps the world ahead
+// of the run and measures in the gaps of live stepping, and for replay and
+// static worlds it only measures. One goroutine measures at a time: when an
 // awake helper falls pipeHelp records behind, the run goroutine measures
 // the oldest itself, so where the helper has the more work the two share
 // it.
@@ -193,96 +193,38 @@ func (p *measurePipe) measureOne() {
 }
 
 // helper is the off-run work one budget token buys a routing run: a
-// Lookahead stepping its live world ahead, or a measure-only goroutine,
-// and the pipe either one measures from. Helpers are kept on a free list
-// with their storage.
+// Lookahead that steps a live world ahead of the run, or only measures
+// for a replay or static world, and the pipe it measures from. Each
+// runState keeps one with its storage.
 type helper struct {
 	ahead network.Lookahead
 	pipe  measurePipe
-	live  bool // ahead is running; else the measure-only goroutine
-
-	done  sync.WaitGroup // the measure-only goroutine
-	drain func()         // the measure-only goroutine's body, bound once
-}
-
-// helpers is a free list of idle helpers. A helper holds a budget token
-// while it runs, so at most parallel.Budget() are busy at once and the
-// list never needs to keep more; unlike a sync.Pool, a garbage collection
-// cannot empty it, so a helper's tape, codecs, replay world and record log
-// grow once per process instead of once per collection.
-var helpers struct {
-	sync.Mutex
-	free []*helper
-}
-
-func getHelper() *helper {
-	helpers.Lock()
-	var h *helper
-	if k := len(helpers.free); k > 0 {
-		h = helpers.free[k-1]
-		helpers.free = helpers.free[:k-1]
-	}
-	helpers.Unlock()
-	if h == nil {
-		h = new(helper)
-		h.drain = func() {
-			defer h.done.Done()
-			h.pipe.Drain()
-		}
-	}
-	return h
-}
-
-func putHelper(h *helper) {
-	helpers.Lock()
-	if len(helpers.free) < max(1, parallel.Budget()) {
-		helpers.free = append(helpers.free, h)
-	}
-	helpers.Unlock()
 }
 
 // startHelper moves the run's measurement, and a live dynamic world's
-// stepping, onto a helper goroutine when a processor is free. It returns
-// the helper, or nil to keep the run inline, and the replay world the run
-// steps in place of w, or nil to step w itself. Runs with a Tracer, an
-// Observer or a metrics registry stay inline: a tracer's world recorder
-// and an observer read the world the run steps, both see measurements in
-// step order, and the phase timers split one goroutine's wall time.
-func startHelper(w *network.World, sc Scenario, meter *Meter, out series) (*helper, *network.World, error) {
+// stepping, onto h's goroutine when a processor is free. It reports
+// whether h started, and returns the replay world the run steps in place
+// of w, or nil to step w itself. Runs with a Tracer, an Observer or a
+// metrics registry stay inline: a tracer's world recorder and an observer
+// read the world the run steps, both see measurements in step order, and
+// the phase timers split one goroutine's wall time.
+func startHelper(h *helper, w *network.World, sc Scenario, meter *Meter, out series) (*network.World, bool) {
 	if sc.Tracer != nil || sc.Observer != nil || sc.Metrics != nil || !parallel.Spare() {
-		return nil, nil, nil
+		return nil, false
 	}
-	h := getHelper()
 	h.pipe.reset(meter, out)
-	replay, err := h.ahead.Start(w, sc.Steps, parallel.Go, &h.pipe)
-	if h.live = replay != nil; h.live {
-		return h, replay, nil
+	replay, started := h.ahead.Start(w, sc.Steps, parallel.Go, &h.pipe)
+	if !started {
+		h.pipe.reset(nil, series{})
 	}
-	if err == nil {
-		h.done.Add(1)
-		if parallel.Go(h.drain) {
-			return h, nil, nil
-		}
-		h.done.Done()
-	}
-	h.pipe.reset(nil, series{})
-	putHelper(h)
-	if err != nil {
-		return nil, nil, fmt.Errorf("routing: %w", err)
-	}
-	return nil, nil, nil
+	return replay, started
 }
 
 // stop ends the helper's part in the run and waits for it to exit: after
 // a join it only waits, after a failure it tells the helper to give up
-// first. The helper then goes back on the free list.
+// first.
 func (h *helper) stop() {
 	h.pipe.abort()
-	if h.live {
-		h.ahead.Stop()
-	} else {
-		h.done.Wait()
-	}
+	h.ahead.Stop()
 	h.pipe.reset(nil, series{})
-	putHelper(h)
 }

@@ -162,12 +162,11 @@ func TestMeasurePipeSharesMeasuring(t *testing.T) {
 	}
 }
 
-// TestRunHelperPanicMeasureOnly pins the failure path of a run measured
-// by a measure-only helper: a replay world whose tape ends before the run
-// does panics on the run goroutine mid-run, and by the time the panic
-// reaches the caller the helper has exited and is back on the free list.
-// (TestRunLookaheadPanicStopsHelper pins the same for the helper that also
-// steps a live world.)
+// TestRunHelperPanicMeasureOnly pins the failure path of a run whose
+// helper only measures: a replay world whose tape ends before the run
+// does panics on the run goroutine mid-run, the helper exits, and the
+// panicked run's state is dropped. (TestRunLookaheadPanicStopsHelper pins
+// the same for the helper that also steps a live world.)
 func TestRunHelperPanicMeasureOnly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	traj, err := network.RecordTrajectory(mustWorld(t), 40)
@@ -178,7 +177,7 @@ func TestRunHelperPanicMeasureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptyHelpers()
+	emptyStates()
 	var msg string
 	withBudget(t, 1, func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -190,8 +189,8 @@ func TestRunHelperPanicMeasureOnly(t *testing.T) {
 	if w.StepCount() != 40 {
 		t.Fatalf("run stopped at world step %d, want 40", w.StepCount())
 	}
-	if idleHelpers() != 1 {
-		t.Fatalf("%d idle helpers after the panic, want the one the run used", idleHelpers())
+	if idle := idleStates(); idle != 0 {
+		t.Fatalf("%d idle run states after the panic, want the panicked run's dropped", idle)
 	}
 	waitRoutines(t, before)
 }
@@ -207,20 +206,18 @@ func TestMeasurePipeFailureReachesRun(t *testing.T) {
 	var meter Meter
 	meter.Reset(w, ts)
 	out := series{make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)}
-	h := new(helper)
-	h.live = false
-	h.pipe.reset(&meter, out)
-	h.done.Add(1)
+	p := new(measurePipe)
+	p.reset(&meter, out)
+	drained := make(chan struct{})
 	go func() {
-		defer h.done.Done()
-		h.pipe.Drain()
+		defer close(drained)
+		p.Drain()
 	}()
 	var scratch Scratch
 	first := scratchQuad(w, ts, &scratch, 0)
-	h.pipe.capture(0) // a full record: the meter syncs
+	p.capture(0) // a full record: the meter syncs
 	// A record naming a node the world does not have makes the meter
 	// panic on the helper.
-	p := &h.pipe
 	p.mu.Lock()
 	bad := &p.log[p.captured%pipeDepth].changeRecord
 	bad.step, bad.full = 1, false
@@ -233,17 +230,17 @@ func TestMeasurePipeFailureReachesRun(t *testing.T) {
 		f()
 		return "no panic"
 	}
-	if msg := raised(h.pipe.join); !strings.Contains(msg, "measuring a trailing step failed") {
+	if msg := raised(p.join); !strings.Contains(msg, "measuring a trailing step failed") {
 		t.Fatalf("join raised %q, want the helper's failure", msg)
 	}
-	if msg := raised(func() { h.pipe.capture(2) }); !strings.Contains(msg, "measuring a trailing step failed") {
+	if msg := raised(func() { p.capture(2) }); !strings.Contains(msg, "measuring a trailing step failed") {
 		t.Fatalf("capture after the failure raised %q, want the helper's failure", msg)
 	}
 	if got := (Measurement{out.local[0], out.e2e[0], out.ideal[0], out.stale[0]}); got != first || got.Ideal == 0 {
 		t.Fatalf("the record before the failure measured %+v, want %+v", got, first)
 	}
-	h.pipe.abort()
-	h.done.Wait()
+	p.abort()
+	<-drained
 	waitRoutines(t, before)
 }
 

@@ -287,11 +287,12 @@ func (m *runMetrics) syncCounts(agents []*core.Agent, tables *Tables) {
 
 // runState carries the per-run buffers a replication worker reuses from
 // run to run: the agents, the decided-move slice, the meeting grouper, the
-// node tables, the measurement meter and the footprint board. Pooling it
-// keeps the zero-allocation property of a single run intact across a
-// whole RunMany batch, sequential or parallel — each worker drains and
-// refills the pool instead of reallocating per run. The zero value is
-// ready; reset prepares it for a world of n nodes.
+// node tables, the measurement meter, the footprint board and the helper
+// (pipeline.go). Keeping it on a free list keeps the zero-allocation
+// property of a single run intact across a whole RunMany batch, sequential
+// or parallel — each worker takes a state and gives it back instead of
+// reallocating per run. The zero value is ready; reset prepares it for a
+// world of n nodes.
 type runState struct {
 	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
@@ -301,10 +302,39 @@ type runState struct {
 	meter   Meter
 	nbrs    core.NeighborMarks // deposit phase: the current node's out-list
 	board   stigmergy.Board    // reset by each stigmergic run
+	helper  helper             // started by the runs a processor is free for
 }
 
-// statePool recycles runState across runs and executor workers.
-var statePool = sync.Pool{New: func() any { return new(runState) }}
+// states is a free list of idle run states. Unlike a sync.Pool, a garbage
+// collection cannot empty it, so a state's tables, meter mirrors and
+// helper (tape, codecs, replay world, record log) grow once per process
+// instead of once per collection. Every goroutine beyond the first caller
+// that runs replications holds a budget token, so the harnesses have at
+// most Budget()+1 runs in flight and the list never needs to keep more.
+var states struct {
+	sync.Mutex
+	free []*runState
+}
+
+func getState() *runState {
+	states.Lock()
+	defer states.Unlock()
+	k := len(states.free)
+	if k == 0 {
+		return new(runState)
+	}
+	st := states.free[k-1]
+	states.free = states.free[:k-1]
+	return st
+}
+
+func putState(st *runState) {
+	states.Lock()
+	if len(states.free) <= parallel.Budget() {
+		states.free = append(states.free, st)
+	}
+	states.Unlock()
+}
 
 // reset sizes st for a run over n nodes with the given agent count and
 // table capacity, leaving every buffer indistinguishable from freshly
@@ -327,14 +357,14 @@ func (st *runState) reset(n, agents, capacity int) {
 // a fresh world per run. Agent placement is drawn from seed. When a
 // processor is free, a live dynamic world is stepped on a helper
 // goroutine ahead of the agents, which replay its recording, and the
-// measurement follows one step behind on the same goroutine; other worlds
-// get a measure-only helper (see startHelper, pipeline.go). The result is
-// identical, and when Run returns, w stands where stepping it inline would
-// have left it.
+// measurement follows one step behind on the same goroutine; for other
+// worlds the helper only measures (see startHelper, pipeline.go). The
+// result is identical, and when Run returns, w stands where stepping it
+// inline would have left it.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
-	st := statePool.Get().(*runState)
+	st := getState()
 	res, err := run(w, sc, seed, st)
-	statePool.Put(st)
+	putState(st)
 	return res, err
 }
 
@@ -368,14 +398,10 @@ func run(w *network.World, sc Scenario, seed uint64, st *runState) (Result, erro
 	meter := &st.meter
 	// From here on the run cannot fail, so the world may run ahead and the
 	// measurement may trail.
-	h, replay, err := startHelper(w, sc, meter, out)
-	if err != nil {
-		return Result{}, err
-	}
 	var pipe *measurePipe
-	if h != nil {
-		defer h.stop()
-		pipe = &h.pipe
+	if replay, started := startHelper(&st.helper, w, sc, meter, out); started {
+		defer st.helper.stop()
+		pipe = &st.helper.pipe
 		if replay != nil {
 			w = replay
 		}

@@ -76,13 +76,15 @@ echo "== fault-injection gate (churn/partition equivalence + snapshot round-trip
 # engine-level equivalence test drives every fault preset through the
 # incremental and full-rebuild engines against a brute-force referee, and
 # the harness-level test pins aggregates across runworkers in {1,2,4}.
-# The snapshot tests gate the versioned faulted round-trip.
+# The snapshot tests gate the versioned faulted round-trip, and the
+# distance-vector baseline must label every exported route with the
+# gateway it tracks while gateways fail and recover.
 GOMAXPROCS=2 go test -race -count=1 \
   -run 'FaultedEnginesMatch|FaultedSnapshotRoundTrip|SnapshotVersionRejected' \
   ./internal/network
 go test -race -count=1 \
-  -run 'FaultedRunEquivalence|FaultCountersPinned|RoutingChurnResultPinned' \
-  . ./internal/network ./internal/routing
+  -run 'FaultedRunEquivalence|FaultCountersPinned|RoutingChurnResultPinned|DistanceVectorGatewayFailure' \
+  . ./internal/network ./internal/routing ./internal/baseline
 
 echo "== record/replay determinism gate"
 # A recorded binary log must reconstruct the world bit-identically from
