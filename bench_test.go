@@ -387,15 +387,18 @@ func BenchmarkWorldStep(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		left := record
 		for i := 0; i < b.N; i++ {
-			if rw.TrajectoryRemaining() == 0 {
+			if left == 0 {
 				b.StopTimer()
 				if rw, err = traj.World(); err != nil {
 					b.Fatal(err)
 				}
+				left = record
 				b.StartTimer()
 			}
 			rw.Step()
+			left--
 		}
 	}
 	// benchWorldStepRouting250 steps each generated Fig 8 world for one

@@ -16,6 +16,7 @@ import (
 
 	agentmesh "repro"
 	"repro/internal/netgen"
+	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -381,6 +382,36 @@ func TestReplayChurnLogPinned(t *testing.T) {
 		return err
 	})
 	pinLogBytes(t, "churn routing", log, 227790, 0xa8c6d38dfa264525)
+}
+
+// TestReplayWorldLogPinned traces the run TestReplayChurnLogPinned pins on
+// a replay world of the same environment instead of the live world. The
+// binary log's recorder reads the replay world's positions and ranges
+// after every step, which replay decodes only when they are read, so the
+// log must come out byte for byte as the live run's.
+func TestReplayWorldLogPinned(t *testing.T) {
+	meta := replay.RunMeta{
+		Scenario:    "routing",
+		Spec:        netgen.Routing250(),
+		WorldSeed:   1,
+		Seed:        7,
+		Steps:       300,
+		FaultPreset: "churn",
+		AnchorEvery: 50,
+	}
+	log, _ := recordVerifiedLog(t, meta, func(w *agentmesh.World, lw *trace.LogWriter, sched *agentmesh.FaultSchedule) error {
+		src := network.NewTrajectorySource(meta.Steps, 0, sched, func() (*agentmesh.World, error) { return w, nil })
+		rw, err := src.WorldFor(0)
+		if err != nil {
+			return err
+		}
+		_, err = agentmesh.RunRouting(rw, agentmesh.RoutingScenario{
+			Agents: 100, Kind: agentmesh.PolicyOldestNode, Communicate: true, Steps: meta.Steps,
+			Faults: sched, Tracer: lw, AnchorEvery: meta.AnchorEvery,
+		}, meta.Seed)
+		return err
+	})
+	pinLogBytes(t, "churn routing on a replay world", log, 227790, 0xa8c6d38dfa264525)
 }
 
 // TestReplayStaticMappingLogPinned pins the bytes of a mapping log on the

@@ -203,16 +203,6 @@ func lowerBound(adj []NodeID, v NodeID) int {
 // graph; callers must not modify it.
 func (g *Directed) Out(u NodeID) []NodeID { return g.out[u] }
 
-// SortAdjacency sorts every adjacency list ascending. Generators call it
-// once so that iteration order — and hence every downstream random choice —
-// is independent of insertion order.
-func (g *Directed) SortAdjacency() {
-	for _, adj := range g.out {
-		slices.Sort(adj)
-	}
-	g.inOK = false
-}
-
 // ensureIn builds the reverse adjacency in CSR form if stale, reusing the
 // offset and edge buffers from previous builds.
 func (g *Directed) ensureIn() {

@@ -340,20 +340,6 @@ func TestDiffEdgesPanicsOnSizeMismatch(t *testing.T) {
 	DiffEdges(New(2), New(3))
 }
 
-func TestSortAdjacency(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.SortAdjacency()
-	adj := g.Out(0)
-	for i := 1; i < len(adj); i++ {
-		if adj[i-1] >= adj[i] {
-			t.Fatalf("adjacency not sorted: %v", adj)
-		}
-	}
-}
-
 func BenchmarkCanReachSet300(b *testing.B) {
 	g := random(300, 0.025, 5)
 	targets := []NodeID{3, 77, 150, 222}

@@ -4,11 +4,7 @@
 // last gateway it saw.
 package knowledge
 
-import (
-	"math/bits"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // NodeID aliases graph.NodeID.
 type NodeID = graph.NodeID
@@ -146,27 +142,6 @@ func (t *Topology) setAdj(u NodeID, neighbors []NodeID) {
 		t.adj = make([][]NodeID, len(t.source))
 	}
 	t.adj[u] = append(t.adj[u][:0], neighbors...)
-}
-
-// MergeFrom copies everything other knows that t does not, as second-hand
-// knowledge. It returns the number of node records transferred, which the
-// overhead accounting uses as the message size of the exchange. The
-// transferable set comes from a word-parallel scan of the known masks
-// (other &^ t), so a merge with nothing to move costs O(n/64) instead of
-// O(n), and records are visited in ascending node order exactly as the
-// per-node scan did.
-func (t *Topology) MergeFrom(other *Topology) int {
-	moved := 0
-	for wi, ow := range other.mask {
-		missing := ow &^ t.mask[wi]
-		for missing != 0 {
-			u := NodeID(wi<<6 + bits.TrailingZeros64(missing))
-			missing &= missing - 1
-			t.LearnSecondHand(u, other.adj[u])
-			moved++
-		}
-	}
-	return moved
 }
 
 // Neighbors returns the known out-neighbour list for u (nil or empty if

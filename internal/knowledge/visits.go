@@ -202,28 +202,6 @@ func (v *Visits) evictOldest() {
 	v.markDirty(victim)
 }
 
-// MergeFrom folds other's visit records into v, keeping the most recent
-// step per node. This is the "become identical after meeting" mechanism of
-// super-conscientious (mapping) and communicating oldest-node (routing)
-// agents. It returns the number of records that changed v.
-//
-// Records are applied freshest-first (ties by node ID), so bounded merges
-// evict deterministically.
-func (v *Visits) MergeFrom(other *Visits) int {
-	entries := make([]visitRec, len(other.nodes))
-	for i, u := range other.nodes {
-		entries[i] = visitRec{node: u, step: other.step[u]}
-	}
-	slices.SortFunc(entries, freshestFirst)
-	changed := 0
-	for _, e := range entries {
-		if v.put(e.node, e.step) {
-			changed++
-		}
-	}
-	return changed
-}
-
 // visitRec is one remembered visit, its step in the table's step+1 form.
 type visitRec struct {
 	node NodeID
@@ -243,8 +221,8 @@ func freshestFirst(a, b visitRec) int {
 // bounded to each member's own capacity by dropping the oldest records.
 // Afterwards equal-capacity members are identical, which is exactly the
 // post-meeting state the paper describes. It returns, per member, how many
-// records were added or refreshed. It is much cheaper than pairwise
-// MergeFrom for the clumped groups cooperation produces.
+// records were added or refreshed. It is much cheaper than merging the
+// members pairwise for the clumped groups cooperation produces.
 func MergeAll(ms []*Visits) []int {
 	var s MergeScratch
 	return s.MergeAll(ms)

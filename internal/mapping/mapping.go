@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -215,9 +214,9 @@ func (m *runMetrics) syncCounts(agents []*core.Agent) {
 
 // runState carries the per-run buffers a replication worker reuses from
 // run to run: the agents, the decided-move slice, the meeting grouper and
-// the footprint board. Pooling it keeps the zero-allocation property of a
-// single run intact across a whole RunMany batch, sequential or parallel.
-// The zero value is ready.
+// the footprint board. Keeping it on a free list keeps the
+// zero-allocation property of a single run intact across a whole RunMany
+// batch, sequential or parallel. The zero value is ready.
 type runState struct {
 	agents  []*core.Agent // reset in place by placeAgents
 	next    []NodeID
@@ -226,8 +225,10 @@ type runState struct {
 	board   stigmergy.Board  // reset by each stigmergic run
 }
 
-// statePool recycles runState across runs and executor workers.
-var statePool = sync.Pool{New: func() any { return new(runState) }}
+// states holds the idle run states. A collection cannot empty it, so the
+// agents' maps, visit tables and trails grow once per process instead of
+// once per collection.
+var states parallel.FreeList[runState]
 
 // reset sizes st for a run over n nodes with the given agent count.
 func (st *runState) reset(n, agents int) {
@@ -246,9 +247,9 @@ func (st *runState) reset(n, agents int) {
 // seed. Static worlds can be shared across sequential runs; dynamic worlds
 // are stepped and should be freshly generated per run.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
-	st := statePool.Get().(*runState)
+	st := states.Get()
 	res, err := run(w, sc, seed, st)
-	statePool.Put(st)
+	states.Put(st)
 	return res, err
 }
 

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -104,7 +105,7 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 }
 
 // TestRunReusesPooledAgents pins what recycling saves. A warm state drawn
-// from the pool must carry its agents into the next run: the same agents
+// from the free list must carry its agents into the next run: the same agents
 // with the same topology, visit and trail objects and the same knowledge
 // bitmask storage. And a run on warm state allocates only the run's four
 // root streams, its two result curves and one RNG stream per agent, on a
@@ -132,23 +133,14 @@ func TestRunReusesPooledAgents(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc
-			// Under the race detector sync.Pool deliberately drops a
-			// fraction of Puts, so a Run→Get round-trip can come back with
-			// a fresh state; retry until a warm one survives the pool.
-			var st *runState
-			for attempt := 0; st == nil && attempt < 20; attempt++ {
-				if _, err := Run(big, sc, 7); err != nil {
-					t.Fatal(err)
-				}
-				got := statePool.Get().(*runState)
-				if len(got.agents) >= sc.Agents {
-					st = got
-				}
+			if _, err := Run(big, sc, 7); err != nil {
+				t.Fatal(err)
 			}
-			if st == nil {
-				t.Fatalf("no pooled state with %d agents survived 20 runs", sc.Agents)
+			st := states.Get()
+			if len(st.agents) < sc.Agents {
+				t.Fatalf("the idle state holds %d agents after a run with %d", len(st.agents), sc.Agents)
 			}
-			defer statePool.Put(st)
+			defer states.Put(st)
 			type storage struct {
 				agent  *core.Agent
 				topo   *knowledge.Topology
@@ -180,5 +172,41 @@ func TestRunReusesPooledAgents(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunStateSurvivesCollection pins the free list's point: a garbage
+// collection does not empty it, so a Fig 5-shaped run after one allocates
+// no more than a warm run does, instead of regrowing 40 agents' maps,
+// visit tables and trails. It collects twice, as a sync.Pool would keep
+// one collection's worth in its victim cache.
+func TestRunStateSurvivesCollection(t *testing.T) {
+	w, err := netgen.Generate(netgen.Mapping300(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Agents: 40, Kind: core.PolicySuperConscientious, Cooperate: true, MaxSteps: 1000}
+	run := func() {
+		if _, err := Run(w, sc, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	warm := testing.AllocsPerRun(5, run)
+	collect := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	// The collections' own allocations (the runtime's cleanups) are not
+	// the run's.
+	gc := testing.AllocsPerRun(5, collect)
+	collected := testing.AllocsPerRun(5, func() {
+		collect()
+		run()
+	})
+	if collected > warm+gc {
+		t.Errorf("a run after a collection allocates %.1f times, a warm run %.1f (the collections %.1f)", collected, warm, gc)
 	}
 }

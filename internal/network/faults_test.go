@@ -52,7 +52,8 @@ func buildFaultWorld(t testing.TB, n int, gateways []NodeID, seed uint64) *World
 
 // bruteForceFaultTopology is the O(n²) fault-aware referee: dead nodes
 // contribute and receive no links, and an active partition suppresses
-// every link crossing the cut.
+// every link crossing the cut. Like bruteForceTopology it leaves every
+// out-list sorted.
 func bruteForceFaultTopology(w *World) *graph.Directed {
 	n := w.N()
 	g := graph.New(n)
@@ -78,7 +79,6 @@ func bruteForceFaultTopology(w *World) *graph.Directed {
 			}
 		}
 	}
-	g.SortAdjacency()
 	return g
 }
 

@@ -1,9 +1,13 @@
 package network
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/geom"
+	"repro/internal/radio"
+	"repro/internal/trace"
 )
 
 // FuzzIncrementalTopology drives a mixed mobility/decay tape: each tape
@@ -133,4 +137,53 @@ func fuzzFaultSchedule(body []byte, n, steps int) *faults.Schedule {
 			faults.Event{Step: start + steps/3, Kind: faults.PartitionEnd})
 	}
 	return faults.NewSchedule(evs)
+}
+
+// FuzzTrajectoryDecoder feeds a replay cursor arbitrary topology and
+// geometry streams: stepping through them and catching up on their
+// geometry must either succeed or fail with an error wrapping
+// trace.ErrCorrupt, never panic on an index or allocate past the world.
+// The seeds are real tapes: a clean dynamic world, one under node churn,
+// and one cut by a partition.
+func FuzzTrajectoryDecoder(f *testing.F) {
+	const n, steps = 30, 40
+	gateways := []NodeID{0, 15}
+	scheds := faultSchedules(n, gateways, steps)
+	for _, sched := range []*faults.Schedule{nil, scheds["preset-churn"], scheds["preset-partition"]} {
+		w := buildFaultWorld(f, n, gateways, 5)
+		w.SetFaults(sched)
+		traj, err := RecordTrajectory(w, steps)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(n), uint16(steps), traj.topo, traj.geom)
+	}
+	f.Fuzz(func(t *testing.T, nodes uint8, span uint16, topo, geometry []byte) {
+		n, steps := 1+int(nodes%64), int(span%256)
+		tape := &Trajectory{n: n, topo: topo, geom: geometry, steps: steps}
+		tape.cond.L = &tape.mu
+		tape.publish(true, nil)
+		var dec trajDecoder
+		dec.reset(tape)
+		pos := make([]geom.Point, n)
+		radios := make([]radio.Radio, n)
+		for i := 0; i < steps; i++ {
+			if err := dec.await(); err != nil {
+				t.Fatalf("step %d: the tape covers %d steps, yet await failed: %v", i+1, steps, err)
+			}
+			_, err := dec.next()
+			if err == nil && i%3 == 0 {
+				err = dec.applyGeometry(pos, radios)
+			}
+			if err != nil {
+				if !errors.Is(err, trace.ErrCorrupt) {
+					t.Fatalf("step %d: error %v does not wrap trace.ErrCorrupt", i+1, err)
+				}
+				return
+			}
+		}
+		if err := dec.applyGeometry(pos, radios); err != nil && !errors.Is(err, trace.ErrCorrupt) {
+			t.Fatalf("geometry: error %v does not wrap trace.ErrCorrupt", err)
+		}
+	})
 }

@@ -88,7 +88,8 @@ func sameTopology(a, b *graph.Directed) (string, bool) {
 
 // bruteForceTopology recomputes the directed link graph from first
 // principles — O(n²), no grid — as an independent referee for both
-// stepping paths.
+// stepping paths. Scanning v upwards leaves every out-list sorted, as the
+// engines keep theirs.
 func bruteForceTopology(w *World) *graph.Directed {
 	n := w.N()
 	g := graph.New(n)
@@ -107,7 +108,6 @@ func bruteForceTopology(w *World) *graph.Directed {
 			}
 		}
 	}
-	g.SortAdjacency()
 	return g
 }
 

@@ -270,8 +270,9 @@ func TestLookaheadTapeMatchesRecordTrajectory(t *testing.T) {
 			rw.Step()
 		}
 		a.Stop()
-		if !bytes.Equal(a.tape.data, want.data) {
-			t.Fatalf("pass %d: helper tape (%d bytes) differs from RecordTrajectory's (%d bytes)", pass, len(a.tape.data), len(want.data))
+		if !bytes.Equal(a.tape.topo, want.topo) || !bytes.Equal(a.tape.geom, want.geom) {
+			t.Fatalf("pass %d: helper tape (%d+%d bytes) differs from RecordTrajectory's (%d+%d bytes)", pass,
+				len(a.tape.topo), len(a.tape.geom), len(want.topo), len(want.geom))
 		}
 		if a.tape.Records() != want.Records() || a.tape.Steps() != want.Steps() {
 			t.Fatalf("pass %d: helper tape holds %d records over %d steps, want %d over %d",

@@ -68,8 +68,10 @@ type World struct {
 	flt *faultState
 
 	// traj, when non-nil, makes this a replay world (see trajectory.go):
-	// every Step applies the next recorded delta instead of running
-	// mobility, decay, faults, or topology maintenance.
+	// every Step applies the next recorded edge churn and fault state
+	// instead of running mobility, decay, faults, or topology
+	// maintenance. Its pos and radios lag behind until syncGeometry
+	// catches them up, so every read of either goes through it.
 	traj *trajDecoder
 
 	// deltas is the per-step edge-change stream (see deltas.go): every
@@ -189,15 +191,22 @@ func (w *World) StepCount() int { return w.step }
 func (w *World) Dynamic() bool { return w.dynamic }
 
 // Pos returns node u's current position.
-func (w *World) Pos(u NodeID) geom.Point { return w.pos[u] }
+func (w *World) Pos(u NodeID) geom.Point {
+	w.syncGeometry()
+	return w.pos[u]
+}
 
 // Positions returns a copy of all node positions.
 func (w *World) Positions() []geom.Point {
+	w.syncGeometry()
 	return append([]geom.Point(nil), w.pos...)
 }
 
 // Radio returns a copy of node u's radio state.
-func (w *World) Radio(u NodeID) radio.Radio { return w.radios[u] }
+func (w *World) Radio(u NodeID) radio.Radio {
+	w.syncGeometry()
+	return w.radios[u]
+}
 
 // Gateways returns the gateway node IDs currently in service: under fault
 // injection, dead or failed gateways are excluded. Callers must not modify

@@ -101,6 +101,7 @@ func (df *worldDiffer) reset(w *World) {
 	n := w.N()
 	df.w = w
 	df.prevEpoch = w.FaultEpoch()
+	w.syncGeometry()
 	df.prevX = slices.Grow(df.prevX[:0], n)[:n]
 	df.prevY = slices.Grow(df.prevY[:0], n)[:n]
 	df.prevRange = slices.Grow(df.prevRange[:0], n)[:n]
@@ -133,6 +134,7 @@ func (df *worldDiffer) diff() bool {
 	if !w.dynamic && ep == df.prevEpoch {
 		return false
 	}
+	w.syncGeometry()
 	for u := 0; u < w.N(); u++ {
 		p := w.pos[u]
 		if p.X != df.prevX[u] || p.Y != df.prevY[u] {

@@ -56,6 +56,7 @@ func (w *World) Snapshot() Snapshot {
 // against a reconstruction every step. dst must not share storage with a
 // snapshot the caller still reads.
 func (w *World) SnapshotInto(dst *Snapshot) {
+	w.syncGeometry()
 	n := w.N()
 	dst.Version = SnapshotVersion
 	dst.Arena = w.arena

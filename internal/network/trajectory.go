@@ -15,34 +15,49 @@ package network
 // equivalence and -race gates in trajectory_test.go).
 //
 // A tape can be read while it is written. After every step the recorder
-// publishes the bytes written so far and the number of steps they cover;
-// it only ever appends, so readers keep reading what they were handed
-// while it writes on. A replay world that catches up with the recorder
-// waits until the step it needs is published or the tape is finished. It
-// calls a step empty only once the published part covers that step: a
-// gap is written together with the record that ends it, so running out
-// of bytes on an unfinished tape says nothing about the steps beyond the
-// published count. Lookahead (lookahead.go) builds on this to step a live
-// world on a helper goroutine while a routing run replays it.
+// publishes the bytes written so far to both streams and the number of
+// steps they cover; it only ever appends, so readers keep reading what
+// they were handed while it writes on. A replay world that catches up
+// with the recorder waits until the step it needs is published or the
+// tape is finished. It calls a step empty only once the published part
+// covers that step: a gap is written together with the record that ends
+// it, so running out of bytes on an unfinished tape says nothing about
+// the steps beyond the published count. Lookahead (lookahead.go) builds
+// on this to step a live world on a helper goroutine while a routing run
+// replays it.
 //
-// Wire format for Trajectory.data — a sequence of records, one per step
-// that changed anything, each:
+// A replay step applies only what a run reads on every step: the edge
+// churn and the fault state. Positions and ranges, which only geometry
+// readers (Pos, Positions, Radio, Snapshot, the world recorders) look at,
+// are decoded when one of them reads: each step counts the records whose
+// geometry it leaves pending, and the reader's catch-up (syncGeometry)
+// decodes those bodies in order first. So the tape holds two streams, one
+// record each per step that changed anything, published together.
 //
-//	uvarint gap       empty steps preceding this record
-//	body              trace.DeltaCodec: moved positions, changed ranges,
-//	                  and on fault epochs the complete fault state
-//	pairs adds        edges that appeared (see trajAppendPairs)
-//	pairs removes     edges that vanished
-//	uvarint injected  fault records only: the faults_* counter advances
+// The topology stream, read on every step:
+//
+//	uvarint gap<<1 | fault   gap: empty steps preceding this record;
+//	                         fault: the record is a fault epoch
+//	pairs adds               edges that appeared (see trajAppendPairs)
+//	pairs removes            edges that vanished
+//	fault records only, the complete fault state and the counter advances:
+//	ids dead                 dead nodes (see trajAppendIDs)
+//	ids down                 out-of-service gateways
+//	byte partition [u64 cut] whether a partition is active, and its cut
+//	uvarint injected         the faults_* counter advances
 //	uvarint recovered
 //
+// The geometry stream holds one trace.DeltaCodec body per record: the
+// moved positions and changed ranges, with no fault state. Its float lanes
+// form one predictor chain over the whole tape, exactly as in a binary log
+// between two anchors.
+//
 // Trailing empty steps carry no bytes at all (the step count bounds them).
-// The body's float lanes form one predictor chain over the whole tape,
-// exactly as in a binary log between two anchors.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,11 +69,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Trajectory is a recorded world evolution: the start state and the
-// delta-coded churn stream. Readers may replay it while the recorder is
-// still writing it: each World() call gets its own decode cursor, which
-// reads only what the recorder has published. After Finish it is
-// immutable and safe to share across any number of replay worlds.
+// Trajectory is a recorded world evolution: the start state, the
+// topology stream and the geometry stream. Readers may replay it while
+// the recorder is still writing it: each World() call gets its own decode
+// cursor, which reads only what the recorder has published. After Finish
+// it is immutable and safe to share across any number of replay worlds.
 type Trajectory struct {
 	n       int
 	dynamic bool
@@ -72,7 +87,8 @@ type Trajectory struct {
 	faults startFaults
 
 	// Written by the recorder alone; readers see them through pub.
-	data    []byte
+	topo    []byte // the topology stream
+	geom    []byte // the geometry stream
 	steps   int
 	records int
 
@@ -92,11 +108,12 @@ type startFaults struct {
 	injected, recovered uint64
 }
 
-// tapeView is what readers see of a tape: a prefix of its bytes that ends
-// on a record boundary, the steps that prefix covers, and whether the
-// recorder has finished (or failed).
+// tapeView is what readers see of a tape: a prefix of each stream, both
+// ending on the same record boundary, the steps those prefixes cover, and
+// whether the recorder has finished (or failed).
 type tapeView struct {
-	data    []byte
+	topo    []byte
+	geom    []byte
 	steps   int
 	records int
 	done    bool
@@ -109,7 +126,7 @@ type tapeView struct {
 // handed while the recorder writes past it.
 func (t *Trajectory) publish(done bool, err error) {
 	t.mu.Lock()
-	t.pub = tapeView{data: t.data, steps: t.steps, records: t.records, done: done, err: err}
+	t.pub = tapeView{topo: t.topo, geom: t.geom, steps: t.steps, records: t.records, done: done, err: err}
 	t.cond.Broadcast()
 	t.mu.Unlock()
 }
@@ -149,12 +166,15 @@ func (t *Trajectory) Dynamic() bool { return t.dynamic }
 func (t *Trajectory) Records() int { return t.view().records }
 
 // World builds a fresh replay world positioned at the trajectory's start.
-// Every Step on it applies the next recorded delta instead of running
-// mobility, decay, or topology maintenance; a Step the recorder has not
-// published yet waits for it, and stepping past a finished tape panics.
-// Worlds from the same Trajectory are independent (the shared data is read
-// only), so concurrent replications are race-free. The error is always
-// nil: the tape's start was taken from a well-formed world.
+// Every Step on it applies the next recorded edge churn and fault state
+// instead of running mobility, decay, or topology maintenance, and its
+// positions and ranges are decoded when they are read. A Step the
+// recorder has not published yet waits for it, and stepping past a
+// finished tape panics. Worlds from the same Trajectory are independent
+// (the shared data is read only), so concurrent replications are
+// race-free, but one world's Step and geometry reads are not safe for
+// concurrent use. The error is always nil: the tape's start was taken
+// from a well-formed world.
 func (t *Trajectory) World() (*World, error) {
 	return t.replayInto(nil, new(trajDecoder)), nil
 }
@@ -270,7 +290,7 @@ func (r *TrajectoryRecorder) reset(w *World, t *Trajectory) {
 		t.faults = startFaults{on: true, sched: f.sched, epoch: f.epoch, lastEvents: f.lastEvents,
 			injected: f.injectedTotal, recovered: f.recoveredTotal}
 	}
-	t.data, t.steps, t.records = t.data[:0], 0, 0
+	t.topo, t.geom, t.steps, t.records = t.topo[:0], t.geom[:0], 0, 0
 	t.publish(false, nil)
 	r.t, r.gap = t, 0
 	r.prevInjected, r.prevRecovered = t.faults.injected, t.faults.recovered
@@ -318,21 +338,32 @@ func (r *TrajectoryRecorder) record() {
 	r.addU, r.addV = r.sortPairs(e.AddU, e.AddV, r.addU, r.addV)
 	r.remU, r.remV = r.sortPairs(e.RemU, e.RemV, r.remU, r.remV)
 	d := &r.df.d
-	t.data = binary.AppendUvarint(t.data, uint64(r.gap))
-	r.gap = 0
-	t.data = r.codec.Append(t.data, *d)
-	t.data = trajAppendPairs(t.data, r.addU, r.addV)
-	t.data = trajAppendPairs(t.data, r.remU, r.remV)
+	head := uint64(r.gap) << 1
 	if d.FaultChanged {
+		head |= 1
+	}
+	r.gap = 0
+	t.topo = binary.AppendUvarint(t.topo, head)
+	t.topo = trajAppendPairs(t.topo, r.addU, r.addV)
+	t.topo = trajAppendPairs(t.topo, r.remU, r.remV)
+	if d.FaultChanged {
+		t.topo = trajAppendIDs(t.topo, d.Dead)
+		t.topo = trajAppendIDs(t.topo, d.DownGateways)
+		if d.Partition {
+			t.topo = binary.LittleEndian.AppendUint64(append(t.topo, 1), math.Float64bits(d.PartitionX))
+		} else {
+			t.topo = append(t.topo, 0)
+		}
 		var injected, recovered uint64
 		if f := r.df.w.flt; f != nil {
 			injected = f.injectedTotal - r.prevInjected
 			recovered = f.recoveredTotal - r.prevRecovered
 			r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
 		}
-		t.data = binary.AppendUvarint(t.data, injected)
-		t.data = binary.AppendUvarint(t.data, recovered)
+		t.topo = binary.AppendUvarint(t.topo, injected)
+		t.topo = binary.AppendUvarint(t.topo, recovered)
 	}
+	t.geom = r.codec.Append(t.geom, trace.WorldDelta{Nodes: d.Nodes, X: d.X, Y: d.Y, RangeNodes: d.RangeNodes, Ranges: d.Ranges})
 	t.records++
 }
 
@@ -416,8 +447,9 @@ func (s *TrajectorySource) WorldFor(int) (*World, error) {
 // Replay
 
 // stepFromTrajectory advances a replay world one step by applying the next
-// recorded delta — O(changes), no mobility RNG, no disc scans, no grid.
-// Step dispatches here for worlds built by Trajectory.World, once the
+// topology record — O(edge changes), no mobility RNG, no disc scans, no
+// grid. The record's geometry stays pending until a geometry read catches
+// up (syncGeometry). Step dispatches here for replay worlds, once the
 // cursor's await has made sure the tape covers the step.
 func (w *World) stepFromTrajectory() {
 	c := w.traj
@@ -429,13 +461,6 @@ func (w *World) stepFromTrajectory() {
 	}
 	if !has {
 		return
-	}
-	d := &c.d
-	for i, u := range d.Nodes {
-		w.pos[u] = geom.Point{X: d.X[i], Y: d.Y[i]}
-	}
-	for i, u := range d.RangeNodes {
-		w.radios[u] = radio.New(d.Ranges[i])
 	}
 	// Recorded pairs are the exact diff, fault steps included, so the
 	// stream stays exact on replay worlds too.
@@ -449,72 +474,120 @@ func (w *World) stepFromTrajectory() {
 		w.topo.RemoveEdgeSorted(u, v)
 		w.deltas.remove(u, v)
 	}
-	if d.FaultChanged {
-		w.applyTrajFault(d, c.injected, c.recovered)
+	if c.fault {
+		w.applyTrajFault(c)
 	}
 }
 
-// TrajectoryRemaining returns how many recorded steps are left to replay —
-// on a tape still being recorded, how many are published and not yet
-// replayed; 0 for worlds without an attached trajectory.
-func (w *World) TrajectoryRemaining() int {
-	if w.traj == nil {
-		return 0
+// syncGeometry brings a replay world's positions and ranges up to its
+// step by decoding the geometry records its steps left pending. Every read
+// of w.pos or w.radios goes through it first; on other worlds it does
+// nothing. Like Step, it is not safe for concurrent use.
+func (w *World) syncGeometry() {
+	if c := w.traj; c != nil && c.applied < c.stepped {
+		w.catchUpGeometry()
 	}
-	return w.traj.t.Steps() - w.traj.rel
 }
 
-// applyTrajFault installs one recorded fault-epoch transition: the full
-// masks replace the current ones (records carry absolute state, so replay
-// needs no event semantics), and the faults_* instruments advance by the
-// recorded injected/recovered counts — identical to the live counters.
-func (w *World) applyTrajFault(d *trace.WorldDelta, injected, recovered uint64) {
-	if err := w.setFaultMasks(d.Dead, d.DownGateways, d.Partition, d.PartitionX); err != nil {
+func (w *World) catchUpGeometry() {
+	if err := w.traj.applyGeometry(w.pos, w.radios); err != nil {
+		// As in stepFromTrajectory: only a recorder writes the stream.
+		panic(fmt.Sprintf("network: %v replaying geometry at step %d", err, w.step))
+	}
+}
+
+// applyTrajFault installs the fault-epoch transition c has just decoded:
+// the full masks replace the current ones (records carry absolute state,
+// so replay needs no event semantics), and the faults_* instruments
+// advance by the recorded injected/recovered counts — identical to the
+// live counters.
+func (w *World) applyTrajFault(c *trajDecoder) {
+	if err := w.setFaultMasks(c.dead, c.down, c.partition, c.partX); err != nil {
 		// Only a TrajectoryRecorder writes the stream, from a world of the
-		// same size, so an out-of-range ID is a bug, not bad input.
+		// same size, so a node that is no gateway here is a bug, not bad
+		// input.
 		panic(fmt.Sprintf("network: %v during replay at step %d", err, w.step))
 	}
 	f := w.flt
 	f.epoch++
-	f.injectedTotal += injected
-	f.recoveredTotal += recovered
+	f.injectedTotal += c.injected
+	f.recoveredTotal += c.recovered
 	// LastFaultEvents comes from the schedule the harness attached; replay
 	// itself never consults it for state.
 	f.lastEvents = f.sched.At(w.step)
-	w.m.faultsInjected.Add(injected)
-	w.m.faultsRecovered.Add(recovered)
-	w.m.faultsNodesDown.Set(float64(len(d.Dead)))
+	w.m.faultsInjected.Add(c.injected)
+	w.m.faultsRecovered.Add(c.recovered)
+	w.m.faultsNodesDown.Set(float64(len(c.dead)))
 }
 
-// trajDecoder is a replay world's cursor over the delta stream: it walks
-// the records one step at a time, decoding bodies with its own
-// trace.DeltaCodec, and reads only the part of the tape it has seen
-// published.
+// trajDecoder is a replay world's cursor over a tape: it walks the
+// topology records one step at a time, and decodes the geometry bodies of
+// the records it has passed when a geometry read asks for them. It reads
+// only the part of the tape it has seen published.
 type trajDecoder struct {
 	t    *Trajectory
 	view tapeView      // the tape as last published to this cursor
-	pos  int           // read offset into view.data
+	pos  int           // read offset into view.topo
 	rel  int           // steps consumed so far
 	read *atomic.Int64 // when set, rel is published here (Lookahead's schedule)
 	at   int           // step of the next record once its gap is read; 0 = unread
 	last int           // step of the last decoded record; 0 before the first
 
-	codec               *trace.DeltaCodec
-	d                   trace.WorldDelta
+	// The topology record last decoded.
 	addU, addV          []int32
 	remU, remV          []int32
+	fault               bool // a fault record: the fields below are set
+	dead, down          []NodeID
+	partition           bool
+	partX               float64
 	injected, recovered uint64
+
+	// Geometry: the bodies of the first stepped records, of which the
+	// first applied are decoded.
+	stepped, applied int
+	gpos             int               // read offset into view.geom
+	codec            *trace.DeltaCodec // made by the first geometry read
+	codecN           int               // the node count codec was made for
+	g                trace.WorldDelta
 }
 
 // reset points the cursor at the start of t, keeping its buffers.
 func (d *trajDecoder) reset(t *Trajectory) {
 	d.t, d.view = t, t.view()
 	d.pos, d.rel, d.at, d.last = 0, 0, 0, 0
-	if d.codec == nil {
-		d.codec = trace.NewDeltaCodec(t.n)
-	} else {
+	d.stepped, d.applied, d.gpos = 0, 0, 0
+	if d.codec != nil && d.codecN == t.n {
 		d.codec.Reset()
+	} else {
+		d.codec = nil
 	}
+}
+
+// applyGeometry decodes the pending geometry bodies in order, writing the
+// moved positions into pos and the changed ranges into radios.
+func (d *trajDecoder) applyGeometry(pos []geom.Point, radios []radio.Radio) error {
+	if d.codec == nil {
+		d.codec, d.codecN = trace.NewWorldDeltaCodec(d.t.n), d.t.n
+	}
+	g := &d.g
+	for d.applied < d.stepped {
+		k, err := d.codec.Decode(d.view.geom[d.gpos:], g)
+		if err != nil {
+			return err
+		}
+		d.gpos += k
+		if g.FaultChanged {
+			return trajCorrupt("geometry record %d carries fault state", d.applied+1)
+		}
+		for i, u := range g.Nodes {
+			pos[u] = geom.Point{X: g.X[i], Y: g.Y[i]}
+		}
+		for i, u := range g.RangeNodes {
+			radios[u] = radio.New(g.Ranges[i])
+		}
+		d.applied++
+	}
+	return nil
 }
 
 // await makes sure the tape covers the next step, waiting for the
@@ -535,15 +608,15 @@ func (d *trajDecoder) await() error {
 }
 
 // next consumes one step, which await has shown the tape covers: it
-// reports whether this step carries a record (decoded into the cursor's
-// fields) or is empty.
+// reports whether this step carries a record (its topology decoded into
+// the cursor's fields, its geometry left pending) or is empty.
 func (d *trajDecoder) next() (bool, error) {
 	d.rel++
 	if d.read != nil {
 		d.read.Store(int64(d.rel))
 	}
 	if d.at == 0 {
-		if d.pos >= len(d.view.data) {
+		if d.pos >= len(d.view.topo) {
 			// Every published record is decoded and the published part
 			// covers this step, so the step is empty. (A gap is written
 			// only with the record that ends it: an unfinished tape
@@ -551,15 +624,17 @@ func (d *trajDecoder) next() (bool, error) {
 			// step, so this holds for covered steps only.)
 			return false, nil
 		}
-		g, err := d.uvarint()
+		head, err := d.uvarint()
 		if err != nil {
 			return false, err
 		}
 		// The record must fall on this step or a later published one.
+		g := head >> 1
 		if g >= uint64(d.view.steps) || d.last+int(g)+1 < d.rel || d.last+int(g)+1 > d.view.steps {
 			return false, trajCorrupt("step gap %d after step %d misses the published steps %d..%d", g, d.last, d.rel, d.view.steps)
 		}
 		d.at = d.last + int(g) + 1
+		d.fault = head&1 == 1
 	}
 	if d.rel < d.at {
 		return false, nil
@@ -568,21 +643,43 @@ func (d *trajDecoder) next() (bool, error) {
 	return true, d.decodeRecord()
 }
 
+// decodeRecord decodes the topology part of the record at the cursor and
+// leaves its geometry body pending.
 func (d *trajDecoder) decodeRecord() error {
-	k, err := d.codec.Decode(d.view.data[d.pos:], &d.d)
-	if err != nil {
-		return err
-	}
-	d.pos += k
 	n := d.t.n
+	var err error
 	if d.addU, d.addV, err = d.pairs(d.addU[:0], d.addV[:0], n); err != nil {
 		return err
 	}
 	if d.remU, d.remV, err = d.pairs(d.remU[:0], d.remV[:0], n); err != nil {
 		return err
 	}
-	if !d.d.FaultChanged {
+	d.stepped++
+	if !d.fault {
 		return nil
+	}
+	if d.dead, err = d.ids(d.dead[:0], n); err != nil {
+		return err
+	}
+	if d.down, err = d.ids(d.down[:0], n); err != nil {
+		return err
+	}
+	if d.pos >= len(d.view.topo) {
+		return trajCorrupt("truncated fault record at step %d", d.rel)
+	}
+	switch flag := d.view.topo[d.pos]; flag {
+	case 0:
+		d.partition, d.partX = false, 0
+		d.pos++
+	case 1:
+		if d.pos+9 > len(d.view.topo) {
+			return trajCorrupt("truncated partition cut at step %d", d.rel)
+		}
+		d.partition = true
+		d.partX = math.Float64frombits(binary.LittleEndian.Uint64(d.view.topo[d.pos+1:]))
+		d.pos += 9
+	default:
+		return trajCorrupt("bad partition flag %d at step %d", flag, d.rel)
 	}
 	if d.injected, err = d.uvarint(); err != nil {
 		return err
@@ -596,7 +693,7 @@ func trajCorrupt(format string, args ...any) error {
 }
 
 func (d *trajDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.view.data[d.pos:])
+	v, n := binary.Uvarint(d.view.topo[d.pos:])
 	if n <= 0 {
 		return 0, trajCorrupt("truncated varint at byte %d", d.pos)
 	}
@@ -665,4 +762,41 @@ func (d *trajDecoder) pairs(us, vs []int32, n int) ([]int32, []int32, error) {
 		first = false
 	}
 	return us, vs, nil
+}
+
+// trajAppendIDs writes an ascending node ID list as a count plus the first
+// ID and then the gaps between IDs.
+func trajAppendIDs(b []byte, ids []NodeID) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	prev := NodeID(0)
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(id-prev))
+		prev = id
+	}
+	return b
+}
+
+// ids decodes a node ID list written by trajAppendIDs, rejecting one that
+// is not strictly ascending or leaves the n nodes.
+func (d *trajDecoder) ids(dst []NodeID, n int) ([]NodeID, error) {
+	count, err := d.uvarint()
+	if err != nil {
+		return dst, err
+	}
+	if count > uint64(n) {
+		return dst, trajCorrupt("node list of %d entries exceeds the %d nodes at step %d", count, n, d.rel)
+	}
+	prev := uint64(0)
+	for i := uint64(0); i < count; i++ {
+		gap, err := d.uvarint()
+		if err != nil {
+			return dst, err
+		}
+		if gap >= uint64(n) || (i > 0 && gap == 0) || prev+gap >= uint64(n) {
+			return dst, trajCorrupt("node list not ascending within [0,%d) at step %d", n, d.rel)
+		}
+		prev += gap
+		dst = append(dst, NodeID(prev))
+	}
+	return dst, nil
 }

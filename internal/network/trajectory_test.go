@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -42,10 +43,10 @@ func sameWorldState(t *testing.T, step int, live, rep *World) {
 			t.Fatalf("step %d: node %d gateway/alive/needs-gateway %v/%v/%v vs %v/%v/%v", step, u,
 				live.IsGateway(id), live.Alive(id), live.NeedsGateway(id), rep.IsGateway(id), rep.Alive(id), rep.NeedsGateway(id))
 		}
-		if live.pos[u] != rep.pos[u] {
-			t.Fatalf("step %d: node %d at %v vs %v", step, u, live.pos[u], rep.pos[u])
+		if live.Pos(id) != rep.Pos(id) {
+			t.Fatalf("step %d: node %d at %v vs %v", step, u, live.Pos(id), rep.Pos(id))
 		}
-		if lr, rr := live.radios[u].Range(), rep.radios[u].Range(); lr != rr {
+		if lr, rr := live.Radio(id).Range(), rep.Radio(id).Range(); lr != rr {
 			t.Fatalf("step %d: node %d range %v vs %v", step, u, lr, rr)
 		}
 	}
@@ -92,8 +93,8 @@ func TestTrajectoryReplayMatchesLive(t *testing.T) {
 				rep.Step()
 				sameWorldState(t, step, live, rep)
 			}
-			if rem := rep.TrajectoryRemaining(); rem != 0 {
-				t.Fatalf("TrajectoryRemaining = %d after full replay, want 0", rem)
+			if rem := trajectoryRemaining(rep); rem != 0 {
+				t.Fatalf("%d recorded steps remain after full replay, want 0", rem)
 			}
 			if sched != nil && live.FaultEpoch() == 0 {
 				t.Fatal("schedule fired no events — equivalence is vacuous")
@@ -102,12 +103,21 @@ func TestTrajectoryReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// trajectoryRemaining returns how many recorded steps are left for the
+// replay world w to replay: on a tape still being recorded, how many are
+// published and not yet replayed.
+func trajectoryRemaining(w *World) int {
+	return w.traj.t.Steps() - w.traj.rel
+}
+
 // refTape records w over steps the way TrajectoryRecorder did before it
 // read the WatchTopology stream: it keeps a private CSR copy of the
 // topology and merge-diffs every node's sorted out-list against it after
 // each changed step. It is the referee the stream-fed tape is pinned to
-// byte for byte. It returns the tape and its record count.
-func refTape(w *World, steps int) ([]byte, int) {
+// byte for byte. It writes the two-stream layout the tape has had since
+// replay worlds decode geometry only when it is read, and returns the
+// topology stream, the geometry stream and the record count.
+func refTape(w *World, steps int) (topo, geometry []byte, records int) {
 	n := w.N()
 	df := newWorldDiffer(w)
 	codec := trace.NewDeltaCodec(n)
@@ -154,8 +164,7 @@ func refTape(w *World, steps int) ([]byte, int) {
 		}
 	}
 	captureTopo()
-	var data []byte
-	gap, records := 0, 0
+	gap := 0
 	for i := 0; i < steps; i++ {
 		w.Step()
 		if !df.diff() {
@@ -163,26 +172,39 @@ func refTape(w *World, steps int) ([]byte, int) {
 			continue
 		}
 		diffTopo()
-		data = binary.AppendUvarint(data, uint64(gap))
+		d := df.d
+		fault := uint64(0)
+		if d.FaultChanged {
+			fault = 1
+		}
+		topo = binary.AppendUvarint(topo, uint64(gap)<<1|fault)
 		gap = 0
-		data = codec.Append(data, df.d)
-		data = trajAppendPairs(data, addU, addV)
-		data = trajAppendPairs(data, remU, remV)
+		topo = trajAppendPairs(topo, addU, addV)
+		topo = trajAppendPairs(topo, remU, remV)
 		if len(addU) > 0 || len(remU) > 0 {
 			captureTopo()
 		}
-		if df.d.FaultChanged {
+		if d.FaultChanged {
+			topo = trajAppendIDs(topo, d.Dead)
+			topo = trajAppendIDs(topo, d.DownGateways)
+			topo = append(topo, 0)
+			if d.Partition {
+				topo[len(topo)-1] = 1
+				topo = binary.LittleEndian.AppendUint64(topo, math.Float64bits(d.PartitionX))
+			}
 			var injected, recovered uint64
 			if f := w.flt; f != nil {
 				injected, recovered = f.injectedTotal-prevInjected, f.recoveredTotal-prevRecovered
 				prevInjected, prevRecovered = f.injectedTotal, f.recoveredTotal
 			}
-			data = binary.AppendUvarint(data, injected)
-			data = binary.AppendUvarint(data, recovered)
+			topo = binary.AppendUvarint(topo, injected)
+			topo = binary.AppendUvarint(topo, recovered)
 		}
+		d.FaultChanged = false
+		geometry = codec.Append(geometry, d)
 		records++
 	}
-	return data, records
+	return topo, geometry, records
 }
 
 // TestTrajectoryTapeMatchesDiffReferee pins the recorder's tape, whose
@@ -208,9 +230,12 @@ func TestTrajectoryTapeMatchesDiffReferee(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, records := refTape(build(), steps)
-				if !bytes.Equal(traj.data, want) {
-					t.Fatalf("tape (%d bytes) differs from the referee's (%d bytes)", len(traj.data), len(want))
+				topo, geometry, records := refTape(build(), steps)
+				if !bytes.Equal(traj.topo, topo) {
+					t.Fatalf("topology stream (%d bytes) differs from the referee's (%d bytes)", len(traj.topo), len(topo))
+				}
+				if !bytes.Equal(traj.geom, geometry) {
+					t.Fatalf("geometry stream (%d bytes) differs from the referee's (%d bytes)", len(traj.geom), len(geometry))
 				}
 				if traj.Records() != records {
 					t.Fatalf("tape holds %d records, referee %d", traj.Records(), records)
@@ -371,9 +396,10 @@ func TestTrajectoryCompact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d bytes over %d records", tc.name, len(traj.data), traj.Records())
-		if len(traj.data) > tc.max {
-			t.Errorf("%s: trajectory holds %d bytes, more than the %d-byte bound", tc.name, len(traj.data), tc.max)
+		size := len(traj.topo) + len(traj.geom)
+		t.Logf("%s: %d bytes (topology %d, geometry %d) over %d records", tc.name, size, len(traj.topo), len(traj.geom), traj.Records())
+		if size > tc.max {
+			t.Errorf("%s: trajectory holds %d bytes, more than the %d-byte bound", tc.name, size, tc.max)
 		}
 	}
 }

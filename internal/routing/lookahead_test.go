@@ -22,30 +22,27 @@ import (
 // emptyStates drops the idle run states, so a test can tell from the
 // free list whether its runs used a helper.
 func emptyStates() {
-	states.Lock()
-	states.free = nil
-	states.Unlock()
+	states = parallel.FreeList[runState]{}
 }
 
 // idleStates counts the run states on the free list.
-func idleStates() int {
-	states.Lock()
-	defer states.Unlock()
-	return len(states.free)
-}
+func idleStates() int { return states.Len() }
 
 // helpedStates counts the idle run states whose helper has been started.
 // startHelper binds a helper's pipe only once a run may start it (no
 // tracer, observer or registry, and a token spare), and the runs of these
 // tests find the spare token free when they ask for it.
 func helpedStates() int {
-	states.Lock()
-	defer states.Unlock()
+	idle := make([]*runState, states.Len())
 	k := 0
-	for _, st := range states.free {
-		if st.helper.pipe.cond.L != nil {
+	for i := range idle {
+		idle[i] = states.Get()
+		if idle[i].helper.pipe.cond.L != nil {
 			k++
 		}
+	}
+	for i := len(idle) - 1; i >= 0; i-- {
+		states.Put(idle[i])
 	}
 	return k
 }

@@ -114,7 +114,7 @@ func TestRunReusesPooledState(t *testing.T) {
 	if _, err := Run(w, sc, 7); err != nil {
 		t.Fatal(err)
 	}
-	st := getState()
+	st := states.Get()
 	tablesCap, nextCap := cap(st.tables.rows), cap(st.next)
 	if tablesCap < n {
 		t.Fatalf("kept tables cap at %d rows, want >= %d", tablesCap, n)
@@ -136,7 +136,7 @@ func TestRunReusesPooledState(t *testing.T) {
 	if cap(st.tables.rows) != tablesCap {
 		t.Fatalf("reset reallocated table storage: cap %d → %d", tablesCap, cap(st.tables.rows))
 	}
-	putState(st)
+	states.Put(st)
 }
 
 // TestRunStateSurvivesCollection pins the free list's point: a garbage

@@ -21,7 +21,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -305,36 +304,10 @@ type runState struct {
 	helper  helper             // started by the runs a processor is free for
 }
 
-// states is a free list of idle run states. Unlike a sync.Pool, a garbage
-// collection cannot empty it, so a state's tables, meter mirrors and
-// helper (tape, codecs, replay world, record log) grow once per process
-// instead of once per collection. Every goroutine beyond the first caller
-// that runs replications holds a budget token, so the harnesses have at
-// most Budget()+1 runs in flight and the list never needs to keep more.
-var states struct {
-	sync.Mutex
-	free []*runState
-}
-
-func getState() *runState {
-	states.Lock()
-	defer states.Unlock()
-	k := len(states.free)
-	if k == 0 {
-		return new(runState)
-	}
-	st := states.free[k-1]
-	states.free = states.free[:k-1]
-	return st
-}
-
-func putState(st *runState) {
-	states.Lock()
-	if len(states.free) <= parallel.Budget() {
-		states.free = append(states.free, st)
-	}
-	states.Unlock()
-}
+// states holds the idle run states. A collection cannot empty it, so a
+// state's tables, meter mirrors and helper (tape, codecs, replay world,
+// record log) grow once per process instead of once per collection.
+var states parallel.FreeList[runState]
 
 // reset sizes st for a run over n nodes with the given agent count and
 // table capacity, leaving every buffer indistinguishable from freshly
@@ -362,9 +335,9 @@ func (st *runState) reset(n, agents, capacity int) {
 // result is identical, and when Run returns, w stands where stepping it
 // inline would have left it.
 func Run(w *network.World, sc Scenario, seed uint64) (Result, error) {
-	st := getState()
+	st := states.Get()
 	res, err := run(w, sc, seed, st)
-	putState(st)
+	states.Put(st)
 	return res, err
 }
 

@@ -640,10 +640,11 @@ func (c *byteCursor) ids(dst []int32) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		prev += int64(d)
-		if prev > math.MaxInt32 {
+		// A gap past MaxInt32 would wrap int64(d) negative.
+		if d > math.MaxInt32 || prev+int64(d) > math.MaxInt32 {
 			return nil, fmt.Errorf("trace: id overflow: %w", ErrCorrupt)
 		}
+		prev += int64(d)
 		dst = append(dst, int32(prev))
 	}
 	return dst, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -176,6 +177,29 @@ func TestBinlogWorldStreamRoundTrip(t *testing.T) {
 		if tail[i] != fmt.Sprintf("%+v", w) {
 			t.Fatalf("tail record %d:\n got %s\nwant %+v", i, tail[i], w)
 		}
+	}
+}
+
+// TestDeltaCodecRejectsBadIDs pins the decoder's ID checks: a world
+// codec rejects a node beyond its world, and an ID gap too large for an
+// int32 is corrupt rather than a wrapped, negative node that would index
+// a predictor lane out of range.
+func TestDeltaCodecRejectsBadIDs(t *testing.T) {
+	body := (&DeltaCodec{}).Append(nil, WorldDelta{Nodes: []int32{1, 4}, X: []float64{1, 2}, Y: []float64{3, 4}})
+	var d WorldDelta
+	if _, err := NewDeltaCodec(4).Decode(body, &d); err != nil {
+		t.Fatalf("a growing codec rejects node 4: %v", err)
+	}
+	if _, err := NewWorldDeltaCodec(5).Decode(body, &d); err != nil {
+		t.Fatalf("a 5-node world codec rejects node 4: %v", err)
+	}
+	if _, err := NewWorldDeltaCodec(4).Decode(body, &d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a 4-node world codec decodes node 4: err = %v, want ErrCorrupt", err)
+	}
+	// One node ID: 5, then a gap of 2^64-6, which int64 reads as -6.
+	wrap := binary.AppendUvarint(binary.AppendUvarint([]byte{2}, 5), 1<<64-6)
+	if _, err := NewDeltaCodec(0).Decode(wrap, &d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("an ID gap past int32: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 // replay both encode world change through this one type.
 type DeltaCodec struct {
 	x, y, r []laneState
+	limit   int // when > 0, Decode rejects node IDs at or above it
 }
 
 // laneState is one node's predictor context in a float lane: the bit
@@ -39,6 +40,15 @@ type laneState struct {
 // IDs below n; a larger ID grows them.
 func NewDeltaCodec(n int) *DeltaCodec {
 	return &DeltaCodec{x: make([]laneState, n), y: make([]laneState, n), r: make([]laneState, n)}
+}
+
+// NewWorldDeltaCodec returns a codec for the deltas of one world of n
+// nodes: NewDeltaCodec(n) whose Decode rejects a node ID of n or more as
+// corrupt, so a malformed body can never grow its lanes past the world.
+func NewWorldDeltaCodec(n int) *DeltaCodec {
+	c := NewDeltaCodec(n)
+	c.limit = n
+	return c
 }
 
 // Reset restarts every predictor chain.
@@ -93,7 +103,7 @@ func (c *DeltaCodec) Decode(b []byte, d *WorldDelta) (int, error) {
 	if d.Nodes, err = cur.ids(d.Nodes); err != nil {
 		return 0, err
 	}
-	if err := checkLaneIDs(d.Nodes); err != nil {
+	if err := c.checkLaneIDs(d.Nodes); err != nil {
 		return 0, err
 	}
 	if d.X, err = cur.lane(&c.x, d.Nodes, d.X); err != nil {
@@ -105,7 +115,7 @@ func (c *DeltaCodec) Decode(b []byte, d *WorldDelta) (int, error) {
 	if d.RangeNodes, err = cur.ids(d.RangeNodes); err != nil {
 		return 0, err
 	}
-	if err := checkLaneIDs(d.RangeNodes); err != nil {
+	if err := c.checkLaneIDs(d.RangeNodes); err != nil {
 		return 0, err
 	}
 	if d.Ranges, err = cur.lane(&c.r, d.RangeNodes, d.Ranges); err != nil {
@@ -155,11 +165,18 @@ func (cur *byteCursor) lane(lane *[]laneState, ids []int32, dst []float64) ([]fl
 	return dst, nil
 }
 
-// checkLaneIDs rejects an ascending node ID list whose predictor lane (one
-// laneState per node up to the largest ID) would outgrow the reader's
-// maxBlockLen allocation cap.
-func checkLaneIDs(ids []int32) error {
-	if n := len(ids); n > 0 && (int64(ids[n-1])+1)*int64(unsafe.Sizeof(laneState{})) > maxBlockLen {
+// checkLaneIDs rejects an ascending node ID list that names a node beyond
+// the codec's world, or whose predictor lane (one laneState per node up
+// to the largest ID) would outgrow the reader's maxBlockLen allocation cap.
+func (c *DeltaCodec) checkLaneIDs(ids []int32) error {
+	n := len(ids)
+	if n == 0 {
+		return nil
+	}
+	if top := ids[n-1]; c.limit > 0 && int(top) >= c.limit {
+		return fmt.Errorf("trace: world delta names node %d in a world of %d: %w", top, c.limit, ErrCorrupt)
+	}
+	if (int64(ids[n-1])+1)*int64(unsafe.Sizeof(laneState{})) > maxBlockLen {
 		return fmt.Errorf("trace: world delta names node %d, beyond any plausible world: %w", ids[n-1], ErrCorrupt)
 	}
 	return nil

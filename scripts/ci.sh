@@ -33,19 +33,20 @@ echo "== parallel determinism gate (GOMAXPROCS=2 and NumCPU, under -race)"
 # goroutine left after a failing run, and the streaming tape's reader
 # waiting at step gaps, matching live stepping and a RecordTrajectory tape,
 # from a kept replay world reset in place without allocating.
-# Replicated runs draw pooled run state concurrently, so the mapping
-# harness's recycling tests run here too: a recycled state (agents, maps,
-# visit tables, footprint board) must give a fresh state's results, and a
+# Replicated runs draw run state from a free list concurrently, so the
+# harnesses' recycling tests run here too: a recycled state (agents, maps,
+# visit tables, footprint board) must give a fresh state's results, a
 # warm state must be reused in place (allocation pin included: meetings
-# run on the state's own scratch, so it holds under -race).
+# run on the state's own scratch, so it holds under -race), and a garbage
+# collection must not empty the list (RunStateSurvivesCollection).
 # Measurement trails the run on the helper (or on a measure-only helper
 # for replay and static worlds): every Result identical with helpers off
 # and on over live, replay and static worlds, a Meter fed only logged
 # change records equal to the inline Meter and the scratch referee, and
 # no goroutine left after a run or a measurement that panics.
-GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
+GOMAXPROCS=2 go test -race -run 'ParallelEquivalence|ParallelDeterminism|ParallelSharedWorld|BatchPinned|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|RunStateSurvivesCollection|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
   . ./internal/routing ./internal/mapping ./internal/parallel
-go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
+go test -race -run 'ParallelEquivalence|ParallelDeterminism|TestReplicate|LookaheadEquivalence|LookaheadMetrics|LookaheadPanic|RecycledStateMatchesFresh|RunReusesPooledAgents|RunStateSurvivesCollection|MeterFedFromChangeLog|HelperPanic|MeasurePipe|SpareTracksTokens' \
   . ./internal/routing ./internal/mapping ./internal/parallel
 GOMAXPROCS=2 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
 go test -race -count=1 -run 'Lookahead|StreamingTape' ./internal/network
@@ -146,15 +147,24 @@ echo "== replay determinism tests (pinned runs + log byte pins + faulted round-t
 go test -count=1 -run 'TestReplayMatchesPinnedRun|TestReplayChurnLogPinned|TestReplayStaticMappingLogPinned' .
 go test -count=1 -run 'TestLogRoundTrip|TestDeltaOutsideWorldRejected|TestExportJSONL|FuzzExportJSONL' ./internal/replay
 
-echo "== trajectory replay gate (cached-stepping equivalence + tape size, -race)"
+echo "== trajectory replay gate (cached-stepping equivalence + tape size + lazy geometry, -race)"
 # The record-once/replay-many engine must stay bit-identical to live
 # stepping at every worker setting, and its tape must stay as compact as
 # the predictor lanes make it (TestTrajectoryCompact), and byte-identical
 # to the full-diff referee's (TestTrajectoryTapeMatchesDiffReferee). The
-# tape encodes world change with the binary log's trace.DeltaCodec, whose
-# decoder the corrupt-log gate fuzzes (FuzzLogReader).
-go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt' \
+# tape's geometry stream encodes positions and ranges with the binary
+# log's trace.DeltaCodec, whose decoder the corrupt-log gate fuzzes
+# (FuzzLogReader); FuzzTrajectoryDecoder runs its seed corpus of real
+# tapes here (go test -fuzz FuzzTrajectoryDecoder -fuzzminimizetime 2s
+# ./internal/network goes deeper). Replay worlds decode geometry only when
+# it is read: ReplayGeometryOnDemand reads snapshots on several schedules
+# under every fault preset, from fresh and reused Lookahead worlds whose
+# tape is still being written, an untraced routing run on a replay world
+# must decode no geometry at all (DecodesNoGeometry), and a traced one
+# must write the live run's log byte for byte (ReplayWorldLogPinned).
+go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt|ReplayGeometry|DecodesNoGeometry' \
   ./internal/network ./internal/mapping ./internal/routing ./internal/replay
+go test -race -count=1 -run 'ReplayWorldLogPinned' .
 
 echo "== incremental-measurement equivalence gate (-race)"
 # The churn-proportional measurement meter must report bit-identical
